@@ -48,6 +48,7 @@ use trident_prof::report::{render_json, render_markdown, render_prometheus};
 use trident_prof::{Profile, TraceReader};
 use trident_sim::experiments::ExpOptions;
 use trident_sim::{PolicyKind, System};
+use trident_types::json::Obj;
 use trident_workloads::WorkloadSpec;
 
 const USAGE: &str =
@@ -289,17 +290,10 @@ fn run_check() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Pulls `"key": <number>` out of a flat JSON object like `BENCH_1.json`
-/// without a JSON parser (the bench file is machine-written with a fixed
-/// shape).
+/// Reads the top-level number at `key` of a bench record like
+/// `BENCH_1.json` through the workspace's JSON codec.
 fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Obj::parse(text).ok()?.raw(key)?.parse().ok()
 }
 
 /// Fails when the fresh bench file's `serial_seconds` exceeds the

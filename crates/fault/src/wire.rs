@@ -47,58 +47,26 @@ pub fn mix64(z: u64) -> u64 {
     splitmix64(z)
 }
 
-/// Where a network fault can bite one protocol round-trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireSite {
-    /// The request line is never written; the caller's read deadline
-    /// expires instead of an answer arriving.
-    Drop,
-    /// The response line arrives, but late (a bounded, seed-derived
-    /// delay). Never changes bytes — only wall-clock latency.
-    Delay,
-    /// The response line is cut short mid-message; the decoder must
-    /// answer with a typed malformed error, never a panic.
-    Truncate,
-    /// The response line's framing byte is overwritten; like
-    /// [`Truncate`](WireSite::Truncate), decodes to a typed error.
-    Corrupt,
-    /// The connection is shut down before the request goes out; the
-    /// caller sees a closed connection and must reconnect.
-    Sever,
-}
-
-impl WireSite {
-    /// All sites, for table-driven parsing, plans and tests.
-    pub const ALL: [WireSite; 5] = [
-        WireSite::Drop,
-        WireSite::Delay,
-        WireSite::Truncate,
-        WireSite::Corrupt,
-        WireSite::Sever,
-    ];
-
-    /// Stable lowercase tag, used by `--net-fault SITE:PROB` flags.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WireSite::Drop => "drop",
-            WireSite::Delay => "delay",
-            WireSite::Truncate => "truncate",
-            WireSite::Corrupt => "corrupt",
-            WireSite::Sever => "sever",
-        }
-    }
-
-    /// Parses a tag produced by [`as_str`](Self::as_str).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<WireSite> {
-        WireSite::ALL.into_iter().find(|site| site.as_str() == s)
-    }
-}
-
-impl std::fmt::Display for WireSite {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+trident_obs::wire_enum! {
+    /// Where a network fault can bite one protocol round-trip. The tags
+    /// name the sites in `--net-fault SITE:PROB` flags.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum WireSite {
+        /// The request line is never written; the caller's read deadline
+        /// expires instead of an answer arriving.
+        Drop = "drop",
+        /// The response line arrives, but late (a bounded, seed-derived
+        /// delay). Never changes bytes — only wall-clock latency.
+        Delay = "delay",
+        /// The response line is cut short mid-message; the decoder must
+        /// answer with a typed malformed error, never a panic.
+        Truncate = "truncate",
+        /// The response line's framing byte is overwritten; like
+        /// [`Truncate`](WireSite::Truncate), decodes to a typed error.
+        Corrupt = "corrupt",
+        /// The connection is shut down before the request goes out; the
+        /// caller sees a closed connection and must reconnect.
+        Sever = "sever",
     }
 }
 

@@ -3,161 +3,68 @@
 use core::fmt;
 use std::error::Error;
 
-use trident_types::{PageSize, TenantId};
+use trident_types::json::{self, JsonError, Obj};
+use trident_types::{wire_enum, PageSize, TenantId};
 
-/// Where a large-page allocation was attempted, for Table 4's breakdown of
-/// failure rates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AllocSite {
-    /// In the page-fault handler.
-    PageFault,
-    /// In the background promotion daemon.
-    Promotion,
-}
-
-impl AllocSite {
-    fn as_str(self) -> &'static str {
-        match self {
-            AllocSite::PageFault => "page_fault",
-            AllocSite::Promotion => "promotion",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<AllocSite> {
-        match s {
-            "page_fault" => Some(AllocSite::PageFault),
-            "promotion" => Some(AllocSite::Promotion),
-            _ => None,
-        }
+wire_enum! {
+    /// Where a large-page allocation was attempted, for Table 4's breakdown of
+    /// failure rates.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum AllocSite {
+        /// In the page-fault handler.
+        PageFault = "page_fault",
+        /// In the background promotion daemon.
+        Promotion = "promotion",
     }
 }
 
-/// Where a deterministic fault plan can inject a failure.
-///
-/// Each site names one failure-capable operation in the stack; the
-/// injector in `trident-fault` decides per-site, and every injected fault
-/// is reported as an [`Event::FaultInjected`] carrying its site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InjectSite {
-    /// A large-page buddy allocation (fault- or promotion-time).
-    Alloc,
-    /// A compaction pass aborted before migrating anything.
-    Compaction,
-    /// A Trident_pv exchange hypercall rejected by the hypervisor.
-    PvExchange,
-    /// A promotion candidate invalidated under the daemon (raced away).
-    Promotion,
-    /// Trace-ring pressure: one event lost to a simulated full ring.
-    TraceRing,
-}
-
-impl InjectSite {
-    /// Every injection site, in wire order (indexable by `site as usize`).
-    pub const ALL: [InjectSite; 5] = [
-        InjectSite::Alloc,
-        InjectSite::Compaction,
-        InjectSite::PvExchange,
-        InjectSite::Promotion,
-        InjectSite::TraceRing,
-    ];
-
-    /// Stable lowercase wire tag.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            InjectSite::Alloc => "alloc",
-            InjectSite::Compaction => "compaction",
-            InjectSite::PvExchange => "pv_exchange",
-            InjectSite::Promotion => "promotion",
-            InjectSite::TraceRing => "trace_ring",
-        }
-    }
-
-    /// Parses a wire tag produced by [`as_str`](Self::as_str). Public so
-    /// wire formats beyond the trace (e.g. the job service's fault
-    /// specs) reuse the same site names.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<InjectSite> {
-        InjectSite::ALL.into_iter().find(|k| k.as_str() == s)
+wire_enum! {
+    /// Where a deterministic fault plan can inject a failure.
+    ///
+    /// Each site names one failure-capable operation in the stack; the
+    /// injector in `trident-fault` decides per-site, and every injected fault
+    /// is reported as an [`Event::FaultInjected`] carrying its site. The
+    /// job service's fault specs reuse the same tags.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum InjectSite {
+        /// A large-page buddy allocation (fault- or promotion-time).
+        Alloc = "alloc",
+        /// A compaction pass aborted before migrating anything.
+        Compaction = "compaction",
+        /// A Trident_pv exchange hypercall rejected by the hypervisor.
+        PvExchange = "pv_exchange",
+        /// A promotion candidate invalidated under the daemon (raced away).
+        Promotion = "promotion",
+        /// Trace-ring pressure: one event lost to a simulated full ring.
+        TraceRing = "trace_ring",
     }
 }
 
-impl fmt::Display for InjectSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+wire_enum! {
+    /// The instrumented operations whose begin/end pairs form duration spans.
+    ///
+    /// Span events are trace-only: they never touch [`StatsSnapshot`] counters.
+    /// A [`SpanBegin`](Event::SpanBegin) opens a span; the matching
+    /// [`SpanEnd`](Event::SpanEnd) carries the modeled duration (the simulator
+    /// runs on modeled time, so the duration is known — and deterministic — at
+    /// end). Consumers that aggregate spans live in `trident-prof`.
+    ///
+    /// [`StatsSnapshot`]: crate::StatsSnapshot
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SpanKind {
+        /// One page-fault handling, any page size.
+        Fault = "fault",
+        /// One promotion-daemon address-space scan.
+        PromoScan = "promo_scan",
+        /// One compaction pass.
+        Compaction = "compaction",
+        /// One Trident_pv mapping-exchange batch.
+        PvExchange = "pv_exchange",
+        /// One governed background-daemon tick.
+        DaemonTick = "daemon_tick",
+        /// One background zero-fill pass.
+        ZeroFill = "zero_fill",
     }
-}
-
-/// The instrumented operations whose begin/end pairs form duration spans.
-///
-/// Span events are trace-only: they never touch [`StatsSnapshot`] counters.
-/// A [`SpanBegin`](Event::SpanBegin) opens a span; the matching
-/// [`SpanEnd`](Event::SpanEnd) carries the modeled duration (the simulator
-/// runs on modeled time, so the duration is known — and deterministic — at
-/// end). Consumers that aggregate spans live in `trident-prof`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpanKind {
-    /// One page-fault handling, any page size.
-    Fault,
-    /// One promotion-daemon address-space scan.
-    PromoScan,
-    /// One compaction pass.
-    Compaction,
-    /// One Trident_pv mapping-exchange batch.
-    PvExchange,
-    /// One governed background-daemon tick.
-    DaemonTick,
-    /// One background zero-fill pass.
-    ZeroFill,
-}
-
-impl SpanKind {
-    /// Every span kind, in wire order (indexable by `kind as usize`).
-    pub const ALL: [SpanKind; 6] = [
-        SpanKind::Fault,
-        SpanKind::PromoScan,
-        SpanKind::Compaction,
-        SpanKind::PvExchange,
-        SpanKind::DaemonTick,
-        SpanKind::ZeroFill,
-    ];
-
-    /// Stable lowercase wire tag.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SpanKind::Fault => "fault",
-            SpanKind::PromoScan => "promo_scan",
-            SpanKind::Compaction => "compaction",
-            SpanKind::PvExchange => "pv_exchange",
-            SpanKind::DaemonTick => "daemon_tick",
-            SpanKind::ZeroFill => "zero_fill",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<SpanKind> {
-        SpanKind::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-}
-
-impl fmt::Display for SpanKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Stable wire tags for ladder rungs, positional rather than sized: the
-/// same trace schema serves every geometry, and the first three keep their
-/// historical x86 names so existing consumers (Prometheus label values,
-/// CI greps) survive the ladder generalization unchanged.
-const SIZE_TAGS: [&str; trident_types::MAX_RUNGS] = ["base", "huge", "giant", "r3", "r4", "r5"];
-
-pub(crate) fn size_str(size: PageSize) -> &'static str {
-    SIZE_TAGS[size.rung()]
-}
-
-fn size_from_str(s: &str) -> Option<PageSize> {
-    SIZE_TAGS.iter().position(|t| *t == s).map(PageSize::new)
 }
 
 /// One observable memory-management action.
@@ -325,252 +232,99 @@ impl Event {
                 | Event::TenantScope { .. }
         )
     }
+}
 
-    /// Stable lowercase tag identifying the event kind on the wire.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::Fault { .. } => "fault",
-            Event::GiantAttempt { .. } => "giant_attempt",
-            Event::Promote { .. } => "promote",
-            Event::Demote { .. } => "demote",
-            Event::PvExchange { .. } => "pv_exchange",
-            Event::CompactionRun { .. } => "compaction_run",
-            Event::CompactionMove { .. } => "compaction_move",
-            Event::ZeroFill { .. } => "zero_fill",
-            Event::DaemonTick { .. } => "daemon_tick",
-            Event::BuddySplit { .. } => "buddy_split",
-            Event::BuddyCoalesce { .. } => "buddy_coalesce",
-            Event::TlbMiss { .. } => "tlb_miss",
-            Event::SpanBegin { .. } => "span_begin",
-            Event::SpanEnd { .. } => "span_end",
-            Event::TraceGap { .. } => "trace_gap",
-            Event::Gauge { .. } => "gauge",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::PromotionDeferred { .. } => "promotion_deferred",
-            Event::PvFallback { .. } => "pv_fallback",
-            Event::TenantScope { .. } => "tenant_scope",
-        }
-    }
+/// The JSONL wire table: one row per variant, giving its `"ev"` tag and
+/// its fields in wire order, each keyed by its own name unless a key is
+/// given. [`Event::kind`], [`Event::to_jsonl`] and [`Event::parse_jsonl`]
+/// are all generated from it.
+macro_rules! event_wire {
+    ($($variant:ident $tag:literal { $($field:ident $($key:literal)?),+ }),+ $(,)?) => {
+        impl Event {
+            /// Stable lowercase tag identifying the event kind on the wire.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)+
+                }
+            }
 
-    /// Serializes the event as one JSON object (no trailing newline).
-    ///
-    /// The schema is versioned by the `"v"` field; see
-    /// [`SNAPSHOT_VERSION`](crate::SNAPSHOT_VERSION).
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let v = crate::SNAPSHOT_VERSION;
-        let k = self.kind();
-        match *self {
-            Event::Fault { size, site, ns } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"size\":\"{}\",\"site\":\"{}\",\"ns\":{ns}}}",
-                size_str(size),
-                site.as_str()
-            ),
-            Event::GiantAttempt { site, failed } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"site\":\"{}\",\"failed\":{failed}}}",
-                site.as_str()
-            ),
-            Event::Promote {
-                size,
-                bytes_copied,
-                bloat_pages,
-            } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"size\":\"{}\",\"bytes_copied\":{bytes_copied},\"bloat_pages\":{bloat_pages}}}",
-                size_str(size)
-            ),
-            Event::Demote {
-                size,
-                recovered_pages,
-            } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"size\":\"{}\",\"recovered_pages\":{recovered_pages}}}",
-                size_str(size)
-            ),
-            Event::PvExchange {
-                pairs,
-                bytes,
-                batched,
-            } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"pairs\":{pairs},\"bytes\":{bytes},\"batched\":{batched}}}"
-            ),
-            Event::CompactionRun { smart, succeeded } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"smart\":{smart},\"succeeded\":{succeeded}}}"
-            ),
-            Event::CompactionMove { bytes } => {
-                format!("{{\"v\":{v},\"ev\":\"{k}\",\"bytes\":{bytes}}}")
+            /// Serializes the event as one JSON object (no trailing newline).
+            ///
+            /// The schema is versioned by the `"v"` field; see
+            /// [`SNAPSHOT_VERSION`](crate::SNAPSHOT_VERSION).
+            #[must_use]
+            pub fn to_jsonl(&self) -> String {
+                json::object(|w| {
+                    w.version("v", &crate::SNAPSHOT_VERSION).tag("ev", self.kind());
+                    match self {
+                        $(Event::$variant { $($field),+ } => {
+                            $(w.req(event_wire!(@key $field $($key)?), $field);)+
+                        })+
+                    }
+                })
             }
-            Event::ZeroFill { blocks } => {
-                format!("{{\"v\":{v},\"ev\":\"{k}\",\"blocks\":{blocks}}}")
-            }
-            Event::DaemonTick { ns } => format!("{{\"v\":{v},\"ev\":\"{k}\",\"ns\":{ns}}}"),
-            Event::BuddySplit {
-                from_order,
-                to_order,
-            } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"from_order\":{from_order},\"to_order\":{to_order}}}"
-            ),
-            Event::BuddyCoalesce {
-                from_order,
-                to_order,
-            } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"from_order\":{from_order},\"to_order\":{to_order}}}"
-            ),
-            Event::TlbMiss { size, walk_cycles } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"size\":\"{}\",\"walk_cycles\":{walk_cycles}}}",
-                size_str(size)
-            ),
-            Event::SpanBegin { kind } => {
-                format!("{{\"v\":{v},\"ev\":\"{k}\",\"span\":\"{}\"}}", kind.as_str())
-            }
-            Event::SpanEnd { kind, ns } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"span\":\"{}\",\"ns\":{ns}}}",
-                kind.as_str()
-            ),
-            Event::TraceGap { dropped } => {
-                format!("{{\"v\":{v},\"ev\":\"{k}\",\"dropped\":{dropped}}}")
-            }
-            Event::Gauge {
-                fmfi_milli,
-                free_huge,
-                free_giant,
-            } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"fmfi_milli\":{fmfi_milli},\"free_huge\":{free_huge},\"free_giant\":{free_giant}}}"
-            ),
-            Event::FaultInjected { site } => {
-                format!("{{\"v\":{v},\"ev\":\"{k}\",\"site\":\"{}\"}}", site.as_str())
-            }
-            Event::PromotionDeferred { size } => format!(
-                "{{\"v\":{v},\"ev\":\"{k}\",\"size\":\"{}\"}}",
-                size_str(size)
-            ),
-            Event::PvFallback { bytes } => {
-                format!("{{\"v\":{v},\"ev\":\"{k}\",\"bytes\":{bytes}}}")
-            }
-            Event::TenantScope { tenant } => {
-                format!("{{\"v\":{v},\"ev\":\"{k}\",\"tenant\":{}}}", tenant.raw())
-            }
-        }
-    }
 
-    /// Parses one JSONL line back into an event.
-    ///
-    /// Accepts exactly the output of [`Event::to_jsonl`] (field order is
-    /// not significant; unknown fields are ignored).
-    pub fn parse_jsonl(line: &str) -> Result<Event, ParseError> {
-        let err = |reason: &str| ParseError {
-            line: line.to_owned(),
-            reason: reason.to_owned(),
-        };
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err(err("not a JSON object"));
+            /// Parses one JSONL line back into an event.
+            ///
+            /// Accepts exactly the output of [`Event::to_jsonl`] (field order
+            /// is not significant; unknown fields are ignored). Every field is
+            /// range-checked against its type.
+            pub fn parse_jsonl(line: &str) -> Result<Event, ParseError> {
+                let decode = || -> Result<Event, JsonError> {
+                    let o = Obj::parse(line)?;
+                    o.version("v", crate::SNAPSHOT_VERSION)?;
+                    Ok(match o.req::<String>("ev")?.as_str() {
+                        $($tag => Event::$variant {
+                            $($field: o.req(event_wire!(@key $field $($key)?))?),+
+                        },)+
+                        _ => return Err(JsonError::Malformed("ev")),
+                    })
+                };
+                decode().map_err(|e| ParseError {
+                    line: line.to_owned(),
+                    reason: e.to_string(),
+                })
+            }
         }
-        let v = field_u64(line, "v").ok_or_else(|| err("missing \"v\""))?;
-        if v != u64::from(crate::SNAPSHOT_VERSION) {
-            return Err(err("unsupported schema version"));
-        }
-        let kind = field_str(line, "ev").ok_or_else(|| err("missing \"ev\""))?;
-        let size = || {
-            field_str(line, "size")
-                .and_then(size_from_str)
-                .ok_or_else(|| err("bad \"size\""))
-        };
-        let site = || {
-            field_str(line, "site")
-                .and_then(AllocSite::from_str)
-                .ok_or_else(|| err("bad \"site\""))
-        };
-        let span = || {
-            field_str(line, "span")
-                .and_then(SpanKind::from_str)
-                .ok_or_else(|| err("bad \"span\""))
-        };
-        let num = |key: &str| field_u64(line, key).ok_or_else(|| err("missing numeric field"));
-        let flag = |key: &str| field_bool(line, key).ok_or_else(|| err("missing boolean field"));
-        match kind {
-            "fault" => Ok(Event::Fault {
-                size: size()?,
-                site: site()?,
-                ns: num("ns")?,
-            }),
-            "giant_attempt" => Ok(Event::GiantAttempt {
-                site: site()?,
-                failed: flag("failed")?,
-            }),
-            "promote" => Ok(Event::Promote {
-                size: size()?,
-                bytes_copied: num("bytes_copied")?,
-                bloat_pages: num("bloat_pages")?,
-            }),
-            "demote" => Ok(Event::Demote {
-                size: size()?,
-                recovered_pages: num("recovered_pages")?,
-            }),
-            "pv_exchange" => Ok(Event::PvExchange {
-                pairs: num("pairs")?,
-                bytes: num("bytes")?,
-                batched: flag("batched")?,
-            }),
-            "compaction_run" => Ok(Event::CompactionRun {
-                smart: flag("smart")?,
-                succeeded: flag("succeeded")?,
-            }),
-            "compaction_move" => Ok(Event::CompactionMove {
-                bytes: num("bytes")?,
-            }),
-            "zero_fill" => Ok(Event::ZeroFill {
-                blocks: num("blocks")?,
-            }),
-            "daemon_tick" => Ok(Event::DaemonTick { ns: num("ns")? }),
-            "buddy_split" => Ok(Event::BuddySplit {
-                from_order: num("from_order")? as u8,
-                to_order: num("to_order")? as u8,
-            }),
-            "buddy_coalesce" => Ok(Event::BuddyCoalesce {
-                from_order: num("from_order")? as u8,
-                to_order: num("to_order")? as u8,
-            }),
-            "tlb_miss" => Ok(Event::TlbMiss {
-                size: size()?,
-                walk_cycles: num("walk_cycles")?,
-            }),
-            "span_begin" => Ok(Event::SpanBegin { kind: span()? }),
-            "span_end" => Ok(Event::SpanEnd {
-                kind: span()?,
-                ns: num("ns")?,
-            }),
-            "trace_gap" => Ok(Event::TraceGap {
-                dropped: num("dropped")?,
-            }),
-            "gauge" => Ok(Event::Gauge {
-                fmfi_milli: num("fmfi_milli")?,
-                free_huge: num("free_huge")?,
-                free_giant: num("free_giant")?,
-            }),
-            "fault_injected" => Ok(Event::FaultInjected {
-                site: field_str(line, "site")
-                    .and_then(InjectSite::parse)
-                    .ok_or_else(|| err("bad \"site\""))?,
-            }),
-            "promotion_deferred" => Ok(Event::PromotionDeferred { size: size()? }),
-            "pv_fallback" => Ok(Event::PvFallback {
-                bytes: num("bytes")?,
-            }),
-            "tenant_scope" => Ok(Event::TenantScope {
-                tenant: TenantId::new(
-                    u32::try_from(num("tenant")?).map_err(|_| err("bad \"tenant\""))?,
-                ),
-            }),
-            _ => Err(err("unknown event kind")),
-        }
-    }
+    };
+    (@key $field:ident) => {
+        stringify!($field)
+    };
+    (@key $field:ident $key:literal) => {
+        $key
+    };
+}
+
+event_wire! {
+    Fault "fault" { size, site, ns },
+    GiantAttempt "giant_attempt" { site, failed },
+    Promote "promote" { size, bytes_copied, bloat_pages },
+    Demote "demote" { size, recovered_pages },
+    PvExchange "pv_exchange" { pairs, bytes, batched },
+    CompactionRun "compaction_run" { smart, succeeded },
+    CompactionMove "compaction_move" { bytes },
+    ZeroFill "zero_fill" { blocks },
+    DaemonTick "daemon_tick" { ns },
+    BuddySplit "buddy_split" { from_order, to_order },
+    BuddyCoalesce "buddy_coalesce" { from_order, to_order },
+    TlbMiss "tlb_miss" { size, walk_cycles },
+    SpanBegin "span_begin" { kind "span" },
+    SpanEnd "span_end" { kind "span", ns },
+    TraceGap "trace_gap" { dropped },
+    Gauge "gauge" { fmfi_milli, free_huge, free_giant },
+    FaultInjected "fault_injected" { site },
+    PromotionDeferred "promotion_deferred" { size },
+    PvFallback "pv_fallback" { bytes },
+    TenantScope "tenant_scope" { tenant },
 }
 
 /// Reads the `"v"` schema-version field of a JSONL trace line without
-/// parsing the rest, so readers can distinguish version skew from garbage.
+/// parsing the rest, so readers can distinguish version skew from garbage
+/// (a torn line still shows the version written before the tear).
 #[must_use]
 pub fn jsonl_schema_version(line: &str) -> Option<u64> {
-    field_u64(line.trim(), "v")
+    Obj::peek(line, "v")?.parse().ok()
 }
 
 /// A JSONL line that could not be parsed back into an [`Event`].
@@ -589,43 +343,6 @@ impl fmt::Display for ParseError {
 }
 
 impl Error for ParseError {}
-
-/// Extracts the raw text after `"key":`, up to the next `,` or `}`.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .char_indices()
-        .find(|(i, c)| {
-            if rest[..*i].starts_with('"') {
-                // String value: ends at the closing quote (no escapes in
-                // our vocabulary).
-                *c == '"' && *i > 0
-            } else {
-                *c == ',' || *c == '}'
-            }
-        })
-        .map(|(i, c)| if c == '"' { i + 1 } else { i })?;
-    Some(rest[..end].trim())
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let raw = field_raw(line, key)?;
-    raw.strip_prefix('"')?.strip_suffix('"')
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    match field_raw(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -725,6 +442,13 @@ mod tests {
         );
         assert!(
             Event::parse_jsonl("{\"v\":5,\"ev\":\"tenant_scope\",\"tenant\":99999999999}").is_err()
+        );
+        assert!(
+            Event::parse_jsonl(
+                "{\"v\":5,\"ev\":\"buddy_split\",\"from_order\":300,\"to_order\":9}"
+            )
+            .is_err(),
+            "orders are range-checked, never truncated"
         );
     }
 

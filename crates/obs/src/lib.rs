@@ -46,11 +46,13 @@
 #![deny(deprecated)]
 
 mod event;
-mod metrics;
 mod recorder;
 mod snapshot;
 
 pub use event::{jsonl_schema_version, AllocSite, Event, InjectSite, ParseError, SpanKind};
-pub use metrics::{Counter, Histogram};
 pub use recorder::{DynRecorder, NoopRecorder, ObsRecorder, Recorder, RingTracer};
 pub use snapshot::{StatsSnapshot, SNAPSHOT_VERSION};
+/// The tag-enum declaration macro of the workspace's JSON codec,
+/// re-exported so crates that speak trace vocabulary need no direct
+/// `trident-types` dependency to declare their own wire enums.
+pub use trident_types::wire_enum;

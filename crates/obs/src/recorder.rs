@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use crate::{Event, Histogram};
+use crate::Event;
 
 /// A sink for [`Event`]s.
 ///
@@ -164,19 +164,6 @@ impl RingTracer {
             out.push('\n');
         }
         out
-    }
-
-    /// Histogram of fault latencies (power-of-two ns buckets) over the
-    /// retained events.
-    #[must_use]
-    pub fn fault_latency_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for ev in &self.events {
-            if let Event::Fault { ns, .. } = ev {
-                h.record(*ns);
-            }
-        }
-        h
     }
 
     /// Count of retained events per translation page size, for quick TLB
@@ -389,7 +376,6 @@ mod tests {
         let tracer = o.tracer().expect("tracing on");
         assert_eq!(tracer.len(), 2);
         assert_eq!(tracer.tlb_miss_counts(), [0, 1, 0, 0, 0, 0]);
-        assert_eq!(tracer.fault_latency_histogram().count(), 1);
         let drained = o.tracer_mut().expect("tracing on").drain();
         assert_eq!(drained.len(), 2);
         assert!(o.tracer().expect("still on").is_empty());

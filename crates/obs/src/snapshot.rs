@@ -72,6 +72,36 @@ pub struct StatsSnapshot {
     pub pv_fallback_bytes: u64,
 }
 
+// The wire schema (job results embed it): every counter in declaration
+// order, behind its own schema version so a foreign snapshot is refused
+// before any counter is read.
+trident_types::json_record! {
+    StatsSnapshot {
+        version: version(SNAPSHOT_VERSION),
+        faults: req,
+        fault_ns: req,
+        giant_attempts_fault: req,
+        giant_failures_fault: req,
+        giant_attempts_promo: req,
+        giant_failures_promo: req,
+        promotions: req,
+        demotions: req,
+        compaction_bytes_copied: req,
+        promotion_bytes_copied: req,
+        pv_bytes_exchanged: req,
+        compaction_attempts: req,
+        compaction_successes: req,
+        daemon_ns: req,
+        bloat_pages: req,
+        bloat_recovered_pages: req,
+        giant_blocks_prezeroed: req,
+        injected_faults: req,
+        promotions_deferred: req,
+        pv_fallbacks: req,
+        pv_fallback_bytes: req,
+    }
+}
+
 impl Default for StatsSnapshot {
     fn default() -> Self {
         StatsSnapshot {

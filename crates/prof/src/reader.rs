@@ -149,11 +149,17 @@ mod tests {
     #[test]
     fn reports_garbage_as_parse_error() {
         let good = Event::DaemonTick { ns: 1 }.to_jsonl();
-        let text = format!("{good}\nnot json at all\n");
+        // A torn line still carries a readable current version, so it is
+        // a parse error, not version skew.
+        let torn = format!("{{\"v\":{SNAPSHOT_VERSION},\"ev\":\"fau");
+        let text = format!("{good}\nnot json at all\n{torn}\n");
         let results: Vec<_> = TraceReader::new(Cursor::new(text)).collect();
         assert!(results[0].is_ok());
         let err = results[1].as_ref().unwrap_err();
         assert_eq!(err.line_no, 2);
+        assert!(matches!(err.kind, TraceReadErrorKind::Parse(_)));
+        let err = results[2].as_ref().unwrap_err();
+        assert_eq!(err.line_no, 3);
         assert!(matches!(err.kind, TraceReadErrorKind::Parse(_)));
     }
 }

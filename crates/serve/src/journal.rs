@@ -26,12 +26,16 @@
 //! A torn final line (the crash happened mid-append) is expected and
 //! skipped; corrupt interior lines are counted and skipped rather than
 //! aborting the replay — durability degrades loudly, never silently.
+//! Opening a journal whose last byte is not a newline first appends one,
+//! so the torn line stays a line of its own and the next record starts
+//! clean.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::json;
+use trident_types::json::{self, Obj};
+
 use crate::proto::{JobOrigin, JobSpec};
 
 /// Schema version of journal records; bump on any record-shape change.
@@ -77,7 +81,23 @@ impl Journal {
             },
             Err(err) => return Err(err),
         };
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        // A crash mid-append leaves a torn final line with no newline;
+        // end it before the first new record, or that record would be
+        // glued onto the torn bytes and lost to the next replay.
+        if file.metadata()?.len() > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+            if last[0] != b'\n' {
+                file.write_all(b"\n")?;
+                file.sync_data()?;
+            }
+        }
         Ok((
             Journal {
                 file,
@@ -113,16 +133,14 @@ impl Journal {
         origin: JobOrigin,
         requeued_from: Option<u64>,
     ) -> std::io::Result<()> {
-        let mut line = format!(
-            "{{\"j\":{JOURNAL_VERSION},\"op\":\"accept\",\"id\":{id},\"origin\":\"{}\"",
-            origin.as_str()
-        );
-        if let Some(from) = requeued_from {
-            line.push_str(&format!(",\"from\":{from}"));
-        }
-        line.push_str(",\"job\":");
-        line.push_str(&spec.to_json());
-        line.push('}');
+        let line = json::object(|w| {
+            w.version("j", &JOURNAL_VERSION)
+                .tag("op", "accept")
+                .req("id", &id)
+                .req("origin", &origin)
+                .opt("from", &requeued_from)
+                .req("job", spec);
+        });
         self.append(&line)
     }
 
@@ -133,9 +151,11 @@ impl Journal {
     ///
     /// Propagates the write or sync failure.
     pub fn terminal(&mut self, id: u64, op: &'static str) -> std::io::Result<()> {
-        self.append(&format!(
-            "{{\"j\":{JOURNAL_VERSION},\"op\":\"{op}\",\"id\":{id}}}"
-        ))
+        self.append(&json::object(|w| {
+            w.version("j", &JOURNAL_VERSION)
+                .tag("op", op)
+                .req("id", &id);
+        }))
     }
 
     fn append(&mut self, line: &str) -> std::io::Result<()> {
@@ -200,14 +220,13 @@ enum Action {
 }
 
 fn replay_line(line: &str) -> Option<(u64, Action)> {
-    if json::u64_field(line, "j")? != u64::from(JOURNAL_VERSION) {
-        return None;
-    }
-    let id = json::u64_field(line, "id")?;
-    match json::str_field(line, "op")?.as_str() {
+    let o = Obj::parse(line).ok()?;
+    o.version("j", JOURNAL_VERSION).ok()?;
+    let id = o.req("id").ok()?;
+    match o.req::<String>("op").ok()?.as_str() {
         "accept" => {
-            let spec = Box::new(JobSpec::from_json(json::field(line, "job")?).ok()?);
-            let from = json::u64_field(line, "from");
+            let spec = Box::new(o.req("job").ok()?);
+            let from = o.opt("from").ok()?;
             Some((id, Action::Accept { spec, from }))
         }
         "done" | "failed" | "cancelled" => Some((id, Action::Terminal)),
@@ -268,6 +287,36 @@ mod tests {
         assert_eq!(replay.records, 1);
         assert_eq!(replay.corrupt, 1);
         assert_eq!(replay.pending, vec![(7, spec)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_appended_after_a_torn_tail_survives_the_next_replay() {
+        // Crash 1 tears the tail after accepting id 4; the restart
+        // re-accepts 4 as 9. The second restart must see 9 alone: had
+        // the re-accept been glued onto the torn bytes, 4 would replay
+        // again and ids would be reused.
+        let path = temp_path("torn-append");
+        let _ = std::fs::remove_file(&path);
+        let spec = JobSpec::new("GUPS", "Trident");
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        journal.accept(4, &spec, JobOrigin::Client, None).unwrap();
+        drop(journal);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"{\"j\":1,\"op\":\"acc").unwrap();
+        drop(file);
+
+        let (mut journal, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.pending, vec![(4, spec.clone())]);
+        journal
+            .accept(9, &spec, JobOrigin::Journal, Some(4))
+            .unwrap();
+        drop(journal);
+
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.pending, vec![(9, spec)]);
+        assert_eq!(replay.max_id, 9);
+        assert_eq!(replay.corrupt, 1, "only the torn line is lost");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -9,7 +9,9 @@
 //!
 //! The layering, bottom up:
 //!
-//! - [`json`]: nesting-aware field extraction for the wire format;
+//! - [`json`]: the workspace's one JSON codec (`trident_types::json`),
+//!   re-exported here with the bounded line reader the transports frame
+//!   with;
 //! - [`proto`]: the versioned request/response vocabulary
 //!   ([`proto::PROTO_VERSION`]); unknown versions are rejected, never
 //!   guessed;
@@ -65,7 +67,6 @@ pub mod fleet;
 pub mod http;
 pub mod job;
 pub mod journal;
-pub mod json;
 pub mod metrics;
 pub mod proto;
 pub mod retry;
@@ -86,3 +87,4 @@ pub use proto::{
 pub use retry::RetryPolicy;
 pub use server::{serve_lines, serve_tcp, ServerHandle};
 pub use service::{JobWait, ReplayReport, Service, ServiceConfig, SubmitError};
+pub use trident_types::json;

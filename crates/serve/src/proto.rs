@@ -25,9 +25,9 @@
 
 use core::fmt;
 
-use trident_core::{InjectSite, StatsSnapshot, SNAPSHOT_VERSION};
-
-use crate::json;
+use trident_core::{InjectSite, StatsSnapshot};
+use trident_types::json::{self, Json, JsonError, Obj, Record};
+use trident_types::{json_record, wire_enum};
 
 /// Version of the request/response wire format. Bump on any change to
 /// message shapes; both sides refuse to interoperate across versions.
@@ -124,82 +124,26 @@ impl JobSpec {
             tenants: Vec::new(),
         }
     }
+}
 
-    pub(crate) fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"workload\":{},\"policy\":{},\"scale\":{},\"samples\":{},\"seed\":{}",
-            json::escape(&self.workload),
-            json::escape(&self.policy),
-            self.scale,
-            self.samples,
-            self.seed,
-        );
-        if let Some(cell) = self.cell_index {
-            s.push_str(&format!(",\"cell\":{cell}"));
-        }
-        if let Some(geometry) = &self.geometry {
-            s.push_str(",\"geometry\":");
-            s.push_str(&json::escape(geometry));
-        }
-        s.push_str(&format!(
-            ",\"fragment\":{},\"profile\":{},\"audit\":{}",
-            self.fragment, self.profile, self.audit
-        ));
-        if !self.tenants.is_empty() {
-            let rows: Vec<String> = self.tenants.iter().map(TenantJob::to_json).collect();
-            s.push_str(&format!(",\"tenants\":[{}]", rows.join(",")));
-        }
-        if let Some(cap) = self.trace_capacity {
-            s.push_str(&format!(",\"trace\":{cap}"));
-        }
-        if let Some(fault) = &self.fault {
-            s.push_str(",\"fault\":");
-            s.push_str(&fault.to_json());
-        }
-        if let Some(path) = &self.trace_out {
-            s.push_str(",\"trace_out\":");
-            s.push_str(&json::escape(path));
-        }
-        if let Some(path) = &self.profile_out {
-            s.push_str(",\"profile_out\":");
-            s.push_str(&json::escape(path));
-        }
-        if let Some(key) = &self.key {
-            s.push_str(",\"key\":");
-            s.push_str(&json::escape(key));
-        }
-        s.push('}');
-        s
-    }
-
-    pub(crate) fn from_json(obj: &str) -> Result<JobSpec, ProtoError> {
-        Ok(JobSpec {
-            workload: json::str_field(obj, "workload").ok_or_else(|| bad("job.workload"))?,
-            policy: json::str_field(obj, "policy").ok_or_else(|| bad("job.policy"))?,
-            scale: json::u64_field(obj, "scale").ok_or_else(|| bad("job.scale"))?,
-            samples: usize_field(obj, "samples").ok_or_else(|| bad("job.samples"))?,
-            seed: json::u64_field(obj, "seed").ok_or_else(|| bad("job.seed"))?,
-            cell_index: optional(obj, "cell", json::u64_field)?,
-            geometry: optional(obj, "geometry", json::str_field)?,
-            fragment: json::bool_field(obj, "fragment").ok_or_else(|| bad("job.fragment"))?,
-            trace_capacity: optional(obj, "trace", usize_field)?,
-            profile: json::bool_field(obj, "profile").ok_or_else(|| bad("job.profile"))?,
-            fault: match json::field(obj, "fault") {
-                None => None,
-                Some(raw) => Some(FaultSpec::from_json(raw)?),
-            },
-            trace_out: optional(obj, "trace_out", json::str_field)?,
-            profile_out: optional(obj, "profile_out", json::str_field)?,
-            audit: json::bool_field(obj, "audit").ok_or_else(|| bad("job.audit"))?,
-            key: optional(obj, "key", json::str_field)?,
-            tenants: match json::field(obj, "tenants").and_then(json::items) {
-                None => Vec::new(),
-                Some(raw) => raw
-                    .into_iter()
-                    .map(TenantJob::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-        })
+json_record! {
+    JobSpec {
+        workload: req,
+        policy: req,
+        scale: req,
+        samples: req,
+        seed: req,
+        cell_index "cell": opt,
+        geometry: opt,
+        fragment: req,
+        profile: req,
+        audit: req,
+        tenants: nonempty,
+        trace_capacity "trace": opt,
+        fault: opt,
+        trace_out: opt,
+        profile_out: opt,
+        key: opt,
     }
 }
 
@@ -236,56 +180,51 @@ impl TenantJob {
             pins: Vec::new(),
         }
     }
+}
 
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"workload\":{},\"weight\":{},\"opt_out\":{}",
-            json::escape(&self.workload),
-            self.weight,
-            self.opt_out,
-        );
-        if let Some(budget) = self.chunk_budget {
-            s.push_str(&format!(",\"budget\":{budget}"));
-        }
-        if let Some(label) = &self.prefer {
-            s.push_str(",\"prefer\":");
-            s.push_str(&json::escape(label));
-        }
-        if !self.pins.is_empty() {
-            let pins: Vec<String> = self
-                .pins
-                .iter()
-                .map(|(start, pages)| format!("{{\"start\":{start},\"pages\":{pages}}}"))
-                .collect();
-            s.push_str(&format!(",\"pins\":[{}]", pins.join(",")));
-        }
-        s.push('}');
-        s
+// Pins travel as `{"start":..,"pages":..}` objects, so the tuple list is
+// mapped through a wire record rather than declared with `json_record!`.
+impl Json for TenantJob {
+    fn write_json(&self, out: &mut String) {
+        let pins: Vec<Pin> = self
+            .pins
+            .iter()
+            .map(|&(start, pages)| Pin { start, pages })
+            .collect();
+        json::write_object(out, |w| {
+            w.req("workload", &self.workload)
+                .req("weight", &self.weight)
+                .req("opt_out", &self.opt_out)
+                .opt("budget", &self.chunk_budget)
+                .opt("prefer", &self.prefer)
+                .nonempty("pins", &pins);
+        });
     }
 
-    fn from_json(obj: &str) -> Result<TenantJob, ProtoError> {
-        let prefer = optional(obj, "prefer", json::str_field)?;
-        let pins = match json::field(obj, "pins").and_then(json::items) {
-            None => Vec::new(),
-            Some(raw) => raw
-                .into_iter()
-                .map(|p| {
-                    let start = json::u64_field(p, "start").ok_or_else(|| bad("pins[].start"))?;
-                    let pages = json::u64_field(p, "pages").ok_or_else(|| bad("pins[].pages"))?;
-                    Ok((start, pages))
-                })
-                .collect::<Result<Vec<_>, ProtoError>>()?,
-        };
+    fn read_json(raw: &str) -> Result<TenantJob, JsonError> {
+        let o = Obj::parse(raw)?;
         Ok(TenantJob {
-            workload: json::str_field(obj, "workload").ok_or_else(|| bad("tenants[].workload"))?,
-            weight: u32_field(obj, "weight").ok_or_else(|| bad("tenants[].weight"))?,
-            chunk_budget: optional(obj, "budget", usize_field)?,
-            prefer,
-            opt_out: json::bool_field(obj, "opt_out").ok_or_else(|| bad("tenants[].opt_out"))?,
-            pins,
+            workload: o.req("workload")?,
+            weight: o.req("weight")?,
+            opt_out: o.req("opt_out")?,
+            chunk_budget: o.opt("budget")?,
+            prefer: o.opt("prefer")?,
+            pins: o
+                .nonempty::<Pin>("pins")?
+                .into_iter()
+                .map(|pin| (pin.start, pin.pages))
+                .collect(),
         })
     }
 }
+
+/// One pinned range of a [`TenantJob`] on the wire.
+struct Pin {
+    start: u64,
+    pages: u64,
+}
+
+json_record! { Pin { start: req, pages: req } }
 
 /// A deterministic fault plan on the wire: a plan seed plus per-site
 /// probabilities in thousandths, keyed by the sites' stable trace tags.
@@ -298,35 +237,39 @@ pub struct FaultSpec {
     pub rules: Vec<(InjectSite, u16)>,
 }
 
-impl FaultSpec {
-    fn to_json(&self) -> String {
-        let rules: Vec<String> = self
+// Rules travel as `{"site":..,"prob":..}` objects; see `TenantJob`.
+impl Json for FaultSpec {
+    fn write_json(&self, out: &mut String) {
+        let rules: Vec<Rule> = self
             .rules
             .iter()
-            .map(|(site, prob)| format!("{{\"site\":\"{}\",\"prob\":{prob}}}", site.as_str()))
+            .map(|&(site, prob)| Rule { site, prob })
             .collect();
-        format!("{{\"seed\":{},\"rules\":[{}]}}", self.seed, rules.join(","))
+        json::write_object(out, |w| {
+            w.req("seed", &self.seed).req("rules", &rules);
+        });
     }
 
-    fn from_json(obj: &str) -> Result<FaultSpec, ProtoError> {
-        let seed = json::u64_field(obj, "seed").ok_or_else(|| bad("fault.seed"))?;
-        let raw_rules = json::field(obj, "rules")
-            .and_then(json::items)
-            .ok_or_else(|| bad("fault.rules"))?;
-        let mut rules = Vec::with_capacity(raw_rules.len());
-        for raw in raw_rules {
-            let site = json::str_field(raw, "site")
-                .as_deref()
-                .and_then(InjectSite::parse)
-                .ok_or_else(|| bad("fault.rules[].site"))?;
-            let prob = json::u64_field(raw, "prob")
-                .and_then(|p| u16::try_from(p).ok())
-                .ok_or_else(|| bad("fault.rules[].prob"))?;
-            rules.push((site, prob));
-        }
-        Ok(FaultSpec { seed, rules })
+    fn read_json(raw: &str) -> Result<FaultSpec, JsonError> {
+        let o = Obj::parse(raw)?;
+        Ok(FaultSpec {
+            seed: o.req("seed")?,
+            rules: o
+                .req::<Vec<Rule>>("rules")?
+                .into_iter()
+                .map(|rule| (rule.site, rule.prob))
+                .collect(),
+        })
     }
 }
+
+/// One per-site rule of a [`FaultSpec`] on the wire.
+struct Rule {
+    site: InjectSite,
+    prob: u16,
+}
+
+json_record! { Rule { site: req, prob: req } }
 
 /// The durable-journal slice of a [`ServiceInfo`] — present only when
 /// the daemon runs with `--journal`.
@@ -342,20 +285,11 @@ pub struct JournalInfo {
     pub pending: u64,
 }
 
-impl JournalInfo {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"records\":{},\"replayed\":{},\"pending\":{}}}",
-            self.records, self.replayed, self.pending
-        )
-    }
-
-    fn from_json(obj: &str) -> Result<JournalInfo, ProtoError> {
-        Ok(JournalInfo {
-            records: json::u64_field(obj, "records").ok_or_else(|| bad("journal.records"))?,
-            replayed: json::u64_field(obj, "replayed").ok_or_else(|| bad("journal.replayed"))?,
-            pending: json::u64_field(obj, "pending").ok_or_else(|| bad("journal.pending"))?,
-        })
+json_record! {
+    JournalInfo {
+        records: req,
+        replayed: req,
+        pending: req,
     }
 }
 
@@ -375,46 +309,13 @@ pub struct ServiceInfo {
     pub journal: Option<JournalInfo>,
 }
 
-impl ServiceInfo {
-    fn to_json(&self) -> String {
-        let queues: Vec<String> = self.queues.iter().map(u64::to_string).collect();
-        let mut s = format!(
-            "{{\"paused\":{},\"workers\":{},\"queue_depth\":{},\"queues\":[{}]",
-            self.paused,
-            self.workers,
-            self.queue_depth,
-            queues.join(",")
-        );
-        if let Some(journal) = self.journal {
-            s.push_str(",\"journal\":");
-            s.push_str(&journal.to_json());
-        }
-        s.push('}');
-        s
-    }
-
-    fn from_json(obj: &str) -> Result<ServiceInfo, ProtoError> {
-        let queues = json::field(obj, "queues")
-            .and_then(json::items)
-            .ok_or_else(|| bad("service.queues"))?
-            .into_iter()
-            .map(|raw| {
-                raw.trim()
-                    .parse::<u64>()
-                    .map_err(|_| bad("service.queues[]"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServiceInfo {
-            paused: json::bool_field(obj, "paused").ok_or_else(|| bad("service.paused"))?,
-            workers: usize_field(obj, "workers").ok_or_else(|| bad("service.workers"))?,
-            queue_depth: usize_field(obj, "queue_depth")
-                .ok_or_else(|| bad("service.queue_depth"))?,
-            queues,
-            journal: match json::field(obj, "journal") {
-                None => None,
-                Some(raw) => Some(JournalInfo::from_json(raw)?),
-            },
-        })
+json_record! {
+    ServiceInfo {
+        paused: req,
+        workers: req,
+        queue_depth: req,
+        queues: req,
+        journal: opt,
     }
 }
 
@@ -433,31 +334,34 @@ pub struct JobProgress {
     pub fmfi_milli: u64,
 }
 
-/// Lifecycle state of a submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Admitted, waiting for its shard's worker.
-    Queued,
-    /// Executing on a worker thread.
-    Running,
-    /// Finished; its result is available.
-    Done,
-    /// The simulation failed or panicked; the error text is available.
-    Failed,
-    /// Cancelled while still queued; it will never run.
-    Cancelled,
+// Inlined into the `progress` response rather than nested.
+json_record! {
+    JobProgress {
+        ticks: req,
+        samples_done: req,
+        samples_total: req,
+        fmfi_milli: req,
+    }
+}
+
+wire_enum! {
+    /// Lifecycle state of a submitted job.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum JobState {
+        /// Admitted, waiting for its shard's worker.
+        Queued = "queued",
+        /// Executing on a worker thread.
+        Running = "running",
+        /// Finished; its result is available.
+        Done = "done",
+        /// The simulation failed or panicked; the error text is available.
+        Failed = "failed",
+        /// Cancelled while still queued; it will never run.
+        Cancelled = "cancelled",
+    }
 }
 
 impl JobState {
-    /// All states, for table-driven parsing and tests.
-    pub const ALL: [JobState; 5] = [
-        JobState::Queued,
-        JobState::Running,
-        JobState::Done,
-        JobState::Failed,
-        JobState::Cancelled,
-    ];
-
     /// Whether the job can no longer change state.
     #[must_use]
     pub fn is_terminal(self) -> bool {
@@ -466,66 +370,18 @@ impl JobState {
             JobState::Done | JobState::Failed | JobState::Cancelled
         )
     }
-
-    /// Stable lowercase wire tag.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        }
-    }
-
-    /// Parses a wire tag produced by [`as_str`](Self::as_str).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<JobState> {
-        JobState::ALL.into_iter().find(|k| k.as_str() == s)
-    }
 }
 
-impl fmt::Display for JobState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Where a job entered the service — directly from a client, or
-/// re-admitted from the durable journal after a restart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobOrigin {
-    /// Submitted by a connected client.
-    Client,
-    /// Replayed from the journal: it was accepted before a crash and
-    /// re-executes under a fresh id.
-    Journal,
-}
-
-impl JobOrigin {
-    /// All origins, for table-driven parsing and tests.
-    pub const ALL: [JobOrigin; 2] = [JobOrigin::Client, JobOrigin::Journal];
-
-    /// Stable lowercase wire tag.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobOrigin::Client => "client",
-            JobOrigin::Journal => "journal",
-        }
-    }
-
-    /// Parses a wire tag produced by [`as_str`](Self::as_str).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<JobOrigin> {
-        JobOrigin::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-}
-
-impl fmt::Display for JobOrigin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+wire_enum! {
+    /// Where a job entered the service — directly from a client, or
+    /// re-admitted from the durable journal after a restart.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum JobOrigin {
+        /// Submitted by a connected client.
+        Client = "client",
+        /// Replayed from the journal: it was accepted before a crash and
+        /// re-executes under a fresh id.
+        Journal = "journal",
     }
 }
 
@@ -546,38 +402,14 @@ pub struct JobSummary {
     pub origin: JobOrigin,
 }
 
-impl JobSummary {
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"id\":{},\"state\":\"{}\",\"workload\":{},\"policy\":{}",
-            self.id,
-            self.state.as_str(),
-            json::escape(&self.workload),
-            json::escape(&self.policy),
-        );
-        if let Some(key) = &self.key {
-            s.push_str(",\"key\":");
-            s.push_str(&json::escape(key));
-        }
-        s.push_str(&format!(",\"origin\":\"{}\"}}", self.origin.as_str()));
-        s
-    }
-
-    fn from_json(obj: &str) -> Result<JobSummary, ProtoError> {
-        Ok(JobSummary {
-            id: json::u64_field(obj, "id").ok_or_else(|| bad("jobs[].id"))?,
-            state: json::str_field(obj, "state")
-                .as_deref()
-                .and_then(JobState::parse)
-                .ok_or_else(|| bad("jobs[].state"))?,
-            workload: json::str_field(obj, "workload").ok_or_else(|| bad("jobs[].workload"))?,
-            policy: json::str_field(obj, "policy").ok_or_else(|| bad("jobs[].policy"))?,
-            key: optional(obj, "key", json::str_field)?,
-            origin: json::str_field(obj, "origin")
-                .as_deref()
-                .and_then(JobOrigin::parse)
-                .ok_or_else(|| bad("jobs[].origin"))?,
-        })
+json_record! {
+    JobSummary {
+        id: req,
+        state: req,
+        workload: req,
+        policy: req,
+        key: opt,
+        origin: req,
     }
 }
 
@@ -592,36 +424,7 @@ pub struct RungRow {
     pub bytes: u64,
 }
 
-impl RungRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"size\":{},\"bytes\":{}}}",
-            json::escape(&self.size),
-            self.bytes
-        )
-    }
-
-    fn from_json(obj: &str) -> Result<RungRow, ProtoError> {
-        Ok(RungRow {
-            size: json::str_field(obj, "size").ok_or_else(|| bad("rungs[].size"))?,
-            bytes: json::u64_field(obj, "bytes").ok_or_else(|| bad("rungs[].bytes"))?,
-        })
-    }
-}
-
-fn rungs_to_json(rows: &[RungRow]) -> String {
-    let rows: Vec<String> = rows.iter().map(RungRow::to_json).collect();
-    format!("[{}]", rows.join(","))
-}
-
-fn rungs_from_json(obj: &str, key: &str) -> Result<Vec<RungRow>, ProtoError> {
-    json::field(obj, key)
-        .and_then(json::items)
-        .ok_or_else(|| bad("rungs"))?
-        .into_iter()
-        .map(RungRow::from_json)
-        .collect()
-}
+json_record! { RungRow { size: req, bytes: req } }
 
 /// What a finished job measured — the subset of a `Measurement` that
 /// serializes: the versioned snapshot plus the translation headlines.
@@ -675,87 +478,33 @@ pub struct TenantRow {
     pub faults: u64,
 }
 
-impl TenantRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"tenant\":{},\"workload\":{},\"samples\":{},\"walks\":{},\
-             \"walk_cycles\":{},\"rungs\":{},\"fmfi_milli\":{},\
-             \"faults\":{}}}",
-            self.tenant,
-            json::escape(&self.workload),
-            self.samples,
-            self.walks,
-            self.walk_cycles,
-            rungs_to_json(&self.rungs),
-            self.fmfi_milli,
-            self.faults,
-        )
-    }
-
-    fn from_json(obj: &str) -> Result<TenantRow, ProtoError> {
-        let req = |key: &'static str| json::u64_field(obj, key).ok_or(ProtoError::Malformed(key));
-        Ok(TenantRow {
-            tenant: u32_field(obj, "tenant").ok_or_else(|| bad("tenants[].tenant"))?,
-            workload: json::str_field(obj, "workload").ok_or_else(|| bad("tenants[].workload"))?,
-            samples: req("samples")?,
-            walks: req("walks")?,
-            walk_cycles: req("walk_cycles")?,
-            rungs: rungs_from_json(obj, "rungs")?,
-            fmfi_milli: req("fmfi_milli")?,
-            faults: req("faults")?,
-        })
+json_record! {
+    TenantRow {
+        tenant: req,
+        workload: req,
+        samples: req,
+        walks: req,
+        walk_cycles: req,
+        rungs: req,
+        fmfi_milli: req,
+        faults: req,
     }
 }
 
-impl JobResult {
-    fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"samples\":{},\"tlb_accesses\":{},\"walks\":{},\"walk_cycles\":{},\
-             \"rungs\":{},\"trace_dropped\":{}",
-            self.samples,
-            self.tlb_accesses,
-            self.walks,
-            self.walk_cycles,
-            rungs_to_json(&self.rungs),
-            self.trace_dropped,
-        );
-        if let Some(lines) = self.trace_lines {
-            s.push_str(&format!(",\"trace_lines\":{lines}"));
-        }
-        s.push_str(&format!(",\"violations\":{}", self.violations));
-        let rows: Vec<String> = self.tenants.iter().map(TenantRow::to_json).collect();
-        s.push_str(&format!(",\"tenants\":[{}]", rows.join(",")));
-        s.push_str(",\"snapshot\":");
-        s.push_str(&snapshot_to_json(&self.snapshot));
-        s.push('}');
-        s
-    }
-
-    fn from_json(obj: &str) -> Result<JobResult, ProtoError> {
-        Ok(JobResult {
-            samples: json::u64_field(obj, "samples").ok_or_else(|| bad("result.samples"))?,
-            tlb_accesses: json::u64_field(obj, "tlb_accesses")
-                .ok_or_else(|| bad("result.tlb_accesses"))?,
-            walks: json::u64_field(obj, "walks").ok_or_else(|| bad("result.walks"))?,
-            walk_cycles: json::u64_field(obj, "walk_cycles")
-                .ok_or_else(|| bad("result.walk_cycles"))?,
-            rungs: rungs_from_json(obj, "rungs")?,
-            // Additive field: absent (older encoder) means no drops; a
-            // present-but-malformed value still fails loudly.
-            trace_dropped: optional(obj, "trace_dropped", json::u64_field)?.unwrap_or(0),
-            trace_lines: optional(obj, "trace_lines", json::u64_field)?,
-            violations: json::u64_field(obj, "violations")
-                .ok_or_else(|| bad("result.violations"))?,
-            tenants: json::field(obj, "tenants")
-                .and_then(json::items)
-                .ok_or_else(|| bad("result.tenants"))?
-                .into_iter()
-                .map(TenantRow::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            snapshot: snapshot_from_json(
-                json::field(obj, "snapshot").ok_or_else(|| bad("result.snapshot"))?,
-            )?,
-        })
+// `trace_dropped` is additive: absent (an older encoder) means no drops,
+// while a present-but-malformed value still fails loudly.
+json_record! {
+    JobResult {
+        samples: req,
+        tlb_accesses: req,
+        walks: req,
+        walk_cycles: req,
+        rungs: req,
+        trace_dropped: default,
+        trace_lines: opt,
+        violations: req,
+        tenants: req,
+        snapshot: req,
     }
 }
 
@@ -763,41 +512,7 @@ impl JobResult {
 /// the decoder refuses snapshots from a different schema.
 #[must_use]
 pub fn snapshot_to_json(s: &StatsSnapshot) -> String {
-    let arr = |xs: &[u64]| xs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-    format!(
-        "{{\"version\":{},\"faults\":[{}],\"fault_ns\":[{}],\
-         \"giant_attempts_fault\":{},\"giant_failures_fault\":{},\
-         \"giant_attempts_promo\":{},\"giant_failures_promo\":{},\
-         \"promotions\":[{}],\"demotions\":[{}],\
-         \"compaction_bytes_copied\":{},\"promotion_bytes_copied\":{},\
-         \"pv_bytes_exchanged\":{},\"compaction_attempts\":{},\
-         \"compaction_successes\":{},\"daemon_ns\":{},\"bloat_pages\":{},\
-         \"bloat_recovered_pages\":{},\"giant_blocks_prezeroed\":{},\
-         \"injected_faults\":[{}],\"promotions_deferred\":{},\
-         \"pv_fallbacks\":{},\"pv_fallback_bytes\":{}}}",
-        s.version,
-        arr(&s.faults),
-        arr(&s.fault_ns),
-        s.giant_attempts_fault,
-        s.giant_failures_fault,
-        s.giant_attempts_promo,
-        s.giant_failures_promo,
-        arr(&s.promotions),
-        arr(&s.demotions),
-        s.compaction_bytes_copied,
-        s.promotion_bytes_copied,
-        s.pv_bytes_exchanged,
-        s.compaction_attempts,
-        s.compaction_successes,
-        s.daemon_ns,
-        s.bloat_pages,
-        s.bloat_recovered_pages,
-        s.giant_blocks_prezeroed,
-        arr(&s.injected_faults),
-        s.promotions_deferred,
-        s.pv_fallbacks,
-        s.pv_fallback_bytes,
-    )
+    json::to_string(s)
 }
 
 /// Decodes a snapshot serialized by [`snapshot_to_json`].
@@ -805,41 +520,11 @@ pub fn snapshot_to_json(s: &StatsSnapshot) -> String {
 /// # Errors
 ///
 /// [`ProtoError::Version`] when the embedded snapshot schema version is
-/// not this build's [`SNAPSHOT_VERSION`]; [`ProtoError::Malformed`] on
+/// not this build's [`SNAPSHOT_VERSION`](trident_core::SNAPSHOT_VERSION);
+/// [`ProtoError::Malformed`] on
 /// any missing or unparsable field.
 pub fn snapshot_from_json(obj: &str) -> Result<StatsSnapshot, ProtoError> {
-    let version = u32_field(obj, "version").ok_or_else(|| bad("snapshot.version"))?;
-    if version != SNAPSHOT_VERSION {
-        return Err(ProtoError::Version { got: version });
-    }
-    let req = |key: &'static str| json::u64_field(obj, key).ok_or(ProtoError::Malformed(key));
-    Ok(StatsSnapshot {
-        version,
-        faults: json::u64_array_field(obj, "faults").ok_or_else(|| bad("snapshot.faults"))?,
-        fault_ns: json::u64_array_field(obj, "fault_ns").ok_or_else(|| bad("snapshot.fault_ns"))?,
-        giant_attempts_fault: req("giant_attempts_fault")?,
-        giant_failures_fault: req("giant_failures_fault")?,
-        giant_attempts_promo: req("giant_attempts_promo")?,
-        giant_failures_promo: req("giant_failures_promo")?,
-        promotions: json::u64_array_field(obj, "promotions")
-            .ok_or_else(|| bad("snapshot.promotions"))?,
-        demotions: json::u64_array_field(obj, "demotions")
-            .ok_or_else(|| bad("snapshot.demotions"))?,
-        compaction_bytes_copied: req("compaction_bytes_copied")?,
-        promotion_bytes_copied: req("promotion_bytes_copied")?,
-        pv_bytes_exchanged: req("pv_bytes_exchanged")?,
-        compaction_attempts: req("compaction_attempts")?,
-        compaction_successes: req("compaction_successes")?,
-        daemon_ns: req("daemon_ns")?,
-        bloat_pages: req("bloat_pages")?,
-        bloat_recovered_pages: req("bloat_recovered_pages")?,
-        giant_blocks_prezeroed: req("giant_blocks_prezeroed")?,
-        injected_faults: json::u64_array_field(obj, "injected_faults")
-            .ok_or_else(|| bad("snapshot.injected_faults"))?,
-        promotions_deferred: req("promotions_deferred")?,
-        pv_fallbacks: req("pv_fallbacks")?,
-        pv_fallback_bytes: req("pv_fallback_bytes")?,
-    })
+    StatsSnapshot::read_json(obj).map_err(|e| e.at("snapshot").into())
 }
 
 /// A client-to-daemon message.
@@ -884,19 +569,19 @@ impl Request {
     /// Encodes as one line of JSON (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let v = PROTO_VERSION;
-        match self {
-            Request::Submit(job) => {
-                format!("{{\"v\":{v},\"op\":\"submit\",\"job\":{}}}", job.to_json())
-            }
-            Request::Status { id } => format!("{{\"v\":{v},\"op\":\"status\",\"id\":{id}}}"),
-            Request::Result { id } => format!("{{\"v\":{v},\"op\":\"result\",\"id\":{id}}}"),
-            Request::Cancel { id } => format!("{{\"v\":{v},\"op\":\"cancel\",\"id\":{id}}}"),
-            Request::List => format!("{{\"v\":{v},\"op\":\"list\"}}"),
-            Request::Metrics => format!("{{\"v\":{v},\"op\":\"metrics\"}}"),
-            Request::Progress { id } => format!("{{\"v\":{v},\"op\":\"progress\",\"id\":{id}}}"),
-            Request::Shutdown => format!("{{\"v\":{v},\"op\":\"shutdown\"}}"),
-        }
+        json::object(|w| {
+            w.version("v", &PROTO_VERSION);
+            match self {
+                Request::Submit(job) => w.tag("op", "submit").req("job", job),
+                Request::Status { id } => w.tag("op", "status").req("id", id),
+                Request::Result { id } => w.tag("op", "result").req("id", id),
+                Request::Cancel { id } => w.tag("op", "cancel").req("id", id),
+                Request::List => w.tag("op", "list"),
+                Request::Metrics => w.tag("op", "metrics"),
+                Request::Progress { id } => w.tag("op", "progress").req("id", id),
+                Request::Shutdown => w.tag("op", "shutdown"),
+            };
+        })
     }
 
     /// Decodes one line produced by [`to_jsonl`](Self::to_jsonl).
@@ -906,84 +591,36 @@ impl Request {
     /// [`ProtoError::Version`] for any version other than
     /// [`PROTO_VERSION`]; [`ProtoError::Malformed`] otherwise.
     pub fn parse_jsonl(line: &str) -> Result<Request, ProtoError> {
-        check_version(line)?;
-        let id =
-            |field: &'static str| json::u64_field(line, "id").ok_or(ProtoError::Malformed(field));
-        match json::str_field(line, "op")
-            .ok_or_else(|| bad("op"))?
-            .as_str()
-        {
-            "submit" => Ok(Request::Submit(JobSpec::from_json(
-                json::field(line, "job").ok_or_else(|| bad("job"))?,
-            )?)),
-            "status" => Ok(Request::Status {
-                id: id("status.id")?,
-            }),
-            "result" => Ok(Request::Result {
-                id: id("result.id")?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                id: id("cancel.id")?,
-            }),
-            "list" => Ok(Request::List),
-            "metrics" => Ok(Request::Metrics),
-            "progress" => Ok(Request::Progress {
-                id: id("progress.id")?,
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            _ => Err(bad("op")),
-        }
+        let o = envelope(line)?;
+        Ok(match o.req::<String>("op")?.as_str() {
+            "submit" => Request::Submit(o.req("job")?),
+            "status" => Request::Status { id: o.req("id")? },
+            "result" => Request::Result { id: o.req("id")? },
+            "cancel" => Request::Cancel { id: o.req("id")? },
+            "list" => Request::List,
+            "metrics" => Request::Metrics,
+            "progress" => Request::Progress { id: o.req("id")? },
+            "shutdown" => Request::Shutdown,
+            _ => return Err(ProtoError::Malformed("op")),
+        })
     }
 }
 
-/// Typed error codes a daemon can answer with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
-    /// The target shard's admission queue is at capacity; resubmit later.
-    QueueFull,
-    /// No job with the given id.
-    UnknownJob,
-    /// The request was understood but its content is invalid (bad
-    /// workload/policy name, malformed fault plan, job not cancellable).
-    BadRequest,
-    /// The daemon is draining and accepts no new jobs.
-    ShuttingDown,
-    /// The job ran and failed; the message carries the failure text.
-    JobFailed,
-}
-
-impl ErrorCode {
-    /// All codes, for table-driven parsing and tests.
-    pub const ALL: [ErrorCode; 5] = [
-        ErrorCode::QueueFull,
-        ErrorCode::UnknownJob,
-        ErrorCode::BadRequest,
-        ErrorCode::ShuttingDown,
-        ErrorCode::JobFailed,
-    ];
-
-    /// Stable wire tag.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::QueueFull => "queue_full",
-            ErrorCode::UnknownJob => "unknown_job",
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::JobFailed => "job_failed",
-        }
-    }
-
-    /// Parses a wire tag produced by [`as_str`](Self::as_str).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<ErrorCode> {
-        ErrorCode::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-}
-
-impl fmt::Display for ErrorCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
+wire_enum! {
+    /// Typed error codes a daemon can answer with.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode {
+        /// The target shard's admission queue is at capacity; resubmit later.
+        QueueFull = "queue_full",
+        /// No job with the given id.
+        UnknownJob = "unknown_job",
+        /// The request was understood but its content is invalid (bad
+        /// workload/policy name, malformed fault plan, job not cancellable).
+        BadRequest = "bad_request",
+        /// The daemon is draining and accepts no new jobs.
+        ShuttingDown = "shutting_down",
+        /// The job ran and failed; the message carries the failure text.
+        JobFailed = "job_failed",
     }
 }
 
@@ -1057,55 +694,37 @@ impl Response {
     /// Encodes as one line of JSON (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let v = PROTO_VERSION;
-        match self {
-            Response::Submitted { id } => {
-                format!("{{\"v\":{v},\"ok\":\"submitted\",\"id\":{id}}}")
-            }
-            Response::Status { id, state, service } => format!(
-                "{{\"v\":{v},\"ok\":\"status\",\"id\":{id},\"state\":\"{}\",\"service\":{}}}",
-                state.as_str(),
-                service.to_json()
-            ),
-            Response::Result { id, result } => format!(
-                "{{\"v\":{v},\"ok\":\"result\",\"id\":{id},\"result\":{}}}",
-                result.to_json()
-            ),
-            Response::Cancelled { id } => {
-                format!("{{\"v\":{v},\"ok\":\"cancelled\",\"id\":{id}}}")
-            }
-            Response::Jobs { jobs, service } => {
-                let rows: Vec<String> = jobs.iter().map(JobSummary::to_json).collect();
-                format!(
-                    "{{\"v\":{v},\"ok\":\"jobs\",\"jobs\":[{}],\"service\":{}}}",
-                    rows.join(","),
-                    service.to_json()
-                )
-            }
-            Response::Metrics { text } => format!(
-                "{{\"v\":{v},\"ok\":\"metrics\",\"text\":{}}}",
-                json::escape(text)
-            ),
-            Response::Progress {
-                id,
-                state,
-                progress,
-            } => format!(
-                "{{\"v\":{v},\"ok\":\"progress\",\"id\":{id},\"state\":\"{}\",\
-                 \"ticks\":{},\"samples_done\":{},\"samples_total\":{},\"fmfi_milli\":{}}}",
-                state.as_str(),
-                progress.ticks,
-                progress.samples_done,
-                progress.samples_total,
-                progress.fmfi_milli
-            ),
-            Response::ShuttingDown => format!("{{\"v\":{v},\"ok\":\"shutting_down\"}}"),
-            Response::Error { code, message } => format!(
-                "{{\"v\":{v},\"err\":\"{}\",\"msg\":{}}}",
-                code.as_str(),
-                json::escape(message)
-            ),
-        }
+        json::object(|w| {
+            w.version("v", &PROTO_VERSION);
+            match self {
+                Response::Submitted { id } => w.tag("ok", "submitted").req("id", id),
+                Response::Status { id, state, service } => w
+                    .tag("ok", "status")
+                    .req("id", id)
+                    .req("state", state)
+                    .req("service", service),
+                Response::Result { id, result } => {
+                    w.tag("ok", "result").req("id", id).req("result", result)
+                }
+                Response::Cancelled { id } => w.tag("ok", "cancelled").req("id", id),
+                Response::Jobs { jobs, service } => w
+                    .tag("ok", "jobs")
+                    .req("jobs", jobs)
+                    .req("service", service),
+                Response::Metrics { text } => w.tag("ok", "metrics").req("text", text),
+                Response::Progress {
+                    id,
+                    state,
+                    progress,
+                } => {
+                    w.tag("ok", "progress").req("id", id).req("state", state);
+                    progress.write_fields(w);
+                    w
+                }
+                Response::ShuttingDown => w.tag("ok", "shutting_down"),
+                Response::Error { code, message } => w.req("err", code).req("msg", message),
+            };
+        })
     }
 
     /// Decodes one line produced by [`to_jsonl`](Self::to_jsonl).
@@ -1115,80 +734,40 @@ impl Response {
     /// [`ProtoError::Version`] for any version other than
     /// [`PROTO_VERSION`]; [`ProtoError::Malformed`] otherwise.
     pub fn parse_jsonl(line: &str) -> Result<Response, ProtoError> {
-        check_version(line)?;
-        if let Some(code) = json::str_field(line, "err") {
+        let o = envelope(line)?;
+        if let Some(code) = o.opt("err")? {
             return Ok(Response::Error {
-                code: ErrorCode::parse(&code).ok_or_else(|| bad("err"))?,
-                message: json::str_field(line, "msg").ok_or_else(|| bad("msg"))?,
+                code,
+                message: o.req("msg")?,
             });
         }
-        let id =
-            |field: &'static str| json::u64_field(line, "id").ok_or(ProtoError::Malformed(field));
-        match json::str_field(line, "ok")
-            .ok_or_else(|| bad("ok"))?
-            .as_str()
-        {
-            "submitted" => Ok(Response::Submitted {
-                id: id("submitted.id")?,
-            }),
-            "status" => Ok(Response::Status {
-                id: id("status.id")?,
-                state: json::str_field(line, "state")
-                    .as_deref()
-                    .and_then(JobState::parse)
-                    .ok_or_else(|| bad("state"))?,
-                service: ServiceInfo::from_json(
-                    json::field(line, "service").ok_or_else(|| bad("service"))?,
-                )?,
-            }),
-            "result" => Ok(Response::Result {
-                id: id("result.id")?,
-                result: JobResult::from_json(
-                    json::field(line, "result").ok_or_else(|| bad("result"))?,
-                )?,
-            }),
-            "cancelled" => Ok(Response::Cancelled {
-                id: id("cancelled.id")?,
-            }),
-            "jobs" => {
-                let raw = json::field(line, "jobs")
-                    .and_then(json::items)
-                    .ok_or_else(|| bad("jobs"))?;
-                let jobs = raw
-                    .into_iter()
-                    .map(JobSummary::from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::Jobs {
-                    jobs,
-                    service: ServiceInfo::from_json(
-                        json::field(line, "service").ok_or_else(|| bad("service"))?,
-                    )?,
-                })
-            }
-            "metrics" => Ok(Response::Metrics {
-                text: json::str_field(line, "text").ok_or_else(|| bad("text"))?,
-            }),
-            "progress" => {
-                let num = |field: &'static str, key: &str| {
-                    json::u64_field(line, key).ok_or(ProtoError::Malformed(field))
-                };
-                Ok(Response::Progress {
-                    id: id("progress.id")?,
-                    state: json::str_field(line, "state")
-                        .as_deref()
-                        .and_then(JobState::parse)
-                        .ok_or_else(|| bad("state"))?,
-                    progress: JobProgress {
-                        ticks: num("progress.ticks", "ticks")?,
-                        samples_done: num("progress.samples_done", "samples_done")?,
-                        samples_total: num("progress.samples_total", "samples_total")?,
-                        fmfi_milli: num("progress.fmfi_milli", "fmfi_milli")?,
-                    },
-                })
-            }
-            "shutting_down" => Ok(Response::ShuttingDown),
-            _ => Err(bad("ok")),
-        }
+        Ok(match o.req::<String>("ok")?.as_str() {
+            "submitted" => Response::Submitted { id: o.req("id")? },
+            "status" => Response::Status {
+                id: o.req("id")?,
+                state: o.req("state")?,
+                service: o.req("service")?,
+            },
+            "result" => Response::Result {
+                id: o.req("id")?,
+                result: o.req("result")?,
+            },
+            "cancelled" => Response::Cancelled { id: o.req("id")? },
+            "jobs" => Response::Jobs {
+                jobs: o.req("jobs")?,
+                service: o.req("service")?,
+            },
+            "metrics" => Response::Metrics {
+                text: o.req("text")?,
+            },
+            "progress" => Response::Progress {
+                id: o.req("id")?,
+                state: o.req("state")?,
+                progress: JobProgress::read_fields(&o)?,
+            },
+            "shutting_down" => Response::ShuttingDown,
+            _ => return Err(ProtoError::Malformed("ok")),
+        })
     }
 }
 
@@ -1233,40 +812,27 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-fn bad(field: &'static str) -> ProtoError {
-    ProtoError::Malformed(field)
-}
-
-fn check_version(line: &str) -> Result<(), ProtoError> {
-    let got = u32_field(line, "v").ok_or_else(|| bad("v"))?;
-    if got == PROTO_VERSION {
-        Ok(())
-    } else {
-        Err(ProtoError::Version { got })
+impl From<JsonError> for ProtoError {
+    fn from(err: JsonError) -> ProtoError {
+        match err {
+            JsonError::Malformed(key) => ProtoError::Malformed(key),
+            JsonError::Version { got } => ProtoError::Version { got },
+        }
     }
 }
 
-fn u32_field(obj: &str, key: &str) -> Option<u32> {
-    json::u64_field(obj, key).and_then(|v| u32::try_from(v).ok())
+/// Parses one protocol line and checks its version before anything else
+/// is read, so a foreign peer is reported as such, never half-parsed.
+fn envelope(line: &str) -> Result<Obj<'_>, ProtoError> {
+    let o = Obj::parse(line).map_err(|e| e.at("line"))?;
+    o.version("v", PROTO_VERSION)?;
+    Ok(o)
 }
 
-fn usize_field(obj: &str, key: &str) -> Option<usize> {
-    json::u64_field(obj, key).and_then(|v| usize::try_from(v).ok())
-}
-
-/// Distinguishes "absent" (Ok(None)) from "present but unparsable"
-/// (Err), so a typo'd optional field fails loudly instead of silently
-/// reverting to a default.
-fn optional<T>(
-    obj: &str,
-    key: &'static str,
-    get: impl Fn(&str, &str) -> Option<T>,
-) -> Result<Option<T>, ProtoError> {
-    match json::field(obj, key) {
-        None | Some("null") => Ok(None),
-        Some(_) => get(obj, key).map(Some).ok_or(ProtoError::Malformed(key)),
-    }
-}
+// The unit tests restamp snapshots against the schema version the
+// snapshot record checks.
+#[cfg(test)]
+use trident_core::SNAPSHOT_VERSION;
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,9 @@
 //! ladder instead of matching on fixed sizes, and unit tests can run the
 //! same algorithms on a miniature geometry ([`PageGeometry::TINY`]).
 //!
+//! [`json`] is the workspace's one JSON codec: the trace, job-protocol and
+//! journal wire formats are all declared with it.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,6 +41,7 @@ mod error;
 mod geometry;
 mod ids;
 mod invariant;
+pub mod json;
 mod page_size;
 mod units;
 

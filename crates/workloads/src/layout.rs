@@ -70,6 +70,10 @@ pub struct Layout {
     pub stack: ChunkRange,
     /// Total heap pages.
     pub heap_pages: u64,
+    /// Running page totals: `heap_ends[i]` is the number of heap pages in
+    /// chunks `0..=i`, so [`heap_page`](Self::heap_page) binary-searches
+    /// instead of walking the chunks on every sample.
+    heap_ends: Vec<u64>,
 }
 
 impl Layout {
@@ -82,11 +86,18 @@ impl Layout {
     #[must_use]
     pub fn from_ranges(mut ranges: Vec<ChunkRange>) -> Layout {
         let stack = ranges.pop().expect("plan includes a stack");
-        let heap_pages = ranges.iter().map(|c| c.pages).sum();
+        let heap_ends: Vec<u64> = ranges
+            .iter()
+            .scan(0, |total, c| {
+                *total += c.pages;
+                Some(*total)
+            })
+            .collect();
         Layout {
             heap: ranges,
             stack,
-            heap_pages,
+            heap_pages: heap_ends.last().copied().unwrap_or(0),
+            heap_ends,
         }
     }
 
@@ -98,14 +109,13 @@ impl Layout {
     /// Panics if `index >= heap_pages`.
     #[must_use]
     pub fn heap_page(&self, index: u64) -> Vpn {
-        let mut remaining = index;
-        for chunk in &self.heap {
-            if remaining < chunk.pages {
-                return chunk.start + remaining;
-            }
-            remaining -= chunk.pages;
-        }
-        panic!("heap index {index} out of range");
+        // The first chunk whose running total passes `index` holds it;
+        // empty chunks share their predecessor's total and are skipped.
+        let i = self.heap_ends.partition_point(|&end| end <= index);
+        let Some(chunk) = self.heap.get(i) else {
+            panic!("heap index {index} out of range");
+        };
+        chunk.start + (index - (self.heap_ends[i] - chunk.pages))
     }
 }
 
