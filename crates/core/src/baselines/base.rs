@@ -3,6 +3,7 @@
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
+use crate::fault::populate_base_runs;
 use crate::{map_chunk, FaultOutcome, MmContext, PagePolicy, PolicyError};
 
 /// Maps everything with base (4KB) pages — the first bar of Figures 1
@@ -57,6 +58,18 @@ impl PagePolicy for BasePolicy {
             latency_ns: latency,
             prepared: false,
         })
+    }
+
+    /// Every unmapped page is a 4KB fault, so each leaf table's share of
+    /// the run is mapped in one batch.
+    fn populate(
+        &mut self,
+        ctx: &mut MmContext,
+        space: &mut AddressSpace,
+        start: Vpn,
+        pages: u64,
+    ) -> Result<(), PolicyError> {
+        populate_base_runs(self, ctx, space, start, pages, None)
     }
 }
 

@@ -4,6 +4,7 @@ use trident_obs::Event;
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
+use crate::fault::populate_base_runs;
 use crate::{
     map_chunk, touched_chunk, FaultOutcome, MmContext, PagePolicy, PolicyError, Promoter,
     PromoterConfig, SpaceSet, TickOutcome,
@@ -88,6 +89,18 @@ impl PagePolicy for ThpPolicy {
             latency_ns: latency,
             prepared: false,
         })
+    }
+
+    /// A huge chunk's first fault decides its size; when that lands at
+    /// 4KB, the rest of the chunk is mapped as one 4KB run.
+    fn populate(
+        &mut self,
+        ctx: &mut MmContext,
+        space: &mut AddressSpace,
+        start: Vpn,
+        pages: u64,
+    ) -> Result<(), PolicyError> {
+        populate_base_runs(self, ctx, space, start, pages, Some(PageSize::new(1)))
     }
 
     fn on_tick(&mut self, ctx: &mut MmContext, spaces: &mut SpaceSet) -> TickOutcome {

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use trident_fault::FaultInjector;
 use trident_obs::{AllocSite, Event, InjectSite, ObsRecorder, Recorder, SpanKind, StatsSnapshot};
 use trident_phys::PhysicalMemory;
-use trident_types::{AsId, PageGeometry, PageSize, TenantId};
+use trident_types::{AsId, PageGeometry, PageSize, Pfn, TenantId};
 use trident_vm::AddressSpace;
 
 use crate::{CostModel, MmStats, TenantDirectory, ZeroFillPool};
@@ -40,6 +40,9 @@ pub struct MmContext {
     tenant_stats: Vec<MmStats>,
     /// The tenant currently being worked for, if attribution is on.
     scope: Option<TenantId>,
+    /// Frame buffer reused by every batched populate run, so a run
+    /// allocates nothing on the heap.
+    pub(crate) run_frames: Vec<Pfn>,
 }
 
 impl MmContext {
@@ -57,6 +60,7 @@ impl MmContext {
             tenants: TenantDirectory::new(),
             tenant_stats: Vec::new(),
             scope: None,
+            run_frames: Vec::new(),
         }
     }
 
@@ -128,6 +132,21 @@ impl MmContext {
             return;
         }
         self.recorder.record(event);
+    }
+
+    /// Reports `count` copies of one event: the batched form of `count`
+    /// calls of [`record`](Self::record), folded in one step. With a
+    /// recorder or a fault plan attached, each copy still goes through
+    /// `record`, so traces and injection streams stay per event.
+    pub fn record_n(&mut self, event: Event, count: u64) {
+        if self.recorder.enabled() || self.fault.enabled() {
+            (0..count).for_each(|_| self.record(event));
+            return;
+        }
+        self.stats.apply_n(&event, count);
+        if let Some(tenant) = self.scope {
+            self.tenant_stats[tenant.raw() as usize].apply_n(&event, count);
+        }
     }
 
     /// Folds `event` into the scoped tenant's row, when a scope is set.

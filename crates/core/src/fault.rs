@@ -4,7 +4,10 @@ use trident_phys::{FrameUse, MappingOwner, PhysMemError};
 use trident_types::{PageSize, Pfn, Vpn};
 use trident_vm::AddressSpace;
 
-use crate::MmContext;
+use trident_obs::{AllocSite, Event, Recorder};
+
+use crate::policy::populate_per_page;
+use crate::{MmContext, PagePolicy, PolicyError};
 
 /// Result of servicing one page fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +116,101 @@ pub fn map_chunk(
         .map(head_vpn, pfn, size)
         .expect("chunk was verified unmapped and aligned");
     Ok((pfn, prepared))
+}
+
+/// The batched populate shared by the 4KB baseline (`decide` = `None`)
+/// and the 4KB fallbacks of THP and Trident (`decide` = rung 1, the
+/// smallest large page their fault handlers try).
+///
+/// With `decide` set, the first unmapped page of each `decide`-sized
+/// chunk is faulted by today's rules. If it lands at 4KB, the chunk is now partly
+/// mapped, so every later fault inside it would land at 4KB too; the rest
+/// of the chunk inside the run and the VMA is mapped as one run. Without
+/// `decide`, every unmapped page is a 4KB fault. Runs also end at a leaf
+/// table's end, and each scan is bounded by the run's own cap.
+///
+/// With a recorder or a fault plan attached, this is the per-page loop:
+/// per-fault events and injection draws stay observable there.
+pub(crate) fn populate_base_runs<P: PagePolicy + ?Sized>(
+    policy: &mut P,
+    ctx: &mut MmContext,
+    space: &mut AddressSpace,
+    start: Vpn,
+    pages: u64,
+    decide: Option<PageSize>,
+) -> Result<(), PolicyError> {
+    if ctx.recorder.enabled() || ctx.fault.enabled() {
+        return populate_per_page(policy, ctx, space, start, pages);
+    }
+    let geo = space.geometry();
+    let end = start + pages;
+    let mut vpn = start;
+    while vpn < end {
+        if let Some(t) = space.page_table().translate(vpn) {
+            vpn = end.min(t.head_vpn + geo.base_pages(t.size));
+            continue;
+        }
+        let vma = space
+            .vma_containing(vpn)
+            .ok_or(PolicyError::BadAddress(vpn))?;
+        let mut limit = end.min(vma.end());
+        let mut run = vpn;
+        if let Some(size) = decide {
+            if policy.on_fault(ctx, space, vpn)?.size != PageSize::BASE {
+                continue;
+            }
+            let span = geo.base_pages(size);
+            run = vpn + 1;
+            limit = limit.min(Vpn::new((vpn.raw() / span + 1) * span));
+        }
+        let n = space
+            .page_table()
+            .unmapped_run(run, limit - run)
+            .min(ctx.mem.free_pages());
+        if n > 0 {
+            map_base_run(ctx, space, run, n)?;
+        } else if decide.is_none() {
+            // No free frame is left: one fault raises today's error.
+            policy.on_fault(ctx, space, vpn)?;
+        }
+        vpn = run + n;
+    }
+    Ok(())
+}
+
+/// Maps `n` base pages from `vpn` exactly as `n` 4KB faults would, with
+/// one buddy run, one leaf-table write and one fold of `n` faults. The
+/// pages must be unmapped and lie in one VMA and one leaf table, and at
+/// least `n` frames must be free.
+fn map_base_run(
+    ctx: &mut MmContext,
+    space: &mut AddressSpace,
+    vpn: Vpn,
+    n: u64,
+) -> Result<(), PolicyError> {
+    let mut frames = std::mem::take(&mut ctx.run_frames);
+    frames.clear();
+    let owner = MappingOwner {
+        asid: space.id(),
+        vpn,
+    };
+    ctx.mem
+        .allocate_run(n, FrameUse::User, Some(owner), &mut frames)?;
+    space
+        .page_table_mut()
+        .map_run(vpn, &frames)
+        .expect("run was verified unmapped and inside one leaf table");
+    ctx.run_frames = frames;
+    let ns = ctx.cost.fault_base_ns;
+    ctx.record_n(
+        Event::Fault {
+            size: PageSize::BASE,
+            site: AllocSite::PageFault,
+            ns,
+        },
+        n,
+    );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -35,8 +35,10 @@ impl TickOutcome {
 
 /// A page-size allocation policy: the OS component the paper varies.
 ///
-/// The simulator calls [`PagePolicy::on_fault`] whenever a workload touches
-/// an unmapped page, and [`PagePolicy::on_tick`] periodically to model the
+/// The simulator calls [`PagePolicy::populate`] with the pages a workload
+/// touches first (its default calls [`PagePolicy::on_fault`] per unmapped
+/// page), [`PagePolicy::on_fault`] when a measured access finds no
+/// mapping, and [`PagePolicy::on_tick`] periodically to model the
 /// background daemons (`khugepaged`, Trident's zero-fill thread,
 /// HawkEye's `kbinmanager`).
 pub trait PagePolicy {
@@ -58,10 +60,55 @@ pub trait PagePolicy {
         vpn: Vpn,
     ) -> Result<FaultOutcome, PolicyError>;
 
+    /// Populates the first-touched pages `[start, start + pages)`: in
+    /// address order, faults in every page that no leaf maps yet.
+    ///
+    /// The default calls [`on_fault`](Self::on_fault) per unmapped page
+    /// and skips the pages a just-installed leaf already covers. An
+    /// override must leave exactly the frames, table state and counters
+    /// that the default leaves. The 4KB baseline and the 4KB fallbacks of
+    /// THP and Trident map runs of base pages in one batch (DESIGN §12).
+    ///
+    /// # Errors
+    ///
+    /// The first failed fault's error. Every page before the failing one
+    /// is populated, and the failing page is left unmapped.
+    fn populate(
+        &mut self,
+        ctx: &mut MmContext,
+        space: &mut AddressSpace,
+        start: Vpn,
+        pages: u64,
+    ) -> Result<(), PolicyError> {
+        populate_per_page(self, ctx, space, start, pages)
+    }
+
     /// Runs one background-daemon tick over all address spaces.
     fn on_tick(&mut self, _ctx: &mut MmContext, _spaces: &mut SpaceSet) -> TickOutcome {
         TickOutcome::default()
     }
+}
+
+/// The per-page loop behind [`PagePolicy::populate`]'s default.
+pub(crate) fn populate_per_page<P: PagePolicy + ?Sized>(
+    policy: &mut P,
+    ctx: &mut MmContext,
+    space: &mut AddressSpace,
+    start: Vpn,
+    pages: u64,
+) -> Result<(), PolicyError> {
+    let geo = space.geometry();
+    let end = start + pages;
+    let mut vpn = start;
+    while vpn < end {
+        match space.page_table().translate(vpn) {
+            Some(t) => vpn = end.min(t.head_vpn + geo.base_pages(t.size)),
+            None => {
+                policy.on_fault(ctx, space, vpn)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -120,6 +120,18 @@ impl MmStats {
         }
     }
 
+    /// Folds `count` copies of one event: equal to `count` calls of
+    /// [`apply`](Self::apply), in one step for faults.
+    pub fn apply_n(&mut self, event: &Event, count: u64) {
+        match *event {
+            Event::Fault { size, ns, .. } => {
+                self.faults[size.rung()] += count;
+                self.fault_ns[size.rung()] += ns * count;
+            }
+            _ => (0..count).for_each(|_| self.apply(event)),
+        }
+    }
+
     /// The versioned aggregate snapshot — the consumption surface for
     /// experiments, reports and governors.
     #[must_use]

@@ -5,6 +5,7 @@ use trident_obs::{Event, SpanKind};
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
+use crate::fault::populate_base_runs;
 use crate::{
     map_chunk, recover_bloat, touched_chunk, AllocSite, CompactionKind, FaultOutcome, MmContext,
     PagePolicy, PolicyError, PromotedChunk, Promoter, PromoterConfig, PromotionStyle, SpaceSet,
@@ -215,6 +216,19 @@ impl PagePolicy for TridentPolicy {
             latency_ns: latency,
             prepared: false,
         })
+    }
+
+    /// The first fault in each rung-1 chunk decides its size; when that
+    /// lands at 4KB, the chunk (and the rung-2 chunk around it) is partly
+    /// mapped, so the rest of it is mapped as one 4KB run.
+    fn populate(
+        &mut self,
+        ctx: &mut MmContext,
+        space: &mut AddressSpace,
+        start: Vpn,
+        pages: u64,
+    ) -> Result<(), PolicyError> {
+        populate_base_runs(self, ctx, space, start, pages, Some(PageSize::new(1)))
     }
 
     /// Background work: async zero-fill, Figure 5 promotion, optional

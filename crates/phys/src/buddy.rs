@@ -208,6 +208,52 @@ impl BuddyAllocator {
         Ok(start)
     }
 
+    /// Allocates `n` base pages and leaves exactly the state that `n`
+    /// calls of [`alloc(0)`](Self::alloc) leave. Each step takes the
+    /// lowest block of the smallest non-empty order, hands out frames from
+    /// its low end, and returns the unused tail to the free lists as its
+    /// aligned binary decomposition. Calls `emit(start, len)` once per
+    /// contiguous span handed out, in allocation order.
+    ///
+    /// Split events are not reported: the batched populate path runs only
+    /// when no recorder is listening.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError`] for order 0, changing nothing, when fewer
+    /// than `n` pages are free.
+    pub fn alloc_run(&mut self, n: u64, mut emit: impl FnMut(u64, u64)) -> Result<(), AllocError> {
+        if n > self.free_pages {
+            return Err(AllocError { order: 0 });
+        }
+        let mut left = n;
+        while left > 0 {
+            let order = (0..=self.max_order)
+                .find(|o| !self.free_lists[usize::from(*o)].is_empty())
+                .expect("free pages remain");
+            let list = &mut self.free_lists[usize::from(order)];
+            let start = list.first(self.total_pages).expect("non-empty list");
+            list.remove(start);
+            let len = left.min(1 << order);
+            // The tail's decomposition is what `split_down` leaves after
+            // `len` single allocations from this block.
+            let end = start + (1u64 << order);
+            let mut page = start + len;
+            while page < end {
+                let mut k = (page.trailing_zeros() as u8).min(order);
+                while page + (1u64 << k) > end {
+                    k -= 1;
+                }
+                self.free_lists[usize::from(k)].insert(page);
+                page += 1 << k;
+            }
+            emit(start, len);
+            left -= len;
+        }
+        self.free_pages -= n;
+        Ok(())
+    }
+
     trident_obs::noop_variant! {
         /// Allocates a block of `2^order` pages that lies entirely within
         /// `range` (frame numbers), returning its start frame.

@@ -128,6 +128,38 @@ impl PhysicalMemory {
         self.allocate_order_rec(self.geo.order(size), use_, owner, rec)
     }
 
+    /// Allocates `n` base pages backing consecutive virtual pages, and
+    /// leaves exactly the state that `n` calls of
+    /// [`allocate`](Self::allocate)`(BASE, ..)` leave: the same frames in
+    /// the same order, and the same buddy lists, frame table and region
+    /// counters. Frame `i` is owned by `owner` advanced by `i` pages. The
+    /// frames are appended to `frames`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PhysMemError::OutOfContiguousMemory`], changing nothing,
+    /// when fewer than `n` pages are free.
+    pub fn allocate_run(
+        &mut self,
+        n: u64,
+        use_: FrameUse,
+        owner: Option<MappingOwner>,
+        frames: &mut Vec<Pfn>,
+    ) -> Result<(), PhysMemError> {
+        let mut next_owner = owner;
+        self.buddy.alloc_run(n, |start, len| {
+            for pfn in (start..start + len).map(Pfn::new) {
+                self.frames.mark_allocated(pfn, 0, use_, next_owner);
+                frames.push(pfn);
+                if let Some(o) = &mut next_owner {
+                    o.vpn += 1;
+                }
+            }
+            self.regions.on_alloc(start, len, !use_.is_movable());
+        })?;
+        Ok(())
+    }
+
     trident_obs::noop_variant! {
         /// Allocates a raw buddy block of `2^order` frames (used by the
         /// fragmenter, which churns sub-huge-page chunks like the page cache

@@ -188,9 +188,7 @@ pub fn execute_with_progress(
     if let Some(w) = &writer {
         builder = builder.recorder(ObsRecorder::custom(Box::new(w.clone())));
     }
-    let mut system = builder.build().map_err(|e| {
-        format!("launch failed: {e} (hugetlbfs reservations fail on fragmented memory)")
-    })?;
+    let mut system = builder.build().map_err(|e| format!("launch failed: {e}"))?;
     if let Some(hook) = progress {
         system.set_progress_hook(hook);
     }

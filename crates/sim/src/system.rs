@@ -287,7 +287,9 @@ impl SystemBuilder {
     /// [`TridentError::InvalidConfig`] when no tenant or no policy was
     /// given, both a [`PolicyKind`] and a policy instance were given, or
     /// a tenant's budget override is zero; otherwise the allocation error
-    /// when a hugetlbfs reservation cannot be satisfied.
+    /// when a hugetlbfs reservation cannot be satisfied, and
+    /// [`TridentError::OutOfContiguousMemory`] when the tenants need more
+    /// memory than the machine has and no page cache is left to reclaim.
     pub fn build(self) -> Result<System, PhysMemError> {
         if self.tenants.is_empty() {
             return Err(TridentError::InvalidConfig {
@@ -422,7 +424,7 @@ impl SystemBuilder {
             samples_done: 0,
             progress_hook: None,
         };
-        system.load_all();
+        system.load_all()?;
         Ok(system)
     }
 }
@@ -533,7 +535,7 @@ impl System {
     /// memory) and *across* tenants (how co-located processes interleave
     /// on the shared pool) — running daemon ticks along the way and
     /// recording the Figure 3 mappability timeline for tenant 0.
-    fn load_all(&mut self) {
+    fn load_all(&mut self) -> Result<(), TridentError> {
         let geo = self.config.geo;
         struct TenantLoad {
             plan: AllocPlan,
@@ -585,7 +587,7 @@ impl System {
                 let lag = self.tenants[i].workload.spec.alloc_touch_lag as usize;
                 if load.pending.len() > lag {
                     let due = load.pending.pop_front().expect("just checked");
-                    self.touch_range(i, due);
+                    self.touch_range(i, due)?;
                 }
                 if i == 0 {
                     let huge = geo
@@ -602,7 +604,7 @@ impl System {
         for (i, load) in loads.iter_mut().enumerate() {
             self.ctx.set_tenant_scope(Some(self.tenants[i].id));
             while let Some(due) = load.pending.pop_front() {
-                self.touch_range(i, due);
+                self.touch_range(i, due)?;
             }
         }
         for (t, load) in self.tenants.iter_mut().zip(loads) {
@@ -610,6 +612,7 @@ impl System {
             t.workload.sampler = AccessSampler::new(t.workload.spec, layout);
         }
         self.ctx.set_tenant_scope(Some(self.tenants[0].id));
+        Ok(())
     }
 
     /// Touches the portion of a chunk the application actually uses
@@ -618,7 +621,22 @@ impl System {
     /// allocation chunks are touched all-or-none (a slab either holds
     /// objects or sits empty), which is what lets 1GB promotion back
     /// memory THP never would.
-    fn touch_range(&mut self, tenant_idx: usize, range: trident_workloads::ChunkRange) {
+    ///
+    /// Touched pages are populated in runs through
+    /// [`PagePolicy::populate`], with the effect of one first touch per
+    /// page: before each page, keep a small free reserve like kswapd does,
+    /// reclaiming page cache when free memory falls below 2%; fault the
+    /// page in if it is unmapped, reclaiming and retrying once on OOM; and
+    /// run a governed daemon tick every `tick_interval_pages` touches
+    /// (machine-wide — the daemons do not know which tenant's touch
+    /// tripped the interval). A run therefore ends at a tick boundary,
+    /// and, with a page cache attached, before any page where the reserve
+    /// check could fire.
+    fn touch_range(
+        &mut self,
+        tenant_idx: usize,
+        range: trident_workloads::ChunkRange,
+    ) -> Result<(), TridentError> {
         use rand::Rng;
         let geo = self.config.geo;
         let tenant = &mut self.tenants[tenant_idx];
@@ -630,49 +648,68 @@ impl System {
         } else {
             0
         };
-        for i in 0..touched.min(range.pages) {
-            self.touch_populate(tenant_idx, range.start + i);
-        }
-    }
-
-    /// First-touch of one page: fault it in if unmapped, reclaiming page
-    /// cache under memory pressure (kswapd's job), and run a governed
-    /// daemon tick every `tick_interval_pages` touches (machine-wide —
-    /// the daemons do not know which tenant's touch tripped the
-    /// interval).
-    fn touch_populate(&mut self, tenant_idx: usize, vpn: Vpn) {
-        // Keep a small free reserve like kswapd does, so allocations
-        // don't hit hard OOM while the page cache holds reclaimable
-        // memory.
-        if self.ctx.mem.free_fraction() < 0.02 {
-            if let Some(f) = &mut self.fragmenter {
-                f.reclaim(&mut self.ctx.mem, 1 << 15);
+        let asid = tenant.asid;
+        let end = range.start + touched.min(range.pages);
+        let interval = self.config.tick_interval_pages;
+        let mut vpn = range.start;
+        while vpn < end {
+            if self.ctx.mem.free_fraction() < 0.02 {
+                if let Some(f) = &mut self.fragmenter {
+                    f.reclaim(&mut self.ctx.mem, 1 << 15);
+                }
             }
-        }
-        let asid = self.tenants[tenant_idx].asid;
-        let space = self.spaces.get_mut(asid).expect("tenant space");
-        if space.page_table().translate(vpn).is_none() {
-            match self.policy.on_fault(&mut self.ctx, space, vpn) {
-                Ok(_) => {}
-                Err(PolicyError::OutOfContiguousMemory(_)) => {
+            let mut cap = (end - vpn).min(interval - self.touched % interval);
+            if self.fragmenter.is_some() {
+                cap = cap.min(self.pages_before_reclaim());
+            }
+            let space = self.spaces.get_mut(asid).expect("tenant space");
+            let done = match self.policy.populate(&mut self.ctx, space, vpn, cap) {
+                Ok(()) => cap,
+                Err(PolicyError::OutOfContiguousMemory(e)) => {
+                    // Every page before the failed one is populated.
+                    let pt = space.page_table();
+                    let failed = (0..cap)
+                        .map(|i| vpn + i)
+                        .find(|&p| pt.translate(p).is_none())
+                        .expect("a failed populate leaves its failing page unmapped");
                     let f = self
                         .fragmenter
                         .as_mut()
-                        .expect("OOM can only happen with a resident page cache");
+                        .ok_or(TridentError::OutOfContiguousMemory(e))?;
                     f.reclaim(&mut self.ctx.mem, 1 << 16);
                     let space = self.spaces.get_mut(asid).expect("tenant space");
-                    self.policy
-                        .on_fault(&mut self.ctx, space, vpn)
-                        .expect("fault succeeds after reclaim");
+                    self.policy.on_fault(&mut self.ctx, space, failed)?;
+                    failed - vpn + 1
                 }
-                Err(e) => panic!("populate fault failed: {e}"),
+                Err(e) => return Err(e),
+            };
+            vpn += done;
+            self.tenants[tenant_idx].touched += done;
+            self.touched += done;
+            if self.touched.is_multiple_of(interval) {
+                self.tick();
             }
         }
-        self.tenants[tenant_idx].touched += 1;
-        self.touched += 1;
-        if self.touched.is_multiple_of(self.config.tick_interval_pages) {
-            self.tick();
+        Ok(())
+    }
+
+    /// How many pages can be populated before the 2% free-reserve check
+    /// could fire again: no fault allocates more than one top-rung page,
+    /// so the check stays quiet for every page whose predecessors leave
+    /// the free count at or above the smallest count that passes it.
+    fn pages_before_reclaim(&self) -> u64 {
+        let mem = &self.ctx.mem;
+        let total = mem.total_pages();
+        let fires = |free: u64| (free as f64 / total as f64) < 0.02;
+        let mut floor = (total as f64 * 0.02).ceil() as u64;
+        while floor > 0 && !fires(floor - 1) {
+            floor -= 1;
         }
+        while fires(floor) {
+            floor += 1;
+        }
+        let per_fault = self.config.geo.base_pages(self.config.geo.largest());
+        1 + mem.free_pages().saturating_sub(floor) / per_fault
     }
 
     /// One governed background-daemon tick. When a recorder is active,

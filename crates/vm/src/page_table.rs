@@ -520,6 +520,82 @@ impl PageTable {
         Ok(())
     }
 
+    /// How many consecutive base pages from `vpn` are unmapped, counting
+    /// at most `max` and stopping at the end of `vpn`'s leaf table — the
+    /// longest run [`map_run`](Self::map_run) can install there.
+    #[must_use]
+    pub fn unmapped_run(&self, vpn: Vpn, max: u64) -> u64 {
+        let ti = self.pte_index(vpn);
+        let cap = max.min((self.pte_len() - ti) as u64);
+        let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
+        let Some(&slot) = self.puds.get(gi) else {
+            return cap;
+        };
+        if !slot.is_present() {
+            return cap;
+        }
+        if !slot.is_table() {
+            return 0;
+        }
+        let entry = self.pmds.get(slot.table_index())[self.pmd_index(vpn)];
+        if !entry.is_present() {
+            return cap;
+        }
+        if !entry.is_table() {
+            return 0;
+        }
+        let table = &self.ptes.get(entry.table_index())[ti..ti + cap as usize];
+        table.iter().take_while(|pte| !pte.is_present()).count() as u64
+    }
+
+    /// Installs base-page leaves mapping `vpn + i → frames[i]` — the
+    /// batched form of one [`map`](Self::map) per frame, leaving the same
+    /// table state. The leaf table's PTEs are written first; its occupancy
+    /// count, the chunk's per-rung totals and the dirty-chunk bit are then
+    /// updated once.
+    ///
+    /// # Errors
+    ///
+    /// * [`MapError::Overlap`] — a page of the run is already mapped, or
+    ///   the run leaves `vpn`'s leaf table (see
+    ///   [`unmapped_run`](Self::unmapped_run)). Nothing is changed.
+    pub fn map_run(&mut self, vpn: Vpn, frames: &[Pfn]) -> Result<(), MapError> {
+        let n = frames.len() as u64;
+        if n == 0 {
+            return Ok(());
+        }
+        if self.unmapped_run(vpn, n) != n {
+            return Err(MapError::Overlap { vpn });
+        }
+        let gi = self.giant_index(vpn);
+        let gix = self.ensure_gi(gi);
+        let pi = self.pmd_index(vpn);
+        let ti = self.pte_index(vpn);
+        let pmd_idx = self.pud_table_index(gix, vpn)?;
+        let entry = self.pmds.get(pmd_idx)[pi];
+        let pte_idx = if entry.is_present() {
+            entry.table_index()
+        } else {
+            let idx = self.ptes.alloc(self.pte_len());
+            let table = self.pmds.get_mut(pmd_idx);
+            let live = read_count(table);
+            table[pi] = RawPte::table_ptr(idx);
+            write_count(table, live + 1);
+            idx
+        };
+        let table = self.ptes.get_mut(pte_idx);
+        // Read the count before the leaves overwrite its bits.
+        let live = read_count(table);
+        for (slot, &pfn) in table[ti..].iter_mut().zip(frames) {
+            *slot = RawPte::new_leaf(pfn);
+        }
+        write_count(table, live + n as u32);
+        self.chunk_counts[gix].mapped[PageSize::BASE.rung()] += n as u32;
+        self.leaves[PageSize::BASE.rung()] += n;
+        self.dirty_chunks.insert(gi);
+        Ok(())
+    }
+
     /// Resolves (materializing if absent) the mid-level table for PUD slot
     /// `gix`, erroring when the slot holds a giant leaf.
     fn pud_table_index(&mut self, gix: usize, vpn: Vpn) -> Result<u32, MapError> {

@@ -22,7 +22,102 @@ fn geometry_and_ops(
     })
 }
 
+/// x86-64, sv48 and aarch64 at scale 64, plus the miniature ladders.
+fn run_geometries() -> impl Strategy<Value = PageGeometry> {
+    prop_oneof![
+        Just(PageGeometry::TINY),
+        Just(PageGeometry::TINY_NAPOT),
+        Just(PageGeometry::X86_64.scaled(6)),
+        Just(PageGeometry::RISCV_SV48.scaled(6)),
+        Just(PageGeometry::AARCH64.scaled(6)),
+    ]
+}
+
+/// The table's full packed state — entries with their occupancy-count
+/// bits, arenas and free lists, per-chunk rung totals, leaf counts and
+/// the dirty set — without the walker cache, which only lookups fill.
+fn packed_state(pt: &PageTable) -> String {
+    let dbg = format!("{pt:?}");
+    dbg[..dbg.find("last_walk").expect("walker cache field")].to_owned()
+}
+
+/// Maps `pre` leaves into two copies of an empty table, then installs
+/// each run with one `map_run` in the first and one `map` per frame in
+/// the second, comparing the tables after every run.
+fn check_map_run_against_map(geo: PageGeometry, pre: &[(u64, PageSize)], runs: &[(u64, u64)]) {
+    let window = 2 * geo.base_pages(geo.largest());
+    let table_pages = 1u64 << geo.level_order(2);
+    let mut batched = PageTable::new(geo);
+    for &(salt, size) in pre {
+        let span = geo.base_pages(size);
+        let vpn = salt % window / span * span;
+        let _ = batched.map(Vpn::new(vpn), Pfn::new(vpn), size);
+    }
+    let mut single = batched.clone();
+    let mut next_pfn = window;
+    for &(salt, max) in runs {
+        let vpn = salt % window;
+        let n = batched.unmapped_run(Vpn::new(vpn), max);
+        let room = max.min(table_pages - vpn % table_pages);
+        let expected = (0..room)
+            .take_while(|&i| single.translate(Vpn::new(vpn + i)).is_none())
+            .count() as u64;
+        assert_eq!(n, expected, "unmapped_run at {vpn} capped at {max}");
+        let frames: Vec<Pfn> = (next_pfn..next_pfn + n).map(Pfn::new).collect();
+        next_pfn += n;
+        batched.map_run(Vpn::new(vpn), &frames).unwrap();
+        for (i, &pfn) in frames.iter().enumerate() {
+            single
+                .map(Vpn::new(vpn + i as u64), pfn, PageSize::BASE)
+                .unwrap();
+        }
+        assert_eq!(packed_state(&batched), packed_state(&single));
+        if n > 0 {
+            // The pages are mapped now: a second run overlaps and
+            // changes nothing.
+            assert!(matches!(
+                batched.map_run(Vpn::new(vpn), &frames),
+                Err(MapError::Overlap { .. })
+            ));
+            assert_eq!(packed_state(&batched), packed_state(&single));
+        }
+    }
+    for vpn in (0..window).map(Vpn::new) {
+        assert_eq!(batched.translate(vpn), single.translate(vpn));
+    }
+    for size in geo.rungs() {
+        assert_eq!(batched.mapped_pages(size), single.mapped_pages(size));
+        let span = geo.base_pages(size);
+        for head in (0..window).step_by(span as usize).map(Vpn::new) {
+            assert_eq!(
+                batched.chunk_profile(head, size),
+                single.chunk_profile(head, size)
+            );
+        }
+    }
+    assert_eq!(batched.take_dirty_chunks(), single.take_dirty_chunks());
+}
+
 proptest! {
+    /// `map_run` equals one `map` per frame — packed entries, occupancy
+    /// counts, translations, leaf counts, chunk profiles and the
+    /// dirty-chunk drain — on an empty table and on one already holding
+    /// leaves of every rung; `unmapped_run` agrees with per-page lookups.
+    #[test]
+    fn map_run_equals_per_page_map(
+        (geo, pre, runs) in run_geometries().prop_flat_map(|geo| {
+            let sizes = (0..geo.rung_count()).prop_map(PageSize::new);
+            (
+                Just(geo),
+                prop::collection::vec((any::<u64>(), sizes), 0..60),
+                prop::collection::vec((any::<u64>(), 1u64..80), 1..12),
+            )
+        }),
+    ) {
+        check_map_run_against_map(geo, &[], &runs);
+        check_map_run_against_map(geo, &pre, &runs);
+    }
+
     /// Random aligned maps either succeed or report a precise overlap; a
     /// shadow model over base pages always agrees with the table.
     #[test]

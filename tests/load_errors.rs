@@ -1,0 +1,42 @@
+//! Loading a machine is fallible: a spec whose tenants need more memory
+//! than the host has fails `build()` with a typed out-of-memory error
+//! instead of panicking, both locally and through `job::execute`, the
+//! execution path `tridentd` workers share.
+
+use trident_repro::sim::{PolicyKind, SimConfig, System};
+use trident_repro::types::TridentError;
+use trident_repro::workloads::WorkloadSpec;
+use trident_serve::job;
+use trident_serve::proto::{JobSpec, TenantJob};
+
+// Four XSBench tenants need about 468 GB; the host has 384 GB, and clean
+// memory holds no page cache to reclaim.
+
+#[test]
+fn an_overcommitted_machine_fails_build_with_out_of_memory() {
+    let mut config = SimConfig::at_scale(256);
+    config.measure_samples = 1_000;
+    let xsbench = WorkloadSpec::by_name("XSBench").unwrap();
+    let mut builder = System::builder(config).policy(PolicyKind::Base);
+    for _ in 0..4 {
+        builder = builder.workload(xsbench);
+    }
+    match builder.build() {
+        Err(TridentError::OutOfContiguousMemory(_)) => {}
+        other => panic!(
+            "expected an out-of-memory error, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+}
+
+#[test]
+fn an_overcommitted_job_fails_instead_of_panicking() {
+    let mut spec = JobSpec::new("XSBench", "4KB");
+    spec.scale = 256;
+    spec.samples = 1_000;
+    spec.tenants = vec![TenantJob::new("XSBench"); 3];
+    let err = job::execute(&spec).expect_err("the machine is over-committed");
+    assert!(err.contains("launch failed"), "{err}");
+    assert!(err.contains("no contiguous free chunk"), "{err}");
+}

@@ -6,7 +6,7 @@
 //!   [`StatsSnapshot::from_events`] reconstructs the exact snapshot the
 //!   run reported, and every event survives its JSONL wire format.
 
-use trident_repro::core::{Event, StatsSnapshot, SNAPSHOT_VERSION};
+use trident_repro::core::{Event, Recorder, StatsSnapshot, SNAPSHOT_VERSION};
 use trident_repro::sim::experiments::{self, ExpOptions};
 use trident_repro::sim::{PolicyKind, SimConfig, System};
 use trident_repro::workloads::WorkloadSpec;
@@ -79,6 +79,34 @@ fn the_exported_jsonl_parses_back_to_the_same_trace() {
         .collect();
     assert_eq!(parsed, m.trace);
     assert_eq!(StatsSnapshot::from_events(&parsed), m.snapshot);
+}
+
+/// The batched populate path runs only while the recorder and the fault
+/// injector are both disabled. A plain run must keep them so: one
+/// switched on by accident would silently put every run back on the
+/// per-page path.
+#[test]
+fn plain_runs_keep_the_recorder_and_the_injector_off() {
+    let config = SimConfig::at_scale(256);
+    assert!(config.trace_capacity.is_none() && !config.profile && config.fault.is_none());
+    let spec = WorkloadSpec::by_name("GUPS").unwrap();
+    let mut system = System::builder(config)
+        .policy(PolicyKind::Base)
+        .workload(spec)
+        .build()
+        .unwrap();
+    assert!(!system.ctx.recorder.enabled(), "recorder on after build");
+    assert!(!system.ctx.fault.enabled(), "fault injector on after build");
+    system.settle();
+    let m = system.measure();
+    assert!(!system.ctx.recorder.enabled(), "recorder on after measure");
+    assert!(
+        !system.ctx.fault.enabled(),
+        "fault injector on after measure"
+    );
+    assert!(m.trace.is_empty());
+    assert_eq!(m.trace_dropped, 0);
+    assert!(m.profile.is_none());
 }
 
 #[test]
