@@ -293,6 +293,22 @@ mod tests {
     }
 
     #[test]
+    fn async_zeroed_giant_fault_takes_roughly_2_7ms() {
+        let m = CostModel::default();
+        let geo = trident_types::PageGeometry::X86_64;
+        let ns = m.fault_ns(&geo, PageSize::new(2), true);
+        assert!((2_500_000..2_900_000).contains(&ns), "{ns}");
+    }
+
+    #[test]
+    fn a_hypercall_costs_roughly_300ns() {
+        let m = CostModel::default();
+        // A batched exchange of no pairs pays for the hypercall alone.
+        let ns = m.pv_batched_exchange_ns(0);
+        assert!((250..350).contains(&ns), "{ns}");
+    }
+
+    #[test]
     fn fault_latencies_shrink_with_scaled_geometry() {
         let m = CostModel::default();
         let real = trident_types::PageGeometry::X86_64;

@@ -8,11 +8,29 @@
 use std::fmt::Write as _;
 
 use trident_obs::SpanKind;
+use trident_types::MAX_RUNGS;
 
-use crate::{prom, LatencyHistogram, Profile};
+use crate::prom::{self, RUNG_LABELS};
+use crate::{LatencyHistogram, Profile};
 
 fn opt(v: Option<u64>) -> String {
     v.map_or_else(|| "-".to_owned(), |v| v.to_string())
+}
+
+/// One count per ladder rung, in [`RUNG_LABELS`] order, joined by `sep`.
+fn per_rung(values: &[u64; MAX_RUNGS], sep: &str) -> String {
+    let values: Vec<String> = values.iter().map(u64::to_string).collect();
+    values.join(sep)
+}
+
+/// One count per ladder rung as a JSON object keyed by the rung labels.
+fn json_per_rung(values: &[u64; MAX_RUNGS]) -> String {
+    let fields: Vec<String> = RUNG_LABELS
+        .iter()
+        .zip(values)
+        .map(|(label, v)| format!("\"{label}\":{v}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 /// Renders the profile as a markdown report.
@@ -75,9 +93,10 @@ pub fn render_markdown(profile: &Profile) -> String {
         profile.series.window_ticks()
     );
     let _ = writeln!(out);
+    let rungs = RUNG_LABELS.join("/");
     let _ = writeln!(
         out,
-        "| window | faults b/h/g | promos b/h/g | compact runs | compact bytes | pv pairs | zero blocks | tlb misses | fmfi | free 2M | free 1G | injected | deferred | pv fb bytes |"
+        "| window | faults {rungs} | promos {rungs} | compact runs | compact bytes | pv pairs | zero blocks | tlb misses | fmfi | free 2M | free 1G | injected | deferred | pv fb bytes |"
     );
     let _ = writeln!(
         out,
@@ -89,14 +108,10 @@ pub fn render_markdown(profile: &Profile) -> String {
             .map_or_else(|| "-".to_owned(), |f| format!("{f:.3}"));
         let _ = writeln!(
             out,
-            "| {} | {}/{}/{} | {}/{}/{} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
             i,
-            w.faults[0],
-            w.faults[1],
-            w.faults[2],
-            w.promotions[0],
-            w.promotions[1],
-            w.promotions[2],
+            per_rung(&w.faults, "/"),
+            per_rung(&w.promotions, "/"),
             w.compaction_runs,
             w.compaction_bytes,
             w.pv_pairs,
@@ -135,16 +150,8 @@ pub fn render_json(profile: &Profile) -> String {
     let _ = writeln!(out, "  \"version\": {},", snap.version);
     let _ = writeln!(out, "  \"events_seen\": {},", profile.events_seen);
     let _ = writeln!(out, "  \"events_lost\": {},", profile.events_lost);
-    let _ = writeln!(
-        out,
-        "  \"faults\": {{\"base\":{},\"huge\":{},\"giant\":{}}},",
-        snap.faults[0], snap.faults[1], snap.faults[2]
-    );
-    let _ = writeln!(
-        out,
-        "  \"fault_ns\": {{\"base\":{},\"huge\":{},\"giant\":{}}},",
-        snap.fault_ns[0], snap.fault_ns[1], snap.fault_ns[2]
-    );
+    let _ = writeln!(out, "  \"faults\": {},", json_per_rung(&snap.faults));
+    let _ = writeln!(out, "  \"fault_ns\": {},", json_per_rung(&snap.fault_ns));
     let _ = writeln!(out, "  \"daemon_ns\": {},", snap.daemon_ns);
     let _ = writeln!(
         out,
@@ -196,12 +203,12 @@ pub fn render_json(profile: &Profile) -> String {
             .map_or_else(|| "null".to_owned(), |f| format!("{f:.3}"));
         let _ = writeln!(
             out,
-            "    {{\"ticks\":{},\"faults\":[{},{},{}],\"fault_ns\":[{},{},{}],\"promotions\":[{},{},{}],\"demotions\":[{},{},{}],\"compaction_runs\":{},\"compaction_bytes\":{},\"pv_pairs\":{},\"zero_blocks\":{},\"daemon_ns\":{},\"tlb_misses\":{},\"walk_cycles\":{},\"fmfi\":{fmfi},\"free_huge\":{},\"free_giant\":{},\"injected_faults\":{},\"promotions_deferred\":{},\"pv_fallback_bytes\":{}}}{comma}",
+            "    {{\"ticks\":{},\"faults\":[{}],\"fault_ns\":[{}],\"promotions\":[{}],\"demotions\":[{}],\"compaction_runs\":{},\"compaction_bytes\":{},\"pv_pairs\":{},\"zero_blocks\":{},\"daemon_ns\":{},\"tlb_misses\":{},\"walk_cycles\":{},\"fmfi\":{fmfi},\"free_huge\":{},\"free_giant\":{},\"injected_faults\":{},\"promotions_deferred\":{},\"pv_fallback_bytes\":{}}}{comma}",
             w.ticks,
-            w.faults[0], w.faults[1], w.faults[2],
-            w.fault_ns[0], w.fault_ns[1], w.fault_ns[2],
-            w.promotions[0], w.promotions[1], w.promotions[2],
-            w.demotions[0], w.demotions[1], w.demotions[2],
+            per_rung(&w.faults, ","),
+            per_rung(&w.fault_ns, ","),
+            per_rung(&w.promotions, ","),
+            per_rung(&w.demotions, ","),
             w.compaction_runs,
             w.compaction_bytes,
             w.pv_pairs,
@@ -293,8 +300,43 @@ mod tests {
     #[test]
     fn json_windows_round_numbers() {
         let js = render_json(&sample_profile());
-        assert!(js.contains("\"faults\": {\"base\":0,\"huge\":1,\"giant\":0}"));
+        assert!(js.contains(
+            "\"faults\": {\"base\":0,\"huge\":1,\"giant\":0,\"rung3\":0,\"rung4\":0,\"rung5\":0}"
+        ));
         assert!(js.contains("\"fmfi\":0.042"));
+    }
+
+    #[test]
+    fn reports_cover_every_rung_of_the_ladder() {
+        // A rung-3 fault and a rung-4 promotion, as on the AArch64 ladder.
+        let p = Profile::from_events(
+            1,
+            [
+                Event::Fault {
+                    size: PageSize::new(3),
+                    site: AllocSite::PageFault,
+                    ns: 700,
+                },
+                Event::Promote {
+                    size: PageSize::new(4),
+                    bytes_copied: 0,
+                    bloat_pages: 0,
+                },
+                Event::DaemonTick { ns: 5 },
+            ]
+            .iter(),
+        );
+        let js = render_json(&p);
+        assert!(
+            js.contains(
+                "\"faults\": {\"base\":0,\"huge\":0,\"giant\":0,\"rung3\":1,\"rung4\":0,\"rung5\":0},"
+            ),
+            "{js}"
+        );
+        assert!(js.contains("\"faults\":[0,0,0,1,0,0],"), "{js}");
+        assert!(js.contains("\"promotions\":[0,0,0,0,1,0],"), "{js}");
+        let md = render_markdown(&p);
+        assert!(md.contains("| 0 | 0/0/0/1/0/0 | 0/0/0/0/1/0 |"), "{md}");
     }
 
     #[test]
