@@ -68,6 +68,7 @@ impl MmContext {
     /// change to a live scope, a trace-only [`Event::TenantScope`] marker
     /// is emitted so traces stay attributable offline; the marker never
     /// touches counters, so single-tenant snapshots are unaffected.
+    #[inline]
     pub fn set_tenant_scope(&mut self, scope: Option<TenantId>) {
         if self.scope == scope {
             return;
@@ -250,12 +251,14 @@ impl SpaceSet {
     }
 
     /// Shared access to a space.
+    #[inline]
     #[must_use]
     pub fn get(&self, id: AsId) -> Option<&AddressSpace> {
         self.spaces.get(&id)
     }
 
     /// Mutable access to a space.
+    #[inline]
     pub fn get_mut(&mut self, id: AsId) -> Option<&mut AddressSpace> {
         self.spaces.get_mut(&id)
     }

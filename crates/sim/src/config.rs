@@ -13,9 +13,10 @@ pub struct SimConfig {
     /// Host physical memory in bytes, unscaled (the paper's testbed has
     /// 384GB).
     pub host_mem_bytes: u64,
-    /// Memory-scale divisor applied to host memory and workload
-    /// footprints alike; the TLB is scaled by the same factor so the
-    /// reach ratios of Table 1 are preserved.
+    /// Memory-scale divisor applied to host memory, workload footprints
+    /// and large page sizes alike; the TLB keeps its Table 1 entry counts,
+    /// so footprint-to-reach ratios are preserved (see
+    /// [`SimConfig::at_scale`]).
     pub scale: MemoryScale,
     /// Fragment physical memory before the run (§3 methodology).
     pub fragment: Option<FragmentProfile>,
@@ -83,12 +84,6 @@ impl SimConfig {
             .pages_for_bytes(self.scale.apply(self.host_mem_bytes))
     }
 
-    /// The TLB scale divisor matching the memory scale.
-    #[must_use]
-    pub fn tlb_divisor(&self) -> usize {
-        usize::try_from(self.scale.divisor()).expect("fits usize")
-    }
-
     /// Returns a copy with fragmentation enabled (heavy profile).
     #[must_use]
     pub fn fragmented(mut self) -> SimConfig {
@@ -117,9 +112,10 @@ impl SimConfig {
     /// # Examples
     ///
     /// ```
-    /// use trident_sim::SimConfig;
+    /// use trident_sim::{SimConfig, SimConfigBuilder};
     ///
-    /// let c = SimConfig::builder(256).measure_samples(5_000).build()?;
+    /// let builder: SimConfigBuilder = SimConfig::builder(256);
+    /// let c = builder.measure_samples(5_000).build()?;
     /// assert_eq!(c.measure_samples, 5_000);
     /// assert!(SimConfig::builder(256).measure_samples(0).build().is_err());
     /// # Ok::<(), trident_types::TridentError>(())
@@ -350,7 +346,6 @@ mod tests {
         let c = SimConfig::default();
         // 384GB / 16 = 24GB = 6M pages.
         assert_eq!(c.host_pages(), 24 * GIB / 4096);
-        assert_eq!(c.tlb_divisor(), 16);
     }
 
     #[test]

@@ -26,10 +26,6 @@ const ARCHES: [PageGeometry; 3] = [
     PageGeometry::AARCH64,
 ];
 
-/// Architecture ids in reporting order, for callers timing each ladder
-/// on its own (the bench matrix's per-geometry records).
-pub const GEOMETRY_NAMES: [&str; 3] = ["x86_64", "sv48", "aarch64"];
-
 /// Workloads contrasting the ladders: GUPS stresses TLB reach with
 /// uniform random access; Redis grows incrementally, exercising the
 /// promotion ladder rung by rung.
@@ -133,27 +129,13 @@ fn rung_kind(geo: &PageGeometry, size: trident_types::PageSize) -> &'static str 
 /// workload), the same row seed for all ladders of one workload so the
 /// comparison uses common random numbers.
 pub fn run(opts: &ExpOptions) -> Result {
-    run_arches(opts, &ARCHES)
-}
-
-/// Runs the study restricted to one shipped architecture (both
-/// workloads, same row seeds as the full study). Returns `None` for an
-/// unknown id; see [`GEOMETRY_NAMES`] for the valid ones.
-pub fn run_geometry(opts: &ExpOptions, name: &str) -> Option<Result> {
-    ARCHES
-        .iter()
-        .find(|arch| arch.name() == name)
-        .map(|arch| run_arches(opts, std::slice::from_ref(arch)))
-}
-
-fn run_arches(opts: &ExpOptions, arches: &[PageGeometry]) -> Result {
     let specs: Vec<WorkloadSpec> = WORKLOADS
         .iter()
         .map(|name| WorkloadSpec::by_name(name).expect("built-in workload"))
         .collect();
     let mut cells = Vec::new();
     for (row, spec) in specs.iter().enumerate() {
-        for arch in arches {
+        for arch in &ARCHES {
             let mut config = row_config(opts, row as u64);
             config.geo = scaled_geometry_for(arch, opts.scale);
             cells.push(Cell {
@@ -194,7 +176,7 @@ fn run_arches(opts: &ExpOptions, arches: &[PageGeometry]) -> Result {
 
     // The walk table describes the architecture, not the scaled machine:
     // report the full-scale ladders.
-    let walk_rows = arches
+    let walk_rows = ARCHES
         .iter()
         .flat_map(|arch| {
             arch.rungs().map(|size| WalkRow {
@@ -259,19 +241,6 @@ mod tests {
             walk("aarch64", "2MB").walk_accesses_4l
         );
         assert!(walk("x86_64", "1GB").walk_accesses_4l < walk("x86_64", "4KB").walk_accesses_4l);
-    }
-
-    #[test]
-    fn run_geometry_matches_the_full_study() {
-        let full = run(&opts(0)).to_csv();
-        let solo = run_geometry(&opts(0), "sv48").expect("shipped id").to_csv();
-        for row in solo.lines().skip(1) {
-            assert!(
-                full.contains(row),
-                "solo row {row:?} missing from full study"
-            );
-        }
-        assert!(run_geometry(&opts(0), "pdp11").is_none());
     }
 
     #[test]

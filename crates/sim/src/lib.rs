@@ -37,7 +37,7 @@ pub mod runner;
 mod system;
 mod virt_system;
 
-pub use config::{scaled_geometry, scaled_geometry_for, SimConfig};
+pub use config::{scaled_geometry, scaled_geometry_for, SimConfig, SimConfigBuilder};
 pub use governor::DaemonGovernor;
 pub use latency::{request_p99_ms, LatencyModel};
 pub use model::{PerfModel, PerfPoint};

@@ -91,42 +91,14 @@ impl TlbHierarchy {
         TlbHierarchy::custom(geo, &l1, (1536, 12), (16, 4))
     }
 
-    /// The Skylake hierarchy with every structure's entry count divided by
-    /// `divisor` (minimum one entry; associativity clamped accordingly).
-    ///
-    /// Experiments scale workload footprints down by a memory-scale factor
-    /// to keep simulation tractable; scaling the TLB reach by the same
-    /// factor preserves the footprint-to-reach ratios that determine when
-    /// 1GB pages win (e.g. real XSBench: 117GB against 3GB of 2MB-reach
-    /// and 16GB of 1GB-reach; at scale 16: 7.3GB against 192MB and 1GB —
-    /// the same ratios).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    #[must_use]
-    pub fn scaled_skylake(geo: PageGeometry, divisor: usize) -> TlbHierarchy {
-        assert!(divisor > 0, "divisor must be positive");
-        let scale = |(entries, ways): (usize, usize)| {
-            let scaled = (entries / divisor).max(1);
-            let ways = ways.min(scaled);
-            // Round down to a multiple of the way count.
-            ((scaled / ways) * ways, ways)
-        };
-        let l1: Vec<(usize, usize)> = geo
-            .rungs()
-            .map(|size| scale(skylake_l1(geo.level(size))))
-            .collect();
-        TlbHierarchy::custom(geo, &l1, scale((1536, 12)), scale((16, 4)))
-    }
-
     /// Builds a custom hierarchy from per-rung L1 shapes (entry count,
     /// ways; one per ladder rung, bottom-up) plus the shared and giant L2
     /// shapes.
     ///
     /// # Panics
     ///
-    /// Panics if `l1` does not provide exactly one shape per rung.
+    /// Panics if `l1` does not provide exactly one shape per rung, or if
+    /// any shape is rejected by [`SetAssocTlb::new`].
     #[must_use]
     pub fn custom(
         geo: PageGeometry,
@@ -174,6 +146,7 @@ impl TlbHierarchy {
     /// Simulates one translation of `vpn` cached at `size`. A group rung
     /// occupies one (coalesced) entry for its whole span — exactly the
     /// reach benefit NAPOT and contiguous bits exist to provide.
+    #[inline]
     pub fn access(&mut self, vpn: Vpn, size: PageSize) -> TlbOutcome {
         let tag = self.tag(vpn, size);
         if self.l1[size.rung()].access(tag) {
@@ -278,24 +251,6 @@ mod tests {
             assert_eq!(t.access(Vpn::new(i), napot), TlbOutcome::L1Hit);
         }
         assert_eq!(t.access(Vpn::new(span), napot), TlbOutcome::Miss);
-    }
-
-    #[test]
-    fn scaled_hierarchy_preserves_reach_ratios() {
-        let full = TlbHierarchy::skylake();
-        let scaled = TlbHierarchy::scaled_skylake(PageGeometry::X86_64, 16);
-        let ratio =
-            |h: &TlbHierarchy| h.l2_reach_bytes(GIANT) as f64 / h.l2_reach_bytes(HUGE) as f64;
-        // 16GB / 3GB ≈ 5.33 both before and after scaling.
-        assert!((ratio(&full) - ratio(&scaled)).abs() < 0.5);
-        assert_eq!(scaled.l2_reach_bytes(GIANT), GIB);
-    }
-
-    #[test]
-    fn extreme_scaling_degenerates_to_single_entries() {
-        let t = TlbHierarchy::scaled_skylake(PageGeometry::X86_64, 10_000);
-        assert_eq!(t.l2_reach_bytes(GIANT), GIB);
-        assert_eq!(t.l2_reach_bytes(BASE), 4096);
     }
 
     #[test]

@@ -17,8 +17,15 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocTlb {
-    sets: Vec<Vec<u64>>,
+    /// Every set's tags in one flat array, `ways` slots per set. The first
+    /// `fill[set]` slots of a set are live, least recently used first.
+    tags: Vec<u64>,
+    /// Live entries per set.
+    fill: Vec<usize>,
     ways: usize,
+    /// `sets - 1`: the set count is a power of two, so a mask selects the
+    /// set.
+    set_mask: u64,
     hits: u64,
     misses: u64,
 }
@@ -29,15 +36,22 @@ impl SetAssocTlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `ways`.
+    /// Panics if `entries` is not a positive multiple of `ways`, or if the
+    /// set count `entries / ways` is not a power of two.
     #[must_use]
     pub fn new(entries: usize, ways: usize) -> SetAssocTlb {
         assert!(ways > 0 && entries > 0, "TLB cannot be empty");
         assert_eq!(entries % ways, 0, "entries must be a multiple of ways");
         let set_count = entries / ways;
+        assert!(
+            set_count.is_power_of_two(),
+            "set count must be a power of two"
+        );
         SetAssocTlb {
-            sets: vec![Vec::with_capacity(ways); set_count],
+            tags: vec![0; entries],
+            fill: vec![0; set_count],
             ways,
+            set_mask: set_count as u64 - 1,
             hits: 0,
             misses: 0,
         }
@@ -46,63 +60,67 @@ impl SetAssocTlb {
     /// Total entries.
     #[must_use]
     pub fn entries(&self) -> usize {
-        self.sets.len() * self.ways
+        self.tags.len()
     }
 
     fn set_of(&self, tag: u64) -> usize {
-        (tag % self.sets.len() as u64) as usize
+        (tag & self.set_mask) as usize
     }
 
     /// Looks up `tag`; on a hit refreshes its LRU position, on a miss
     /// inserts it (evicting the LRU way if the set is full). Returns
     /// whether it hit.
     pub fn access(&mut self, tag: u64) -> bool {
-        let ways = self.ways;
-        let set_index = self.set_of(tag);
-        let set = &mut self.sets[set_index];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Most-recently-used lives at the back.
-            let t = set.remove(pos);
-            set.push(t);
+        let hit = self.touch(tag);
+        if hit {
             self.hits += 1;
-            true
         } else {
-            if set.len() == ways {
-                set.remove(0);
-            }
-            set.push(tag);
             self.misses += 1;
-            false
         }
+        hit
     }
 
     /// Inserts `tag` without counting a lookup (used for fill-on-L2-hit).
     pub fn fill(&mut self, tag: u64) {
-        let ways = self.ways;
+        self.touch(tag);
+    }
+
+    /// Makes `tag` its set's most recently used entry, inserting it (and
+    /// evicting the LRU way of a full set) if absent. Returns whether it
+    /// was present.
+    fn touch(&mut self, tag: u64) -> bool {
         let set_index = self.set_of(tag);
-        let set = &mut self.sets[set_index];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            let t = set.remove(pos);
-            set.push(t);
-            return;
+        let len = self.fill[set_index];
+        let base = set_index * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        if let Some(pos) = set[..len].iter().position(|&t| t == tag) {
+            // Most-recently-used lives at the back: shift the newer
+            // entries down one slot and put `tag` last.
+            set.copy_within(pos + 1..len, pos);
+            set[len - 1] = tag;
+            return true;
         }
-        if set.len() == ways {
-            set.remove(0);
+        if len == self.ways {
+            set.copy_within(1.., 0);
+            set[len - 1] = tag;
+        } else {
+            set[len] = tag;
+            self.fill[set_index] = len + 1;
         }
-        set.push(tag);
+        false
     }
 
     /// Whether `tag` is currently cached (no LRU update, no counting).
     #[must_use]
     pub fn probe(&self, tag: u64) -> bool {
-        self.sets[self.set_of(tag)].contains(&tag)
+        let set_index = self.set_of(tag);
+        let base = set_index * self.ways;
+        self.tags[base..base + self.fill[set_index]].contains(&tag)
     }
 
     /// Drops all entries (counters are preserved).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Lookup hits so far.
@@ -169,5 +187,11 @@ mod tests {
     #[should_panic(expected = "multiple of ways")]
     fn rejects_ragged_geometry() {
         let _ = SetAssocTlb::new(5, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn rejects_a_set_count_that_is_not_a_power_of_two() {
+        let _ = SetAssocTlb::new(12, 4);
     }
 }

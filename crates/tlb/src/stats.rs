@@ -27,6 +27,7 @@ pub struct TranslationStats {
 
 impl TranslationStats {
     /// Records one translation outcome.
+    #[inline]
     pub fn record(&mut self, size: PageSize, outcome: TlbOutcome, cycles: u64) {
         let s = &mut self.per_size[size.rung()];
         s.accesses += 1;

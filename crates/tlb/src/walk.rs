@@ -24,6 +24,7 @@ pub enum PageTableDepth {
 /// table shape untouched, so they pay the *full* walk depth of their
 /// underlying level: a 64KB NAPOT page still walks like a 4KB one. Their
 /// benefit is TLB reach, never walk latency.
+#[inline]
 #[must_use]
 pub fn walk_accesses(geo: &PageGeometry, size: PageSize) -> u64 {
     walk_accesses_at(geo, size, PageTableDepth::FourLevel)
@@ -31,6 +32,7 @@ pub fn walk_accesses(geo: &PageGeometry, size: PageSize) -> u64 {
 
 /// Walk accesses with an explicit page-table depth; five-level tables add
 /// one access to every size.
+#[inline]
 #[must_use]
 pub fn walk_accesses_at(geo: &PageGeometry, size: PageSize, depth: PageTableDepth) -> u64 {
     let extra = match depth {
@@ -46,6 +48,7 @@ pub fn walk_accesses_at(geo: &PageGeometry, size: PageSize, depth: PageTableDept
 /// `host` page sizes: `(g + 1) · (h + 1) − 1` where `g`/`h` are the level
 /// counts. Reproduces §2's numbers: 24 for 4KB+4KB, 15 for 2MB+2MB, 8 for
 /// 1GB+1GB.
+#[inline]
 #[must_use]
 pub fn nested_walk_accesses(geo: &PageGeometry, guest: PageSize, host: PageSize) -> u64 {
     nested_walk_accesses_at(geo, guest, host, PageTableDepth::FourLevel)
@@ -54,6 +57,7 @@ pub fn nested_walk_accesses(geo: &PageGeometry, guest: PageSize, host: PageSize)
 /// Nested walk accesses with an explicit page-table depth at both levels:
 /// with five-level tables a 4KB+4KB miss needs up to 35 memory accesses,
 /// making large pages even more valuable.
+#[inline]
 #[must_use]
 pub fn nested_walk_accesses_at(
     geo: &PageGeometry,
@@ -82,12 +86,14 @@ pub struct WalkCostModel {
 
 impl WalkCostModel {
     /// Cycles for a native walk of a page of `size`.
+    #[inline]
     #[must_use]
     pub fn walk_cycles(&self, geo: &PageGeometry, size: PageSize) -> u64 {
         walk_accesses(geo, size) * self.mem_access_cycles
     }
 
     /// Cycles for a nested walk.
+    #[inline]
     #[must_use]
     pub fn nested_walk_cycles(&self, geo: &PageGeometry, guest: PageSize, host: PageSize) -> u64 {
         nested_walk_accesses(geo, guest, host) * self.mem_access_cycles

@@ -16,18 +16,21 @@ macro_rules! addr_newtype {
 
         impl $name {
             /// Wraps a raw 64-bit value.
+            #[inline]
             #[must_use]
             pub const fn new(raw: u64) -> Self {
                 Self(raw)
             }
 
             /// The raw 64-bit value.
+            #[inline]
             #[must_use]
             pub const fn raw(self) -> u64 {
                 self.0
             }
 
             /// Checked addition; `None` on overflow.
+            #[inline]
             #[must_use]
             pub fn checked_add(self, rhs: u64) -> Option<Self> {
                 self.0.checked_add(rhs).map(Self)
@@ -36,12 +39,14 @@ macro_rules! addr_newtype {
 
         impl Add<u64> for $name {
             type Output = Self;
+            #[inline]
             fn add(self, rhs: u64) -> Self {
                 Self(self.0.checked_add(rhs).expect("address overflow"))
             }
         }
 
         impl AddAssign<u64> for $name {
+            #[inline]
             fn add_assign(&mut self, rhs: u64) {
                 *self = *self + rhs;
             }
@@ -49,12 +54,14 @@ macro_rules! addr_newtype {
 
         impl Sub<$name> for $name {
             type Output = u64;
+            #[inline]
             fn sub(self, rhs: $name) -> u64 {
                 self.0.checked_sub(rhs.0).expect("address underflow")
             }
         }
 
         impl From<u64> for $name {
+            #[inline]
             fn from(raw: u64) -> Self {
                 Self(raw)
             }

@@ -36,12 +36,14 @@ pub struct DenseBitSet {
 
 impl DenseBitSet {
     /// Creates an empty set.
+    #[inline]
     #[must_use]
     pub fn new() -> DenseBitSet {
         DenseBitSet::default()
     }
 
     /// Creates an empty set with capacity for keys below `keys`.
+    #[inline]
     #[must_use]
     pub fn with_capacity(keys: u64) -> DenseBitSet {
         DenseBitSet {
@@ -50,23 +52,27 @@ impl DenseBitSet {
         }
     }
 
+    #[inline]
     fn word_of(key: u64) -> usize {
         usize::try_from(key / 64).expect("bitset key fits usize")
     }
 
     /// Number of keys in the set.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the set is empty.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether `key` is in the set.
+    #[inline]
     #[must_use]
     pub fn contains(&self, key: u64) -> bool {
         self.words
@@ -76,6 +82,7 @@ impl DenseBitSet {
 
     /// Inserts `key`, growing the word storage as needed. Returns whether
     /// the key was newly inserted.
+    #[inline]
     pub fn insert(&mut self, key: u64) -> bool {
         let word = Self::word_of(key);
         if word >= self.words.len() {
@@ -89,6 +96,7 @@ impl DenseBitSet {
     }
 
     /// Removes `key`. Returns whether it was present.
+    #[inline]
     pub fn remove(&mut self, key: u64) -> bool {
         let Some(w) = self.words.get_mut(Self::word_of(key)) else {
             return false;
@@ -101,12 +109,14 @@ impl DenseBitSet {
     }
 
     /// Removes every key without shrinking the word storage.
+    #[inline]
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.len = 0;
     }
 
     /// Iterates the keys in ascending order. Allocation-free.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.words
             .iter()
@@ -121,6 +131,7 @@ impl DenseBitSet {
     /// Iterates the keys in `[start, end)` in ascending order without
     /// touching words outside the range. Allocation-free — the word-skipping
     /// scan behind ranged head/unit enumeration.
+    #[inline]
     pub fn iter_range(&self, start: u64, end: u64) -> impl Iterator<Item = u64> + '_ {
         let first_word = Self::word_of(start);
         self.words
@@ -144,6 +155,7 @@ impl DenseBitSet {
     /// Drains the set into `out` (cleared first) in ascending key order,
     /// keeping the word storage for reuse — the zero-alloc replacement for
     /// "take the set and collect it into a fresh `Vec`".
+    #[inline]
     pub fn drain_into(&mut self, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(self.len);
@@ -159,6 +171,7 @@ impl DenseBitSet {
     }
 
     /// The smallest key in the set, if any.
+    #[inline]
     #[must_use]
     pub fn first(&self) -> Option<u64> {
         self.words
@@ -188,6 +201,7 @@ struct BitIter {
 impl Iterator for BitIter {
     type Item = u64;
 
+    #[inline]
     fn next(&mut self) -> Option<u64> {
         if self.word == 0 {
             return None;

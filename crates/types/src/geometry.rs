@@ -311,52 +311,61 @@ impl PageGeometry {
 
     /// The architecture's stable id (`"x86_64"`, `"sv48"`, `"aarch64"`,
     /// `"tiny"`, or `"custom"`); preserved by [`scaled`](Self::scaled).
+    #[inline]
     #[must_use]
     pub const fn name(&self) -> &'static str {
         self.name
     }
 
     /// Size of a base page in bytes.
+    #[inline]
     #[must_use]
     pub fn base_bytes(&self) -> u64 {
         1 << self.base_shift
     }
 
     /// log2 of the base page size in bytes.
+    #[inline]
     #[must_use]
     pub fn base_shift(&self) -> u8 {
         self.base_shift
     }
 
     /// Number of rungs on the ladder.
+    #[inline]
     #[must_use]
     pub fn rung_count(&self) -> usize {
         self.rungs as usize
     }
 
     /// The ladder's rungs, smallest first.
+    #[inline]
     pub fn rungs(&self) -> impl DoubleEndedIterator<Item = PageSize> {
         (0..self.rungs as usize).map(PageSize::new)
     }
 
     /// The ladder's rungs, largest first — the order in which Trident
     /// attempts to satisfy a fault or promotion.
+    #[inline]
     pub fn rungs_desc(&self) -> impl Iterator<Item = PageSize> {
         self.rungs().rev()
     }
 
     /// The large rungs (everything above base), largest first.
+    #[inline]
     pub fn large_rungs_desc(&self) -> impl Iterator<Item = PageSize> {
         self.rungs_desc().filter(|s| s.is_large())
     }
 
     /// The largest rung.
+    #[inline]
     #[must_use]
     pub fn largest(&self) -> PageSize {
         PageSize::new(self.rungs as usize - 1)
     }
 
     /// The next larger rung, or `None` at the top of the ladder.
+    #[inline]
     #[must_use]
     pub fn larger(&self, size: PageSize) -> Option<PageSize> {
         let next = size.rung() + 1;
@@ -368,6 +377,7 @@ impl PageGeometry {
     /// # Panics
     ///
     /// Panics if `size` is not a rung of this ladder.
+    #[inline]
     #[must_use]
     pub fn class(&self, size: PageSize) -> SizeClass {
         assert!(size.rung() < self.rungs as usize, "rung not on this ladder");
@@ -376,12 +386,14 @@ impl PageGeometry {
 
     /// The buddy-allocator order of `size`: a page of `size` spans
     /// `2^order(size)` base pages.
+    #[inline]
     #[must_use]
     pub fn order(&self, size: PageSize) -> u8 {
         self.class(size).order
     }
 
     /// The page-table level whose entries back `size` (1 = PTE leaf).
+    #[inline]
     #[must_use]
     pub fn level(&self, size: PageSize) -> u8 {
         self.class(size).level
@@ -389,6 +401,7 @@ impl PageGeometry {
 
     /// The natural order of a leaf at table `level` (1..=3): the span
     /// one entry covers by itself.
+    #[inline]
     #[must_use]
     pub fn level_order(&self, level: u8) -> u8 {
         self.level_orders[(level - 1) as usize]
@@ -397,6 +410,7 @@ impl PageGeometry {
     /// Whether `size` is a group rung: realized as multiple adjacent
     /// entries at its level (SVNAPOT or a contiguous-bit span) rather
     /// than one entry.
+    #[inline]
     #[must_use]
     pub fn is_group(&self, size: PageSize) -> bool {
         let c = self.class(size);
@@ -405,6 +419,7 @@ impl PageGeometry {
 
     /// Entries at the rung's level making up one page of `size`
     /// (1 for natural leaves, `2^k` for group rungs).
+    #[inline]
     #[must_use]
     pub fn group_span(&self, size: PageSize) -> u64 {
         let c = self.class(size);
@@ -413,6 +428,7 @@ impl PageGeometry {
 
     /// The largest order the buddy allocator must track
     /// (the order of the largest rung).
+    #[inline]
     #[must_use]
     pub fn max_order(&self) -> u8 {
         self.ladder[self.rungs as usize - 1].order
@@ -421,6 +437,7 @@ impl PageGeometry {
     /// The rung with exactly the given buddy order, if any — a
     /// precomputed table lookup, not a ladder scan (this sits on the
     /// buddy free/alloc hot paths).
+    #[inline]
     #[must_use]
     pub fn size_for_order(&self, order: u8) -> Option<PageSize> {
         let idx = *self.order_to_rung.get(order as usize)?;
@@ -428,12 +445,14 @@ impl PageGeometry {
     }
 
     /// Number of base pages spanned by a page of `size`.
+    #[inline]
     #[must_use]
     pub fn base_pages(&self, size: PageSize) -> u64 {
         1 << self.order(size)
     }
 
     /// Size in bytes of a page of `size`.
+    #[inline]
     #[must_use]
     pub fn bytes(&self, size: PageSize) -> u64 {
         self.base_bytes() << self.order(size)
@@ -456,12 +475,14 @@ impl PageGeometry {
     }
 
     /// Whether `raw` (a byte address) is aligned to `size`.
+    #[inline]
     #[must_use]
     pub fn is_aligned(&self, raw: u64, size: PageSize) -> bool {
         raw.is_multiple_of(self.bytes(size))
     }
 
     /// `raw` rounded down to the nearest `size` boundary.
+    #[inline]
     #[must_use]
     pub fn align_down(&self, raw: u64, size: PageSize) -> u64 {
         raw - raw % self.bytes(size)
@@ -472,6 +493,7 @@ impl PageGeometry {
     /// # Panics
     ///
     /// Panics on overflow of the 64-bit address space.
+    #[inline]
     #[must_use]
     pub fn align_up(&self, raw: u64, size: PageSize) -> u64 {
         let b = self.bytes(size);
@@ -480,30 +502,35 @@ impl PageGeometry {
 
     /// Whether a base-page number is aligned to `size`
     /// (i.e. could begin a page of that size).
+    #[inline]
     #[must_use]
     pub fn is_page_aligned(&self, page: u64, size: PageSize) -> bool {
         page.is_multiple_of(self.base_pages(size))
     }
 
     /// The base-page number containing byte address `raw`.
+    #[inline]
     #[must_use]
     pub fn page_of(&self, raw: u64) -> u64 {
         raw >> self.base_shift
     }
 
     /// The first byte address of base-page number `page`.
+    #[inline]
     #[must_use]
     pub fn page_addr(&self, page: u64) -> u64 {
         page << self.base_shift
     }
 
     /// The virtual page number containing `addr`.
+    #[inline]
     #[must_use]
     pub fn vpn(&self, addr: VirtAddr) -> Vpn {
         Vpn::new(self.page_of(addr.raw()))
     }
 
     /// The physical frame number containing `addr`.
+    #[inline]
     #[must_use]
     pub fn pfn(&self, addr: PhysAddr) -> Pfn {
         Pfn::new(self.page_of(addr.raw()))
@@ -515,18 +542,21 @@ impl PageGeometry {
     /// Smart compaction partitions physical memory into regions of the
     /// ladder's largest page size and keeps per-region occupancy
     /// statistics.
+    #[inline]
     #[must_use]
     pub fn giant_region_of(&self, page: u64) -> u64 {
         page >> self.max_order()
     }
 
     /// The first base page of region `region`.
+    #[inline]
     #[must_use]
     pub fn giant_region_start(&self, region: u64) -> u64 {
         region << self.max_order()
     }
 
     /// Number of base pages needed to hold `bytes`, rounded up.
+    #[inline]
     #[must_use]
     pub fn pages_for_bytes(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.base_bytes())

@@ -47,6 +47,7 @@ impl PageSize {
     /// # Panics
     ///
     /// Panics if `index >= MAX_RUNGS`.
+    #[inline]
     #[must_use]
     pub const fn new(index: usize) -> PageSize {
         assert!(index < MAX_RUNGS, "rung index out of range");
@@ -55,6 +56,7 @@ impl PageSize {
 
     /// This rung's index into its geometry's ladder (and into every
     /// per-rung counter array, which are all `[_; MAX_RUNGS]`).
+    #[inline]
     #[must_use]
     pub const fn rung(self) -> usize {
         self.0 as usize
@@ -64,6 +66,7 @@ impl PageSize {
     ///
     /// This is the fallback order used by Trident's fault handler when a
     /// contiguous physical chunk of the desired size is unavailable.
+    #[inline]
     #[must_use]
     pub const fn smaller(self) -> Option<PageSize> {
         match self.0 {
@@ -73,6 +76,7 @@ impl PageSize {
     }
 
     /// Whether this is the base rung.
+    #[inline]
     #[must_use]
     pub const fn is_base(self) -> bool {
         self.0 == 0
@@ -80,6 +84,7 @@ impl PageSize {
 
     /// Whether this is a large rung, i.e. anything bigger than the base
     /// page size.
+    #[inline]
     #[must_use]
     pub const fn is_large(self) -> bool {
         self.0 != 0

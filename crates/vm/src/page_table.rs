@@ -244,6 +244,15 @@ impl WalkerHit {
     }
 }
 
+/// Where a leaf's head entry lives: a PUD directory slot, or an entry of
+/// a PMD or PTE table (arena table index, entry index).
+#[derive(Debug, Clone, Copy)]
+enum LeafSlot {
+    Pud(usize),
+    Pmd(u32, usize),
+    Pte(u32, usize),
+}
+
 /// How many leading entries of a `len`-entry table carry occupancy-count
 /// bits: enough bits for counts `0..=len`, never more than the table has.
 fn count_bits(len: usize) -> usize {
@@ -621,21 +630,16 @@ impl PageTable {
                 return Some(hit.translation(vpn));
             }
         }
-        let t = self.translate_slow(vpn)?;
-        let pte = self.leaf_ref(t.head_vpn).expect("translation implies leaf");
-        self.last_walk.set(Some(WalkerHit {
-            head_vpn: t.head_vpn,
-            head_pfn: t.head_pfn,
-            pages: self.geo.base_pages(t.size),
-            size: t.size,
-            stamp: self.walk_stamp,
-            accessed: pte.accessed(),
-            dirty: pte.dirty(),
-        }));
-        Some(t)
+        let (translation, head, _) = self.walk(vpn)?;
+        self.remember(translation, head);
+        Some(translation)
     }
 
-    fn translate_slow(&self, vpn: Vpn) -> Option<Translation> {
+    /// One radix descent for `vpn`: its translation, plus the head entry
+    /// of the covering leaf and where that entry lives. A group leaf's
+    /// A/D state and head frame live on its head member entry, which (by
+    /// alignment) is in the same table as every other member.
+    fn walk(&self, vpn: Vpn) -> Option<(Translation, RawPte, LeafSlot)> {
         let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
         let slot = *self.puds.get(gi)?;
         if !slot.is_present() {
@@ -644,9 +648,11 @@ impl PageTable {
         if !slot.is_table() {
             let size = self.natural_rung(3);
             let head_vpn = Vpn::new(self.geo.align_down_page(vpn.raw(), size));
-            return Some(self.leaf_translation(vpn, head_vpn, slot, size));
+            let translation = self.leaf_translation(vpn, head_vpn, slot, size);
+            return Some((translation, slot, LeafSlot::Pud(gi)));
         }
-        let pmd = self.pmds.get(slot.table_index());
+        let pmd_idx = slot.table_index();
+        let pmd = self.pmds.get(pmd_idx);
         let entry = pmd[self.pmd_index(vpn)];
         if !entry.is_present() {
             return None;
@@ -654,20 +660,23 @@ impl PageTable {
         if !entry.is_table() {
             let size = self.entry_size(entry, 2);
             let head_vpn = Vpn::new(self.geo.align_down_page(vpn.raw(), size));
-            // A group leaf's A/D state and head frame live on its head
-            // member entry, which (by alignment) is in the same table.
-            let head = pmd[self.pmd_index(head_vpn)];
-            return Some(self.leaf_translation(vpn, head_vpn, head, size));
+            let head_index = self.pmd_index(head_vpn);
+            let head = pmd[head_index];
+            let translation = self.leaf_translation(vpn, head_vpn, head, size);
+            return Some((translation, head, LeafSlot::Pmd(pmd_idx, head_index)));
         }
-        let table = self.ptes.get(entry.table_index());
+        let pte_idx = entry.table_index();
+        let table = self.ptes.get(pte_idx);
         let pte = table[self.pte_index(vpn)];
         if !pte.is_present() {
             return None;
         }
         let size = self.entry_size(pte, 1);
         let head_vpn = Vpn::new(self.geo.align_down_page(vpn.raw(), size));
-        let head = table[self.pte_index(head_vpn)];
-        Some(self.leaf_translation(vpn, head_vpn, head, size))
+        let head_index = self.pte_index(head_vpn);
+        let head = table[head_index];
+        let translation = self.leaf_translation(vpn, head_vpn, head, size);
+        Some((translation, head, LeafSlot::Pte(pte_idx, head_index)))
     }
 
     fn leaf_translation(
@@ -686,6 +695,29 @@ impl PageTable {
         }
     }
 
+    /// Caches `translation`'s leaf, with the flags of its head entry
+    /// `head`, as the walker-cache entry.
+    fn remember(&self, translation: Translation, head: RawPte) {
+        self.last_walk.set(Some(WalkerHit {
+            head_vpn: translation.head_vpn,
+            head_pfn: translation.head_pfn,
+            pages: self.geo.base_pages(translation.size),
+            size: translation.size,
+            stamp: self.walk_stamp,
+            accessed: head.accessed(),
+            dirty: head.dirty(),
+        }));
+    }
+
+    /// The entry a [`walk`](Self::walk) found a leaf's head at.
+    fn entry_mut(&mut self, slot: LeafSlot) -> &mut RawPte {
+        match slot {
+            LeafSlot::Pud(gi) => &mut self.puds[gi],
+            LeafSlot::Pmd(table, index) => &mut self.pmds.get_mut(table)[index],
+            LeafSlot::Pte(table, index) => &mut self.ptes.get_mut(table)[index],
+        }
+    }
+
     /// Walks the table for `vpn` like the hardware does on a TLB miss,
     /// setting the accessed bit (and the dirty bit for writes) on the
     /// covering leaf's head entry.
@@ -697,66 +729,17 @@ impl PageTable {
                 return Some(hit.translation(vpn));
             }
         }
-        let translation = self.translate(vpn)?;
-        let pte = self
-            .leaf_mut(translation.head_vpn)
-            .expect("translation implies leaf");
+        let (translation, _, slot) = self.walk(vpn)?;
+        let pte = self.entry_mut(slot);
         pte.set_accessed();
         if write {
             pte.set_dirty();
         }
-        if let Some(mut hit) = self.last_walk.get() {
-            if hit.stamp == self.walk_stamp && hit.head_vpn == translation.head_vpn {
-                hit.accessed = true;
-                hit.dirty |= write;
-                self.last_walk.set(Some(hit));
-            }
-        }
+        let head = *pte;
+        // The cache now holds this leaf with the flags just written — what
+        // a walk after the write would have cached.
+        self.remember(translation, head);
         Some(translation)
-    }
-
-    /// Mutable access to the leaf entry headed exactly at `head_vpn`.
-    fn leaf_mut(&mut self, head_vpn: Vpn) -> Option<&mut RawPte> {
-        let gi = usize::try_from(self.giant_index(head_vpn)).expect("giant index fits usize");
-        let pmd_index = self.pmd_index(head_vpn);
-        let pte_index = self.pte_index(head_vpn);
-        let slot = *self.puds.get(gi)?;
-        if !slot.is_present() {
-            return None;
-        }
-        if !slot.is_table() {
-            return Some(&mut self.puds[gi]);
-        }
-        let entry = self.pmds.get(slot.table_index())[pmd_index];
-        if !entry.is_present() {
-            return None;
-        }
-        if !entry.is_table() {
-            return Some(&mut self.pmds.get_mut(slot.table_index())[pmd_index]);
-        }
-        let pte = &mut self.ptes.get_mut(entry.table_index())[pte_index];
-        pte.is_present().then_some(pte)
-    }
-
-    /// Shared access to the leaf entry headed exactly at `head_vpn`.
-    fn leaf_ref(&self, head_vpn: Vpn) -> Option<&RawPte> {
-        let gi = usize::try_from(self.giant_index(head_vpn)).expect("giant index fits usize");
-        let slot = self.puds.get(gi)?;
-        if !slot.is_present() {
-            return None;
-        }
-        if !slot.is_table() {
-            return Some(slot);
-        }
-        let entry = &self.pmds.get(slot.table_index())[self.pmd_index(head_vpn)];
-        if !entry.is_present() {
-            return None;
-        }
-        if !entry.is_table() {
-            return Some(entry);
-        }
-        let pte = &self.ptes.get(entry.table_index())[self.pte_index(head_vpn)];
-        pte.is_present().then_some(pte)
     }
 
     /// Removes the leaf headed exactly at `head_vpn`, returning its record.
@@ -879,8 +862,8 @@ impl PageTable {
         let span = self.geo.group_span(size);
         let old = translation.head_pfn;
         if span == 1 {
-            let pte = self.leaf_mut(head_vpn).expect("translation implies leaf");
-            pte.set_pfn(new_head_pfn);
+            let (_, _, slot) = self.walk(head_vpn).expect("translation implies leaf");
+            self.entry_mut(slot).set_pfn(new_head_pfn);
         } else {
             let level_span = 1u64 << self.geo.level_order(self.geo.level(size));
             for k in 0..span {
@@ -896,7 +879,7 @@ impl PageTable {
     }
 
     /// Mutable access to the entry at `vpn`'s slot at `level` — used to
-    /// reach the member entries of a group leaf, which `leaf_mut` (head
+    /// reach the member entries of a group leaf, which a walk (head
     /// resolution) cannot address individually.
     fn member_mut(&mut self, vpn: Vpn, level: u8) -> Option<&mut RawPte> {
         let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");

@@ -3,9 +3,11 @@
 //! NAPOT / contiguous-bit mappings) face the same model checking as
 //! natural leaves.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use trident_types::{PageGeometry, PageSize, Pfn, Vpn};
-use trident_vm::{MapError, PageTable};
+use trident_vm::{MapError, MappingRecord, PageTable, Translation};
 
 fn any_geometry() -> impl Strategy<Value = PageGeometry> {
     prop_oneof![Just(PageGeometry::TINY), Just(PageGeometry::TINY_NAPOT),]
@@ -337,4 +339,233 @@ fn check_dirty_against_vec(ops: &[(u64, u64, bool)]) {
     }
     pt.drain_dirty_chunks_into(&mut drained);
     prop_assert_eq!(&drained, &reference);
+}
+
+/// Every shipped ladder at full scale and at scale 64 (x86-64; sv48 with
+/// its NAPOT rung; AArch64 with contiguous PTE and PMD spans), plus the
+/// miniature ladders.
+fn shipped_ladders() -> impl Strategy<Value = PageGeometry> {
+    prop_oneof![
+        Just(PageGeometry::TINY),
+        Just(PageGeometry::TINY_NAPOT),
+        Just(PageGeometry::X86_64),
+        Just(PageGeometry::RISCV_SV48),
+        Just(PageGeometry::AARCH64),
+        Just(PageGeometry::X86_64.scaled(6)),
+        Just(PageGeometry::RISCV_SV48.scaled(6)),
+        Just(PageGeometry::AARCH64.scaled(6)),
+    ]
+}
+
+/// One operation of [`walker_cache_keeps_results_and_flags_exact`]. The
+/// `u64`s pick a leaf of the model (modulo its size), an offset inside
+/// it, or a page of the window; see [`check_against_leaf_model`].
+#[derive(Debug, Clone, Copy)]
+enum TableOp {
+    Map(u64, PageSize),
+    Unmap(u64, u64),
+    Remap(u64, bool),
+    ClearAccessed(u64, u64),
+    Access(u64, u64, bool),
+    Translate(u64, u64),
+}
+
+fn ladder_and_table_ops() -> impl Strategy<Value = (PageGeometry, Vec<TableOp>)> {
+    shipped_ladders().prop_flat_map(|geo| {
+        let rungs = geo.rung_count();
+        let op = (0u8..16, 0..rungs, any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+            move |(kind, rung, a, b, flag)| match kind {
+                0..=3 => TableOp::Map(a, PageSize::new(rung)),
+                4 => TableOp::Unmap(a, b),
+                5 => TableOp::Remap(a, flag),
+                6 => TableOp::ClearAccessed(a, b),
+                7..=12 => TableOp::Access(a, b, flag),
+                _ => TableOp::Translate(a, b),
+            },
+        );
+        (Just(geo), prop::collection::vec(op, 1..120))
+    })
+}
+
+/// A leaf of the shadow model, keyed by its head page.
+#[derive(Debug, Clone, Copy)]
+struct ModelLeaf {
+    pfn: u64,
+    size: PageSize,
+    accessed: bool,
+    dirty: bool,
+}
+
+/// The page the op's `(pick, offset)` pair aims at: most often a page
+/// inside a live leaf (so the walker cache is hit, refilled and
+/// invalidated), otherwise any page of the window.
+fn target(
+    geo: PageGeometry,
+    model: &BTreeMap<u64, ModelLeaf>,
+    window: u64,
+    pick: u64,
+    offset: u64,
+) -> u64 {
+    if model.is_empty() || pick.is_multiple_of(4) {
+        return offset % window;
+    }
+    let (&head, leaf) = model
+        .iter()
+        .nth(pick as usize % model.len())
+        .expect("nth < len");
+    head + offset % geo.base_pages(leaf.size)
+}
+
+/// What the model says `vpn` translates to.
+fn model_translation(
+    geo: PageGeometry,
+    model: &BTreeMap<u64, ModelLeaf>,
+    vpn: u64,
+) -> Option<Translation> {
+    let (&head, leaf) = model.range(..=vpn).next_back()?;
+    (vpn - head < geo.base_pages(leaf.size)).then(|| Translation {
+        pfn: Pfn::new(leaf.pfn + (vpn - head)),
+        size: leaf.size,
+        head_vpn: Vpn::new(head),
+        head_pfn: Pfn::new(leaf.pfn),
+    })
+}
+
+/// Replays `ops` on a table and on a model of its leaves, requiring every
+/// result to match and, after every op, every leaf's frame, size and
+/// accessed/dirty flags as `mappings_in` reads them from the entries.
+fn check_against_leaf_model(geo: PageGeometry, ops: &[TableOp]) {
+    let window = 4 * geo.base_pages(geo.largest());
+    let mut pt = PageTable::new(geo);
+    let mut model: BTreeMap<u64, ModelLeaf> = BTreeMap::new();
+    let mut next_frame = 0u64;
+    let mut fresh_frame = |size: PageSize| {
+        let pfn = next_frame.next_multiple_of(geo.base_pages(size));
+        next_frame = pfn + geo.base_pages(size);
+        pfn
+    };
+    for &op in ops {
+        match op {
+            TableOp::Map(slot, size) => {
+                let span = geo.base_pages(size);
+                let vpn = (slot % 64 * span) % window;
+                let overlaps = model
+                    .range(..vpn + span)
+                    .next_back()
+                    .is_some_and(|(&h, l)| h + geo.base_pages(l.size) > vpn);
+                let pfn = fresh_frame(size);
+                let result = pt.map(Vpn::new(vpn), Pfn::new(pfn), size);
+                if overlaps {
+                    prop_assert_eq!(result, Err(MapError::Overlap { vpn: Vpn::new(vpn) }));
+                } else {
+                    prop_assert_eq!(result, Ok(()));
+                    let leaf = ModelLeaf {
+                        pfn,
+                        size,
+                        accessed: false,
+                        dirty: false,
+                    };
+                    model.insert(vpn, leaf);
+                }
+            }
+            TableOp::Unmap(pick, offset) => {
+                let vpn = target(geo, &model, window, pick, offset);
+                let result = pt.unmap(Vpn::new(vpn));
+                match model_translation(geo, &model, vpn) {
+                    None => {
+                        prop_assert_eq!(result, Err(MapError::NotMapped { vpn: Vpn::new(vpn) }))
+                    }
+                    Some(t) if t.head_vpn.raw() != vpn => prop_assert_eq!(
+                        result,
+                        Err(MapError::NotAMappingHead { vpn: Vpn::new(vpn) })
+                    ),
+                    Some(_) => {
+                        let leaf = model.remove(&vpn).expect("head is in the model");
+                        let record = MappingRecord {
+                            vpn: Vpn::new(vpn),
+                            pfn: Pfn::new(leaf.pfn),
+                            size: leaf.size,
+                            accessed: leaf.accessed,
+                            dirty: leaf.dirty,
+                        };
+                        prop_assert_eq!(result, Ok(record));
+                    }
+                }
+            }
+            TableOp::Remap(pick, aligned) => {
+                let Some((&head, &leaf)) = (!model.is_empty())
+                    .then(|| model.iter().nth(pick as usize % model.len()))
+                    .flatten()
+                else {
+                    continue;
+                };
+                let span = geo.base_pages(leaf.size);
+                if !aligned && span > 1 {
+                    let result = pt.remap(Vpn::new(head), Pfn::new(fresh_frame(leaf.size) + 1));
+                    let is_unaligned = matches!(result, Err(MapError::Unaligned { .. }));
+                    prop_assert!(is_unaligned, "{:?}", result);
+                    continue;
+                }
+                let pfn = fresh_frame(leaf.size);
+                prop_assert_eq!(
+                    pt.remap(Vpn::new(head), Pfn::new(pfn)),
+                    Ok(Pfn::new(leaf.pfn))
+                );
+                model.get_mut(&head).expect("live leaf").pfn = pfn;
+            }
+            TableOp::ClearAccessed(start, pages) => {
+                let start = start % window;
+                let pages = pages % (window - start + 1);
+                pt.clear_accessed_in(Vpn::new(start), pages);
+                for leaf in model.range_mut(start..start + pages).map(|(_, l)| l) {
+                    leaf.accessed = false;
+                }
+            }
+            TableOp::Access(pick, offset, write) => {
+                let vpn = target(geo, &model, window, pick, offset);
+                let expect = model_translation(geo, &model, vpn);
+                prop_assert_eq!(pt.access(Vpn::new(vpn), write), expect, "{:?}", op);
+                if let Some(t) = expect {
+                    let leaf = model.get_mut(&t.head_vpn.raw()).expect("live leaf");
+                    leaf.accessed = true;
+                    leaf.dirty |= write;
+                }
+            }
+            TableOp::Translate(pick, offset) => {
+                let vpn = target(geo, &model, window, pick, offset);
+                let expect = model_translation(geo, &model, vpn);
+                prop_assert_eq!(pt.translate(Vpn::new(vpn)), expect, "{:?}", op);
+            }
+        }
+        let leaves: Vec<MappingRecord> = model
+            .iter()
+            .map(|(&vpn, l)| MappingRecord {
+                vpn: Vpn::new(vpn),
+                pfn: Pfn::new(l.pfn),
+                size: l.size,
+                accessed: l.accessed,
+                dirty: l.dirty,
+            })
+            .collect();
+        prop_assert_eq!(
+            pt.mappings_in(Vpn::new(0), window),
+            leaves,
+            "after {:?}",
+            op
+        );
+    }
+}
+
+proptest! {
+    /// `map`, `unmap`, `remap`, `clear_accessed_in`, `access` and
+    /// `translate`, interleaved on every shipped ladder, agree with a
+    /// model of the leaves: every result, and after every op each leaf's
+    /// accessed/dirty flags as stored in the table. The walker cache lets
+    /// `access` skip the table when the covering leaf already carries the
+    /// flags; a cache entry that claimed flags the entry lacks, or that
+    /// outlived a remap, unmap or accessed-bit clear, fails here.
+    #[test]
+    fn walker_cache_keeps_results_and_flags_exact((geo, ops) in ladder_and_table_ops()) {
+        check_against_leaf_model(geo, &ops);
+    }
 }

@@ -71,9 +71,17 @@ pub struct Layout {
     /// Total heap pages.
     pub heap_pages: u64,
     /// Running page totals: `heap_ends[i]` is the number of heap pages in
-    /// chunks `0..=i`, so [`heap_page`](Self::heap_page) binary-searches
-    /// instead of walking the chunks on every sample.
+    /// chunks `0..=i`.
     heap_ends: Vec<u64>,
+    /// log2 of the bucket width, in heap pages: about one average chunk.
+    bucket_shift: u32,
+    /// `buckets[b]` is the chunk holding heap page `b << bucket_shift`; a
+    /// sentinel, the chunk holding the last heap page, closes the list.
+    /// So the chunk holding any page of bucket `b` lies in
+    /// `buckets[b]..=buckets[b + 1]`, and
+    /// [`heap_page`](Self::heap_page) searches only the running totals of
+    /// those chunks instead of every chunk's on every sample.
+    buckets: Vec<u32>,
 }
 
 impl Layout {
@@ -93,11 +101,31 @@ impl Layout {
                 Some(*total)
             })
             .collect();
+        let heap_pages = heap_ends.last().copied().unwrap_or(0);
+        let average = heap_pages / ranges.len().max(1) as u64;
+        let bucket_shift = average.max(1).ilog2();
+        let mut buckets = Vec::new();
+        if heap_pages > 0 {
+            let last_bucket = (heap_pages - 1) >> bucket_shift;
+            let mut chunk = 0;
+            for bucket in 0..=last_bucket + 1 {
+                // The sentinel's page clamps to the last heap page.
+                let page = (bucket << bucket_shift).min(heap_pages - 1);
+                // Empty chunks share their predecessor's total and are
+                // skipped.
+                while heap_ends[chunk] <= page {
+                    chunk += 1;
+                }
+                buckets.push(u32::try_from(chunk).expect("chunk index fits u32"));
+            }
+        }
         Layout {
             heap: ranges,
             stack,
-            heap_pages: heap_ends.last().copied().unwrap_or(0),
+            heap_pages,
             heap_ends,
+            bucket_shift,
+            buckets,
         }
     }
 
@@ -109,12 +137,14 @@ impl Layout {
     /// Panics if `index >= heap_pages`.
     #[must_use]
     pub fn heap_page(&self, index: u64) -> Vpn {
+        assert!(index < self.heap_pages, "heap index {index} out of range");
+        let bucket = (index >> self.bucket_shift) as usize;
+        let lo = self.buckets[bucket] as usize;
+        let hi = self.buckets[bucket + 1] as usize;
         // The first chunk whose running total passes `index` holds it;
-        // empty chunks share their predecessor's total and are skipped.
-        let i = self.heap_ends.partition_point(|&end| end <= index);
-        let Some(chunk) = self.heap.get(i) else {
-            panic!("heap index {index} out of range");
-        };
+        // when none before `hi` does, `hi` holds it.
+        let i = lo + self.heap_ends[lo..hi].partition_point(|&end| end <= index);
+        let chunk = &self.heap[i];
         chunk.start + (index - (self.heap_ends[i] - chunk.pages))
     }
 }

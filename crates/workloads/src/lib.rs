@@ -18,10 +18,10 @@
 //!   under 4KB pages, read off Figure 1a.
 //!
 //! Workload parameters are expressed unscaled (as on the paper's 384GB
-//! machine) and scaled down by a [`MemoryScale`] when a layout is built;
-//! scaling the TLB by the same factor (see
-//! `trident_tlb::TlbHierarchy::scaled_skylake`) preserves the
-//! footprint-to-reach ratios.
+//! machine) and scaled down by a [`MemoryScale`] when a layout is built.
+//! The large page sizes shrink by the same factor while the TLB keeps its
+//! real entry counts, which preserves the footprint-to-reach ratios
+//! (DESIGN.md §2, "Geometry scaling").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

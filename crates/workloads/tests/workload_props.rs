@@ -11,19 +11,6 @@ fn any_workload() -> impl Strategy<Value = WorkloadSpec> {
     (0..WorkloadSpec::all().len()).prop_map(|i| WorkloadSpec::all()[i])
 }
 
-/// The reference resolution: walk the chunks, subtracting each one's
-/// pages until the index falls inside one.
-fn heap_page_by_scan(layout: &Layout, index: u64) -> Option<Vpn> {
-    let mut remaining = index;
-    for chunk in &layout.heap {
-        if remaining < chunk.pages {
-            return Some(chunk.start + remaining);
-        }
-        remaining -= chunk.pages;
-    }
-    None
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -73,13 +60,16 @@ proptest! {
         }
     }
 
-    /// The binary search over running page totals resolves every heap
-    /// index to the same page as the linear chunk walk, across chunk
-    /// boundaries and past empty chunks.
+    /// The bucketed search resolves every heap index — so every bucket
+    /// boundary and both ends of the heap — to the same page as the
+    /// linear chunk walk, over chunks of 0 to 5,000 pages mixed with
+    /// 1-page ones and empty ones.
     #[test]
     fn heap_page_matches_the_linear_scan(
-        chunks in prop::collection::vec((0u64..5, 0u64..40), 1..24),
-        probes in prop::collection::vec(any::<u64>(), 1..32),
+        chunks in prop::collection::vec(
+            (0u64..5, prop_oneof![Just(1u64), Just(0u64), 0u64..5_001, 1u64..4]),
+            1..48,
+        ),
     ) {
         let mut next = 0u64;
         let mut ranges: Vec<ChunkRange> = chunks
@@ -93,17 +83,13 @@ proptest! {
         ranges.push(ChunkRange { start: Vpn::new(next + 1_000), pages: 8 });
         let layout = Layout::from_ranges(ranges);
         prop_assert_eq!(layout.heap_pages, chunks.iter().map(|c| c.1).sum::<u64>());
-        let boundaries = layout.heap.iter().scan(0u64, |total, c| {
-            *total += c.pages;
-            Some(*total)
-        });
-        let indices: Vec<u64> = boundaries
-            .flat_map(|end| [end.saturating_sub(1), end])
-            .chain(probes.iter().map(|p| p % layout.heap_pages.max(1)))
-            .filter(|&i| i < layout.heap_pages)
-            .collect();
-        for index in indices {
-            prop_assert_eq!(Some(layout.heap_page(index)), heap_page_by_scan(&layout, index));
+        let mut index = 0;
+        for chunk in &layout.heap {
+            for offset in 0..chunk.pages {
+                prop_assert_eq!(layout.heap_page(index), chunk.start + offset, "index {}", index);
+                index += 1;
+            }
         }
+        prop_assert_eq!(index, layout.heap_pages);
     }
 }
