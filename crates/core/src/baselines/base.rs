@@ -3,7 +3,7 @@
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
-use crate::fault::populate_base_runs;
+use crate::fault::populate_runs;
 use crate::{map_chunk, FaultOutcome, MmContext, PagePolicy, PolicyError};
 
 /// Maps everything with base (4KB) pages — the first bar of Figures 1
@@ -69,7 +69,7 @@ impl PagePolicy for BasePolicy {
         start: Vpn,
         pages: u64,
     ) -> Result<(), PolicyError> {
-        populate_base_runs(self, ctx, space, start, pages, None)
+        populate_runs(self, ctx, space, start, pages, None)
     }
 }
 

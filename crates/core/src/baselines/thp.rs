@@ -4,7 +4,7 @@ use trident_obs::Event;
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
-use crate::fault::populate_base_runs;
+use crate::fault::populate_runs;
 use crate::{
     map_chunk, touched_chunk, FaultOutcome, MmContext, PagePolicy, PolicyError, Promoter,
     PromoterConfig, SpaceSet, TickOutcome,
@@ -91,8 +91,10 @@ impl PagePolicy for ThpPolicy {
         })
     }
 
-    /// A huge chunk's first fault decides its size; when that lands at
-    /// 4KB, the rest of the chunk is mapped as one 4KB run.
+    /// A huge chunk's first fault decides its size. When that lands at
+    /// 4KB, the rest of the chunk is mapped as one 4KB run; when it lands
+    /// huge, the wholly unmapped huge chunks after it, up to the next
+    /// boundary of the rung above, are mapped as one run of huge pages.
     fn populate(
         &mut self,
         ctx: &mut MmContext,
@@ -100,7 +102,7 @@ impl PagePolicy for ThpPolicy {
         start: Vpn,
         pages: u64,
     ) -> Result<(), PolicyError> {
-        populate_base_runs(self, ctx, space, start, pages, Some(PageSize::new(1)))
+        populate_runs(self, ctx, space, start, pages, Some(PageSize::new(1)))
     }
 
     fn on_tick(&mut self, ctx: &mut MmContext, spaces: &mut SpaceSet) -> TickOutcome {

@@ -119,19 +119,29 @@ pub fn map_chunk(
 }
 
 /// The batched populate shared by the 4KB baseline (`decide` = `None`)
-/// and the 4KB fallbacks of THP and Trident (`decide` = rung 1, the
-/// smallest large page their fault handlers try).
+/// and THP and Trident (`decide` = rung 1, the smallest large page their
+/// fault handlers try).
 ///
 /// With `decide` set, the first unmapped page of each `decide`-sized
-/// chunk is faulted by today's rules. If it lands at 4KB, the chunk is now partly
-/// mapped, so every later fault inside it would land at 4KB too; the rest
-/// of the chunk inside the run and the VMA is mapped as one run. Without
-/// `decide`, every unmapped page is a 4KB fault. Runs also end at a leaf
-/// table's end, and each scan is bounded by the run's own cap.
+/// chunk is faulted by today's rules.
+/// - If it lands at 4KB, the chunk is now partly mapped, so every later
+///   fault inside it would land at 4KB too; the rest of the chunk inside
+///   the run and the VMA is mapped as one 4KB run.
+/// - If it lands at `decide`, the chunks that follow are mapped at
+///   `decide` as one run while each lies inside the VMA, is wholly
+///   unmapped, starts before the run's end and before the next boundary
+///   of the rung above, and a free block of `decide`'s order is left for
+///   it. These are exactly the chunks whose own first fault would land at
+///   `decide`: THP never maps above it, and Trident's test of the rung
+///   above fails because that chunk is now partly mapped.
+///
+/// Without `decide`, every unmapped page is a 4KB fault. 4KB runs also
+/// end at a leaf table's end, and each scan is bounded by the run's own
+/// cap.
 ///
 /// With a recorder or a fault plan attached, this is the per-page loop:
 /// per-fault events and injection draws stay observable there.
-pub(crate) fn populate_base_runs<P: PagePolicy + ?Sized>(
+pub(crate) fn populate_runs<P: PagePolicy + ?Sized>(
     policy: &mut P,
     ctx: &mut MmContext,
     space: &mut AddressSpace,
@@ -150,13 +160,18 @@ pub(crate) fn populate_base_runs<P: PagePolicy + ?Sized>(
             vpn = end.min(t.head_vpn + geo.base_pages(t.size));
             continue;
         }
-        let vma = space
+        let vma_end = space
             .vma_containing(vpn)
-            .ok_or(PolicyError::BadAddress(vpn))?;
-        let mut limit = end.min(vma.end());
+            .ok_or(PolicyError::BadAddress(vpn))?
+            .end();
+        let mut limit = end.min(vma_end);
         let mut run = vpn;
         if let Some(size) = decide {
-            if policy.on_fault(ctx, space, vpn)?.size != PageSize::BASE {
+            let landed = policy.on_fault(ctx, space, vpn)?.size;
+            if landed == size {
+                vpn = map_chunks_after(ctx, space, vpn, end, vma_end, size)?;
+            }
+            if landed != PageSize::BASE {
                 continue;
             }
             let span = geo.base_pages(size);
@@ -168,7 +183,7 @@ pub(crate) fn populate_base_runs<P: PagePolicy + ?Sized>(
             .unmapped_run(run, limit - run)
             .min(ctx.mem.free_pages());
         if n > 0 {
-            map_base_run(ctx, space, run, n)?;
+            fault_run(ctx, space, run, PageSize::BASE, n)?;
         } else if decide.is_none() {
             // No free frame is left: one fault raises today's error.
             policy.on_fault(ctx, space, vpn)?;
@@ -178,16 +193,58 @@ pub(crate) fn populate_base_runs<P: PagePolicy + ?Sized>(
     Ok(())
 }
 
-/// Maps `n` base pages from `vpn` exactly as `n` 4KB faults would, with
-/// one buddy run, one leaf-table write and one fold of `n` faults. The
-/// pages must be unmapped and lie in one VMA and one leaf table, and at
-/// least `n` frames must be free.
-fn map_base_run(
+/// After a fault at `vpn` mapped its `size` chunk, maps the chunks that
+/// follow at `size` as one run (see [`populate_runs`]) and returns
+/// the first page past them.
+fn map_chunks_after(
     ctx: &mut MmContext,
     space: &mut AddressSpace,
     vpn: Vpn,
+    end: Vpn,
+    vma_end: Vpn,
+    size: PageSize,
+) -> Result<Vpn, PolicyError> {
+    let geo = space.geometry();
+    // Runs bypass the zero-fill pool, which serves the top rung only.
+    let above = geo.larger(size).expect("chunk runs map below the top rung");
+    let span = geo.base_pages(size);
+    let above_span = geo.base_pages(above);
+    let first = (vpn.raw() / span + 1) * span;
+    let stop = vma_end.raw().min((vpn.raw() / above_span + 1) * above_span);
+    let free = ctx.mem.buddy().free_capacity(geo.order(size));
+    let mut n = 0;
+    let mut chunk = first;
+    while n < free
+        && chunk < end.raw()
+        && chunk + span <= stop
+        && space
+            .page_table()
+            .chunk_profile(Vpn::new(chunk), size)
+            .mapped_total()
+            == 0
+    {
+        n += 1;
+        chunk += span;
+    }
+    if n > 0 {
+        fault_run(ctx, space, Vpn::new(first), size, n)?;
+    }
+    Ok(Vpn::new(chunk))
+}
+
+/// Maps `n` pages of `size` from `vpn` exactly as `n` faults at `size`
+/// would, with one buddy run, one fold of `n` faults, and one leaf-table
+/// write (4KB) or one map per chunk (larger sizes). The pages must be
+/// unmapped and lie in one VMA, 4KB pages in one leaf table, and at least
+/// `n` blocks of `size`'s order must be free.
+fn fault_run(
+    ctx: &mut MmContext,
+    space: &mut AddressSpace,
+    vpn: Vpn,
+    size: PageSize,
     n: u64,
 ) -> Result<(), PolicyError> {
+    let geo = space.geometry();
     let mut frames = std::mem::take(&mut ctx.run_frames);
     frames.clear();
     let owner = MappingOwner {
@@ -195,16 +252,25 @@ fn map_base_run(
         vpn,
     };
     ctx.mem
-        .allocate_run(n, FrameUse::User, Some(owner), &mut frames)?;
-    space
-        .page_table_mut()
-        .map_run(vpn, &frames)
-        .expect("run was verified unmapped and inside one leaf table");
+        .allocate_run(geo.order(size), n, FrameUse::User, Some(owner), &mut frames)?;
+    let table = space.page_table_mut();
+    if size.is_base() {
+        table
+            .map_run(vpn, &frames)
+            .expect("run was verified unmapped and inside one leaf table");
+    } else {
+        let span = geo.base_pages(size);
+        for (i, &pfn) in (0..).zip(&frames) {
+            table
+                .map(vpn + i * span, pfn, size)
+                .expect("chunks were verified unmapped and aligned");
+        }
+    }
     ctx.run_frames = frames;
-    let ns = ctx.cost.fault_base_ns;
+    let ns = ctx.cost.fault_ns(&geo, size, false);
     ctx.record_n(
         Event::Fault {
-            size: PageSize::BASE,
+            size,
             site: AllocSite::PageFault,
             ns,
         },

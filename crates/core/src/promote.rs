@@ -633,17 +633,31 @@ impl Promoter {
             return;
         }
         // The dirty feed is keyed by top-rung chunks; re-examine every
-        // sub-chunk of each dirty chunk at every promotable rung.
+        // sub-chunk of each dirty chunk at every promotable rung. A
+        // sub-chunk is a candidate only if some page in it is mapped below
+        // the rung, so where the chunk's totals (O(1) at the top rung)
+        // show no such page, its bits are cleared without a test.
         space.page_table_mut().drain_dirty_chunks_into(&mut dirty);
         for &gi in &dirty {
             let head = gi * top_span;
+            let totals = space
+                .page_table()
+                .chunk_profile(Vpn::new(head), geo.largest());
             for size in geo.rungs().filter(|s| !s.is_base()) {
                 let span = geo.base_pages(size);
-                for sub_head in (head..head + top_span).step_by(span as usize) {
+                let set = &mut cache.sets[size.rung()];
+                let subs = (head..head + top_span).step_by(span as usize);
+                if totals.mapped_below(size) == 0 {
+                    for sub_head in subs {
+                        set.remove(sub_head / span);
+                    }
+                    continue;
+                }
+                for sub_head in subs {
                     if is_candidate(space, Vpn::new(sub_head), size) {
-                        cache.sets[size.rung()].insert(sub_head / span);
+                        set.insert(sub_head / span);
                     } else {
-                        cache.sets[size.rung()].remove(sub_head / span);
+                        set.remove(sub_head / span);
                     }
                 }
             }
@@ -1068,20 +1082,36 @@ mod tests {
     /// After priming plus any amount of dirty-chunk replay, the
     /// incremental candidate index must equal a from-scratch
     /// [`promotion_candidates`] enumeration — the invariant that lets
-    /// `scan_space` skip the per-tick full rescan.
+    /// `scan_space` skip the per-tick full rescan. Three chunks go from
+    /// holding candidates to being wholly mapped at rung 1 or above,
+    /// where the refresh clears their bits without testing sub-chunks:
+    /// one promoted to the top rung, one promoted rung-1 chunk by rung-1
+    /// chunk, and one unmapped and then faulted back at the top rung.
     #[test]
     fn candidate_cache_matches_fresh_enumeration() {
-        let (mut ctx, mut spaces) = setup(8);
+        use crate::{PagePolicy, TridentPolicy};
+        let (mut ctx, mut spaces) = setup(16);
         let asid = AsId::new(1);
         let mut promoter = Promoter::new(PromoterConfig::trident());
 
         // Prime on the initial layout.
         fault_base(&mut ctx, &mut spaces, asid, 0, 64);
         fault_base(&mut ctx, &mut spaces, asid, 200, 24);
+        fault_base(&mut ctx, &mut spaces, asid, 256, 64);
+        fault_base(&mut ctx, &mut spaces, asid, 384, 64);
         promoter.refresh_candidates(&mut spaces, asid);
+        let cached = |promoter: &Promoter, size: PageSize, head: u64| {
+            let span = PageGeometry::TINY.base_pages(size);
+            promoter.cache(asid).expect("primed cache").sets[size.rung()].contains(head / span)
+        };
+        for head in [0, 256, 384] {
+            assert!(cached(&promoter, PageSize::new(2), head));
+            assert!(cached(&promoter, PageSize::new(1), head + 8));
+        }
 
-        // Post-priming traffic: new faults, a promotion, and an unmap —
-        // every mutation source that feeds the dirty-chunk index.
+        // Post-priming traffic: new faults, promotions, an unmap and a
+        // top-rung fault — every mutation source that feeds the
+        // dirty-chunk index.
         fault_base(&mut ctx, &mut spaces, asid, 128, 32);
         promote_chunk(
             &mut ctx,
@@ -1092,12 +1122,30 @@ mod tests {
             PromotionStyle::Copy,
         )
         .unwrap();
-        spaces.get_mut(asid).unwrap().munmap(Vpn::new(200), 24);
+        for head in (256..320).step_by(8) {
+            promote_chunk(
+                &mut ctx,
+                &mut spaces,
+                asid,
+                Vpn::new(head),
+                PageSize::new(1),
+                PromotionStyle::Copy,
+            )
+            .unwrap();
+        }
+        let space = spaces.get_mut(asid).unwrap();
+        space.munmap(Vpn::new(200), 24);
+        space.munmap(Vpn::new(384), 64);
+        space.mmap_at(Vpn::new(384), 64, VmaKind::Anon).unwrap();
+        let outcome = TridentPolicy::default()
+            .on_fault(&mut ctx, space, Vpn::new(400))
+            .unwrap();
+        assert_eq!(outcome.size, PageSize::new(2));
         promoter.refresh_candidates(&mut spaces, asid);
 
         let space = spaces.get(asid).unwrap();
         let geo = space.geometry();
-        for size in [PageSize::new(2), PageSize::new(1)] {
+        for size in geo.rungs().filter(|s| !s.is_base()) {
             let span = geo.base_pages(size);
             let fresh: Vec<u64> = promotion_candidates(space, size)
                 .into_iter()
@@ -1110,6 +1158,9 @@ mod tests {
                 .collect();
             assert_eq!(cached, fresh, "cache diverged at {size:?}");
         }
+        assert!(cached(&promoter, PageSize::new(2), 256));
+        assert!(!cached(&promoter, PageSize::new(1), 264));
+        assert!(!cached(&promoter, PageSize::new(2), 384));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use trident_obs::{Event, SpanKind};
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
-use crate::fault::populate_base_runs;
+use crate::fault::populate_runs;
 use crate::{
     map_chunk, recover_bloat, touched_chunk, AllocSite, CompactionKind, FaultOutcome, MmContext,
     PagePolicy, PolicyError, PromotedChunk, Promoter, PromoterConfig, PromotionStyle, SpaceSet,
@@ -218,9 +218,12 @@ impl PagePolicy for TridentPolicy {
         })
     }
 
-    /// The first fault in each rung-1 chunk decides its size; when that
+    /// The first fault in each rung-1 chunk decides its size. When that
     /// lands at 4KB, the chunk (and the rung-2 chunk around it) is partly
-    /// mapped, so the rest of it is mapped as one 4KB run.
+    /// mapped, so the rest of it is mapped as one 4KB run. When it lands
+    /// at rung 1, the rung-2 chunk is partly mapped, so the wholly
+    /// unmapped rung-1 chunks after it, up to the next rung-2 boundary,
+    /// are mapped at rung 1 as one run.
     fn populate(
         &mut self,
         ctx: &mut MmContext,
@@ -228,7 +231,7 @@ impl PagePolicy for TridentPolicy {
         start: Vpn,
         pages: u64,
     ) -> Result<(), PolicyError> {
-        populate_base_runs(self, ctx, space, start, pages, Some(PageSize::new(1)))
+        populate_runs(self, ctx, space, start, pages, Some(PageSize::new(1)))
     }
 
     /// Background work: async zero-fill, Figure 5 promotion, optional

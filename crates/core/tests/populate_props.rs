@@ -2,7 +2,12 @@
 //! `PagePolicy::populate` must leave exactly what the default per-page
 //! loop leaves from the same state — the same `MmStats`, tenant rows,
 //! buddy state, frame table, region counters and page table, and the same
-//! error at the same page when memory runs out.
+//! error at the same page when memory runs out. The scenarios produce
+//! 4KB runs and runs of rung-1 chunks: VMAs spanning several rung-2 and
+//! top-rung chunks and ending inside a chunk, calls starting and ending
+//! mid-chunk, and memory too small or too fragmented for every chunk.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use trident_core::{
@@ -58,15 +63,17 @@ struct Scenario {
     churn: Vec<(u8, bool)>,
     /// Indexes of churned blocks freed again.
     frees: Vec<prop::sample::Index>,
-    /// VMAs as (pages in units of 1/16 giant page, gap in base pages).
-    vmas: Vec<(u64, u64)>,
+    /// VMAs as (pages in units of 1/16 giant page, extra base pages, gap
+    /// in base pages).
+    vmas: Vec<(u64, u64, u64)>,
     /// Single faults before the replay: a salt into the allocated pages,
     /// and whether to map the page at 4KB directly (as an earlier fault
     /// would have, before its VMA grew), leaving its chunks partly mapped.
     touches: Vec<(u64, bool)>,
     /// Populate calls (start salt, pages), each optionally followed by a
     /// daemon tick. Even salts start near a VMA's first page, where chunks
-    /// straddle the VMA start.
+    /// straddle the VMA start. Long calls cross rung-2 and top-rung
+    /// boundaries.
     calls: Vec<(u64, u64, bool)>,
     /// Attach a ring recorder, which must force the per-page path.
     traced: bool,
@@ -80,10 +87,25 @@ fn scenarios() -> impl Strategy<Value = Scenario> {
             prop::collection::vec((0..=geo.max_order(), any::<bool>()), 0..40),
             prop::collection::vec(any::<prop::sample::Index>(), 0..30),
         );
+        let giant = geo.base_pages(geo.largest());
         let load = (
-            prop::collection::vec((1u64..40, prop_oneof![Just(0u64), 1u64..20]), 1..6),
+            prop::collection::vec(
+                (
+                    1u64..40,
+                    prop_oneof![Just(0u64), 1u64..12],
+                    prop_oneof![Just(0u64), 1u64..20],
+                ),
+                1..6,
+            ),
             prop::collection::vec((any::<u64>(), any::<bool>()), 0..40),
-            prop::collection::vec((any::<u64>(), 1u64..200, any::<bool>()), 1..10),
+            prop::collection::vec(
+                (
+                    any::<u64>(),
+                    prop_oneof![1u64..200, 1..3 * giant],
+                    any::<bool>(),
+                ),
+                1..10,
+            ),
             any::<bool>(),
         );
         (machine, load).prop_map(
@@ -130,8 +152,8 @@ fn boot(s: &Scenario, policy: &mut dyn PagePolicy) -> (MmContext, SpaceSet) {
     }
     let mut spaces = SpaceSet::new();
     let mut space = AddressSpace::new(ASID, geo);
-    for &(sixteenths, gap) in &s.vmas {
-        let pages = (sixteenths * giant / 16).max(1);
+    for &(sixteenths, extra, gap) in &s.vmas {
+        let pages = (sixteenths * giant / 16).max(1) + extra;
         space
             .mmap(pages, VmaKind::Anon, PageSize::BASE, gap)
             .unwrap();
@@ -196,31 +218,28 @@ fn assert_same_state(a: &MmContext, sa: &SpaceSet, b: &MmContext, sb: &SpaceSet)
     assert_eq!(trace(a), trace(b));
 }
 
+/// Where a call with `salt` starts: near a VMA's first page for even
+/// salts, anywhere up to 8 pages past the last VMA for odd ones, so
+/// starts in a gap or past the end reach the error path too.
+fn call_start(spaces: &SpaceSet, salt: u64) -> Vpn {
+    let space = spaces.get(ASID).unwrap();
+    let starts: Vec<u64> = space.vmas().map(|v| v.start.raw()).collect();
+    let end = space.vmas().last().map_or(1, |v| v.end().raw());
+    Vpn::new(if salt.is_multiple_of(2) {
+        starts[(salt / 2) as usize % starts.len()] + (salt >> 32) % 8
+    } else {
+        salt % (end + 8)
+    })
+}
+
 /// Replays the scenario's populate calls through `policy`'s override and
 /// through the default loop, comparing after every call.
 fn check<P: PagePolicy + Clone + std::fmt::Debug + 'static>(s: &Scenario, mut policy: P) {
     let (mut ctx_a, mut spaces_a) = boot(s, &mut policy);
     let (mut ctx_b, mut spaces_b) = (ctx_a.clone(), spaces_a.clone());
     let mut reference = PerPage(policy.clone());
-    let starts: Vec<u64> = spaces_a
-        .get(ASID)
-        .unwrap()
-        .vmas()
-        .map(|v| v.start.raw())
-        .collect();
-    let end = spaces_a
-        .get(ASID)
-        .unwrap()
-        .vmas()
-        .last()
-        .map_or(1, |v| v.end().raw());
     for &(salt, pages, tick) in &s.calls {
-        // Starts past the last VMA or in a gap reach the error path too.
-        let start = Vpn::new(if salt % 2 == 0 {
-            starts[(salt / 2) as usize % starts.len()] + (salt >> 32) % 8
-        } else {
-            salt % (end + 8)
-        });
+        let start = call_start(&spaces_a, salt);
         let got = policy.populate(&mut ctx_a, spaces_a.get_mut(ASID).unwrap(), start, pages);
         let want = reference.populate(&mut ctx_b, spaces_b.get_mut(ASID).unwrap(), start, pages);
         assert_eq!(got, want, "populate({start:?}, {pages})");
@@ -246,6 +265,43 @@ fn check<P: PagePolicy + Clone + std::fmt::Debug + 'static>(s: &Scenario, mut po
     );
 }
 
+/// How many of the scenario's populate calls map two or more rung-1
+/// chunks through `policy`'s override.
+fn rung_1_runs<P: PagePolicy>(s: &Scenario, mut policy: P) -> u64 {
+    let (mut ctx, mut spaces) = boot(s, &mut policy);
+    let mut runs = 0;
+    for &(salt, pages, tick) in &s.calls {
+        let start = call_start(&spaces, salt);
+        let before = ctx.stats.faults[1];
+        let _ = policy.populate(&mut ctx, spaces.get_mut(ASID).unwrap(), start, pages);
+        runs += u64::from(ctx.stats.faults[1] - before >= 2);
+        if tick {
+            policy.on_tick(&mut ctx, &mut spaces);
+        }
+    }
+    runs
+}
+
+/// The scenarios exercise the rung-1 runs: on every ladder, THP and
+/// Trident both see untraced populate calls that map at least two rung-1
+/// chunks.
+#[test]
+fn scenarios_produce_rung_1_runs() {
+    let mut rng = proptest::test_runner::rng_for("scenarios_produce_rung_1_runs");
+    let mut seen: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for _ in 0..96 {
+        let s = scenarios().generate(&mut rng);
+        if s.traced {
+            continue;
+        }
+        *seen.entry((s.geo.name(), "THP")).or_default() += rung_1_runs(&s, ThpPolicy::new());
+        *seen.entry((s.geo.name(), "Trident")).or_default() +=
+            rung_1_runs(&s, TridentPolicy::new(TridentConfig::full()));
+    }
+    assert_eq!(seen.len(), 10, "every ladder under both policies: {seen:?}");
+    assert!(seen.values().all(|&runs| runs > 0), "{seen:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -255,14 +311,15 @@ proptest! {
         check(&s, BasePolicy::new());
     }
 
-    /// THP's 4KB fallback runs equal its per-page faults.
+    /// THP's 4KB fallback runs and runs of huge chunks equal its
+    /// per-page faults.
     #[test]
     fn thp_populate_equals_per_page_faults(s in scenarios()) {
         check(&s, ThpPolicy::new());
     }
 
-    /// Trident's 4KB fallback runs equal its per-page faults, with and
-    /// without 2MB pages.
+    /// Trident's 4KB fallback runs and runs of rung-1 chunks equal its
+    /// per-page faults, with and without 2MB pages.
     #[test]
     fn trident_populate_equals_per_page_faults(s in scenarios()) {
         check(&s, TridentPolicy::new(TridentConfig::full()));

@@ -158,10 +158,20 @@ impl BuddyAllocator {
         self.free_lists[usize::from(order)].len()
     }
 
-    /// Whether a free block of at least `order` is immediately available.
+    /// How many blocks of `order` the free lists can hand out without
+    /// splitting below `order`: Σ over orders `o ≥ order` of
+    /// `free_blocks(o) << (o − order)`. Zero means no block of at least
+    /// `order` is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order > max_order`.
     #[must_use]
-    pub fn has_free(&self, order: u8) -> bool {
-        (order..=self.max_order).any(|o| !self.free_lists[usize::from(o)].is_empty())
+    pub fn free_capacity(&self, order: u8) -> u64 {
+        assert!(order <= self.max_order, "order exceeds max_order");
+        (order..=self.max_order)
+            .map(|o| (self.free_lists[usize::from(o)].len() as u64) << (o - order))
+            .sum()
     }
 
     trident_obs::noop_variant! {
@@ -208,39 +218,52 @@ impl BuddyAllocator {
         Ok(start)
     }
 
-    /// Allocates `n` base pages and leaves exactly the state that `n`
-    /// calls of [`alloc(0)`](Self::alloc) leave. Each step takes the
-    /// lowest block of the smallest non-empty order, hands out frames from
-    /// its low end, and returns the unused tail to the free lists as its
-    /// aligned binary decomposition. Calls `emit(start, len)` once per
-    /// contiguous span handed out, in allocation order.
+    /// Allocates `n` blocks of `2^order` pages and leaves exactly the
+    /// state that `n` calls of [`alloc(order)`](Self::alloc) leave. Each
+    /// step takes the lowest block of the smallest non-empty order at or
+    /// above `order`; every list between `order` and that one is empty,
+    /// so the next single allocations would split this block and hand
+    /// out its blocks from the low end. The step does that at once and
+    /// returns the unused tail to the free lists as its aligned binary
+    /// decomposition. Calls `emit(start, pages)` once per contiguous span
+    /// handed out, in allocation order.
     ///
     /// Split events are not reported: the batched populate path runs only
     /// when no recorder is listening.
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError`] for order 0, changing nothing, when fewer
-    /// than `n` pages are free.
-    pub fn alloc_run(&mut self, n: u64, mut emit: impl FnMut(u64, u64)) -> Result<(), AllocError> {
-        if n > self.free_pages {
-            return Err(AllocError { order: 0 });
+    /// Returns [`AllocError`], changing nothing, when fewer than `n`
+    /// blocks of `order` are free ([`free_capacity`](Self::free_capacity)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order > max_order`.
+    pub fn alloc_run(
+        &mut self,
+        order: u8,
+        n: u64,
+        mut emit: impl FnMut(u64, u64),
+    ) -> Result<(), AllocError> {
+        if n > self.free_capacity(order) {
+            return Err(AllocError { order });
         }
         let mut left = n;
         while left > 0 {
-            let order = (0..=self.max_order)
+            let found = (order..=self.max_order)
                 .find(|o| !self.free_lists[usize::from(*o)].is_empty())
-                .expect("free pages remain");
-            let list = &mut self.free_lists[usize::from(order)];
+                .expect("free capacity remains");
+            let list = &mut self.free_lists[usize::from(found)];
             let start = list.first(self.total_pages).expect("non-empty list");
             list.remove(start);
-            let len = left.min(1 << order);
+            let blocks = left.min(1 << (found - order));
+            let len = blocks << order;
             // The tail's decomposition is what `split_down` leaves after
-            // `len` single allocations from this block.
-            let end = start + (1u64 << order);
+            // `blocks` single allocations from this block.
+            let end = start + (1u64 << found);
             let mut page = start + len;
             while page < end {
-                let mut k = (page.trailing_zeros() as u8).min(order);
+                let mut k = (page.trailing_zeros() as u8).min(found);
                 while page + (1u64 << k) > end {
                     k -= 1;
                 }
@@ -248,9 +271,9 @@ impl BuddyAllocator {
                 page += 1 << k;
             }
             emit(start, len);
-            left -= len;
+            left -= blocks;
         }
-        self.free_pages -= n;
+        self.free_pages -= n << order;
         Ok(())
     }
 
@@ -386,9 +409,7 @@ impl BuddyAllocator {
         if self.free_pages == 0 {
             return 1.0;
         }
-        let usable: u64 = (order..=self.max_order)
-            .map(|o| (self.free_lists[usize::from(o)].len() as u64) << o)
-            .sum();
+        let usable = self.free_capacity(order) << order;
         (self.free_pages - usable) as f64 / self.free_pages as f64
     }
 

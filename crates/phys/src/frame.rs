@@ -31,6 +31,16 @@ impl FrameUse {
         !matches!(self, FrameUse::Kernel)
     }
 
+    /// The flag bits every frame of a unit of this use carries.
+    fn unit_flags(self) -> u8 {
+        let flags = FLAG_USED | (self.code() << USE_SHIFT);
+        if self.is_movable() {
+            flags
+        } else {
+            flags | FLAG_UNMOVABLE
+        }
+    }
+
     fn code(self) -> u8 {
         match self {
             FrameUse::User => 0,
@@ -202,10 +212,7 @@ impl FrameTable {
         let start = self.idx(head);
         let len = 1usize << order;
         assert!(start + len <= self.frames.len(), "unit out of bounds");
-        let mut flags = FLAG_USED | (use_.code() << USE_SHIFT);
-        if !use_.is_movable() {
-            flags |= FLAG_UNMOVABLE;
-        }
+        let flags = use_.unit_flags();
         for (i, frame) in self.frames[start..start + len].iter_mut().enumerate() {
             assert!(!frame.is_used(), "frame {} double-allocated", start + i);
             frame.flags = flags;
@@ -219,6 +226,66 @@ impl FrameTable {
                 asid: owner.asid.raw(),
                 vpn: owner.vpn.raw(),
             };
+        }
+    }
+
+    /// Records `pages / 2^order` freshly-allocated units of `2^order`
+    /// frames each, back to back from `start`, in one pass: the frame
+    /// flags, then the head bits, then the owner slots slab by slab.
+    /// Unit `i` is owned by `owner` advanced by `i` units' pages. The
+    /// same state as one [`mark_allocated`](Self::mark_allocated) per
+    /// unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any frame in the span is already used or out of bounds.
+    pub(crate) fn mark_units(
+        &mut self,
+        start: Pfn,
+        pages: u64,
+        order: u8,
+        use_: FrameUse,
+        owner: Option<MappingOwner>,
+    ) {
+        let start = self.idx(start);
+        let end = start + usize::try_from(pages).expect("fits usize");
+        let unit = 1usize << order;
+        debug_assert!(start.is_multiple_of(unit) && (end - start).is_multiple_of(unit));
+        assert!(end <= self.frames.len(), "unit out of bounds");
+        let flags = use_.unit_flags();
+        let mut head_flags = flags | FLAG_HEAD;
+        if owner.is_some() {
+            head_flags |= FLAG_HAS_OWNER;
+        }
+        for (i, frame) in self.frames[start..end].iter_mut().enumerate() {
+            assert!(!frame.is_used(), "frame {} double-allocated", start + i);
+            frame.flags = if i & (unit - 1) == 0 {
+                head_flags
+            } else {
+                flags
+            };
+            frame.order = order;
+        }
+        for head in (start..end).step_by(unit) {
+            self.heads.insert(head as u64);
+        }
+        let Some(owner) = owner else {
+            return;
+        };
+        let asid = owner.asid.raw();
+        let mut head = start;
+        while head < end {
+            let region = head / OWNER_REGION;
+            let slab_end = ((region + 1) * OWNER_REGION).min(end);
+            let slab = self.owners[region]
+                .get_or_insert_with(|| vec![OwnerSlot::default(); OWNER_REGION].into_boxed_slice());
+            while head < slab_end {
+                slab[head % OWNER_REGION] = OwnerSlot {
+                    asid,
+                    vpn: owner.vpn.raw() + (head - start) as u64,
+                };
+                head += unit;
+            }
         }
     }
 

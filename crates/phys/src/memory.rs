@@ -86,7 +86,8 @@ impl PhysicalMemory {
     /// Whether a free chunk for a page of `size` is immediately available.
     #[must_use]
     pub fn has_free(&self, size: PageSize) -> bool {
-        self.buddy.has_free(self.geo.order(size))
+        let order = self.geo.order(size);
+        (order..=self.buddy.max_order()).any(|o| self.buddy.free_blocks(o) > 0)
     }
 
     /// The Free Memory Fragmentation Index for allocations of `size`.
@@ -128,32 +129,32 @@ impl PhysicalMemory {
         self.allocate_order_rec(self.geo.order(size), use_, owner, rec)
     }
 
-    /// Allocates `n` base pages backing consecutive virtual pages, and
-    /// leaves exactly the state that `n` calls of
-    /// [`allocate`](Self::allocate)`(BASE, ..)` leave: the same frames in
-    /// the same order, and the same buddy lists, frame table and region
-    /// counters. Frame `i` is owned by `owner` advanced by `i` pages. The
-    /// frames are appended to `frames`.
+    /// Allocates `n` blocks of `2^order` frames backing consecutive
+    /// virtual chunks, and leaves exactly the state that `n` calls of
+    /// [`allocate_order`](Self::allocate_order)`(order, ..)` leave: the
+    /// same blocks in the same order, and the same buddy lists, frame
+    /// table and region counters. Block `i` is owned by `owner` advanced
+    /// by `i` blocks. The blocks' head frames are appended to `frames`.
     ///
     /// # Errors
     ///
     /// Returns [`PhysMemError::OutOfContiguousMemory`], changing nothing,
-    /// when fewer than `n` pages are free.
+    /// when fewer than `n` blocks of `order` are free.
     pub fn allocate_run(
         &mut self,
+        order: u8,
         n: u64,
         use_: FrameUse,
         owner: Option<MappingOwner>,
         frames: &mut Vec<Pfn>,
     ) -> Result<(), PhysMemError> {
         let mut next_owner = owner;
-        self.buddy.alloc_run(n, |start, len| {
-            for pfn in (start..start + len).map(Pfn::new) {
-                self.frames.mark_allocated(pfn, 0, use_, next_owner);
-                frames.push(pfn);
-                if let Some(o) = &mut next_owner {
-                    o.vpn += 1;
-                }
+        self.buddy.alloc_run(order, n, |start, len| {
+            self.frames
+                .mark_units(Pfn::new(start), len, order, use_, next_owner);
+            frames.extend((start..start + len).step_by(1 << order).map(Pfn::new));
+            if let Some(o) = &mut next_owner {
+                o.vpn += len;
             }
             self.regions.on_alloc(start, len, !use_.is_movable());
         })?;

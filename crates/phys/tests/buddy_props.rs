@@ -50,60 +50,142 @@ fn assert_same_memory(a: &PhysicalMemory, b: &PhysicalMemory) {
     a.assert_consistent();
 }
 
-/// Runs `runs` through `allocate_run` on one copy of `mem` and through
-/// single base-page allocations on another, comparing after each run;
-/// then checks that a run larger than free memory fails without effect.
-fn check_runs_against_single_allocations(mem: PhysicalMemory, runs: &[u64]) {
+/// Runs `runs` (order, blocks) through `allocate_run` on one copy of
+/// `mem` and through single `allocate_order` calls on another, comparing
+/// after each run; then checks that a run larger than the free capacity
+/// fails without effect.
+fn check_runs_against_single_allocations(mem: PhysicalMemory, runs: &[(u8, u64)]) {
     let (mut batched, mut single) = (mem.clone(), mem);
     let asid = AsId::new(1);
     let mut vpn = 1000u64;
-    for &n in runs {
-        let n = n.min(batched.free_pages());
+    for &(order, n) in runs {
+        let n = n.min(batched.buddy().free_capacity(order));
         let owner = MappingOwner {
             asid,
             vpn: Vpn::new(vpn),
         };
         let mut frames = vec![Pfn::new(7)];
         batched
-            .allocate_run(n, FrameUse::User, Some(owner), &mut frames)
+            .allocate_run(order, n, FrameUse::User, Some(owner), &mut frames)
             .unwrap();
         let want: Vec<Pfn> = std::iter::once(Pfn::new(7))
             .chain((0..n).map(|i| {
                 let owner = MappingOwner {
                     asid,
-                    vpn: Vpn::new(vpn + i),
+                    vpn: Vpn::new(vpn + (i << order)),
                 };
                 single
-                    .allocate(PageSize::BASE, FrameUse::User, Some(owner))
+                    .allocate_order(order, FrameUse::User, Some(owner))
                     .unwrap()
             }))
             .collect();
-        assert_eq!(frames, want, "frames appended in allocation order");
+        assert_eq!(frames, want, "heads appended in allocation order");
         assert_same_memory(&batched, &single);
-        vpn += n;
+        vpn += n << order;
     }
-    let over = batched.free_pages() + 1;
-    let mut frames = Vec::new();
-    assert!(batched
-        .allocate_run(over, FrameUse::User, None, &mut frames)
-        .is_err());
-    assert!(frames.is_empty());
+    for order in 0..=batched.buddy().max_order() {
+        let over = batched.buddy().free_capacity(order) + 1;
+        let mut frames = Vec::new();
+        assert!(batched
+            .allocate_run(order, over, FrameUse::User, None, &mut frames)
+            .is_err());
+        assert!(frames.is_empty());
+    }
     assert_same_memory(&batched, &single);
 }
 
+/// Asserts that two allocators hold the same free blocks.
+fn assert_same_buddy(a: &BuddyAllocator, b: &BuddyAllocator) {
+    assert_eq!(a.free_pages(), b.free_pages());
+    for order in 0..=a.max_order() {
+        assert!(
+            a.free_blocks_iter(order).eq(b.free_blocks_iter(order)),
+            "free list of order {order} differs"
+        );
+    }
+    a.assert_consistent();
+}
+
+/// A buddy allocator of three top-order blocks plus a `tail` of
+/// pages, churned by `churn` allocations of the given orders of which the
+/// `frees` are returned.
+fn churned_buddy(
+    max_order: u8,
+    tail: u64,
+    churn: &[u8],
+    frees: &[prop::sample::Index],
+) -> BuddyAllocator {
+    let mut buddy = BuddyAllocator::new((3 << max_order) + tail, max_order);
+    let mut held: Vec<(u64, u8)> = churn
+        .iter()
+        .filter_map(|&order| buddy.alloc(order).ok().map(|start| (start, order)))
+        .collect();
+    for idx in frees {
+        if held.is_empty() {
+            break;
+        }
+        let (start, order) = held.swap_remove(idx.index(held.len()));
+        buddy.free(start, order);
+    }
+    buddy
+}
+
 proptest! {
-    /// `allocate_run(n)` equals `n` calls of `allocate(BASE)`, from a
-    /// clean machine and from one fragmented by churn of every order and
-    /// use.
+    /// `alloc_run(order, n)` hands out the blocks that `n` calls of
+    /// `alloc(order)` hand out, in the same order, and leaves the same
+    /// free lists and free count, at every order, from a clean allocator
+    /// and from churned ones. A run past the free capacity fails and
+    /// changes nothing.
+    #[test]
+    fn alloc_run_equals_single_allocs_at_every_order(
+        (max_order, tail, churn, frees, runs) in (2u8..=9).prop_flat_map(|max| (
+            Just(max),
+            0u64..(1 << max),
+            prop::collection::vec(0..=max, 0..120),
+            prop::collection::vec(any::<prop::sample::Index>(), 0..80),
+            prop::collection::vec((0..=max, 1u64..70, any::<bool>()), 1..10),
+        )),
+    ) {
+        for mut batched in [
+            churned_buddy(max_order, tail, &[], &[]),
+            churned_buddy(max_order, tail, &churn, &frees),
+        ] {
+            let mut single = batched.clone();
+            for &(order, n, exhaust) in &runs {
+                let capacity = batched.free_capacity(order);
+                let n = if exhaust { capacity } else { n.min(capacity) };
+                let mut got = Vec::new();
+                batched
+                    .alloc_run(order, n, |start, pages| {
+                        got.extend((start..start + pages).step_by(1 << order));
+                    })
+                    .unwrap();
+                let want: Vec<u64> = (0..n).map(|_| single.alloc(order).unwrap()).collect();
+                prop_assert_eq!(&got, &want, "blocks of order {} in order", order);
+                assert_same_buddy(&batched, &single);
+                let over = batched.free_capacity(order) + 1;
+                prop_assert!(batched.alloc_run(order, over, |_, _| {}).is_err());
+                assert_same_buddy(&batched, &single);
+            }
+        }
+    }
+
+    /// `allocate_run(order, n)` equals `n` calls of
+    /// `allocate_order(order)` at every order, from a clean machine and
+    /// from one fragmented by churn of every order and use.
     #[test]
     fn allocate_run_equals_single_allocations(
         (geo, churn, frees, runs) in run_geometries().prop_flat_map(|geo| {
             let block = (0..=geo.max_order(), 0u8..3);
+            let run = prop_oneof![
+                (Just(0u8), 1u64..300),
+                (0..=geo.max_order(), 1u64..12),
+            ];
             (
                 Just(geo),
                 prop::collection::vec(block, 0..150),
                 prop::collection::vec(any::<prop::sample::Index>(), 0..100),
-                prop::collection::vec(1u64..300, 1..8),
+                prop::collection::vec(run, 1..8),
             )
         }),
     ) {

@@ -787,18 +787,13 @@ impl System {
     fn gauge_sample(&self) -> Event {
         let geo = self.config.geo;
         let buddy = self.ctx.mem.buddy();
-        let capacity_at = |order: u8| -> u64 {
-            (order..=buddy.max_order())
-                .map(|o| (buddy.free_blocks(o) as u64) << (o - order))
-                .sum()
-        };
         let huge = geo
             .size_for_order(geo.level_order(2))
             .expect("every ladder has a natural level-2 rung");
         Event::Gauge {
             fmfi_milli: (self.ctx.mem.fmfi(geo.largest()) * 1000.0).round() as u64,
-            free_huge: capacity_at(geo.order(huge)),
-            free_giant: capacity_at(geo.order(geo.largest())),
+            free_huge: buddy.free_capacity(geo.order(huge)),
+            free_giant: buddy.free_capacity(geo.order(geo.largest())),
         }
     }
 
@@ -826,8 +821,12 @@ impl System {
     pub fn measure(&mut self) -> Measurement {
         let n = self.tenants.len();
         let warmup = self.config.measure_samples / 10;
-        for i in 0..warmup {
-            self.measured_access(i % n, None);
+        // The tenants take turns; `idx` rotates through them and
+        // restarts at the first when the counted phase starts.
+        let mut idx = 0;
+        for _ in 0..warmup {
+            self.measured_access(idx, None);
+            idx = if idx + 1 == n { 0 } else { idx + 1 };
         }
         self.engine.reset_stats();
         // Dense per-giant-chunk miss counters (chunk indexes are small and
@@ -836,8 +835,9 @@ impl System {
         let mut per_samples = vec![0usize; n];
         let mut per_walks = vec![0u64; n];
         let mut per_cycles = vec![0u64; n];
+        let mut idx = 0;
+        let mut until_tick = self.config.measure_tick_every;
         for i in 0..self.config.measure_samples {
-            let idx = i % n;
             let result = self.measured_access(idx, Some(&mut miss_by_chunk));
             self.samples_done = (i + 1) as u64;
             per_samples[idx] += 1;
@@ -845,7 +845,10 @@ impl System {
             if result.outcome == TlbOutcome::Miss {
                 per_walks[idx] += 1;
             }
-            if (i + 1) % self.config.measure_tick_every == 0 {
+            idx = if idx + 1 == n { 0 } else { idx + 1 };
+            until_tick -= 1;
+            if until_tick == 0 {
+                until_tick = self.config.measure_tick_every;
                 let out = self.tick();
                 if out.promotions > 0 {
                     // Remaps invalidate cached translations.

@@ -233,9 +233,12 @@ impl VirtSystem {
             self.measured_access();
         }
         self.engine.reset_stats();
-        for i in 0..self.config.measure_samples {
+        let mut until_tick = self.config.measure_tick_every;
+        for _ in 0..self.config.measure_samples {
             self.measured_access();
-            if (i + 1) % self.config.measure_tick_every == 0 {
+            until_tick -= 1;
+            if until_tick == 0 {
+                until_tick = self.config.measure_tick_every;
                 let (g, h) = self.tick();
                 if g.promotions > 0 || h.promotions > 0 {
                     self.engine.flush();
