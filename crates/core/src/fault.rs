@@ -135,9 +135,8 @@ pub fn map_chunk(
 ///   `decide`: THP never maps above it, and Trident's test of the rung
 ///   above fails because that chunk is now partly mapped.
 ///
-/// Without `decide`, every unmapped page is a 4KB fault. 4KB runs also
-/// end at a leaf table's end, and each scan is bounded by the run's own
-/// cap.
+/// Without `decide`, every unmapped page is a 4KB fault, and each scan
+/// is bounded by the run's own cap.
 ///
 /// With a recorder or a fault plan attached, this is the per-page loop:
 /// per-fault events and injection draws stay observable there.
@@ -233,10 +232,10 @@ fn map_chunks_after(
 }
 
 /// Maps `n` pages of `size` from `vpn` exactly as `n` faults at `size`
-/// would, with one buddy run, one fold of `n` faults, and one leaf-table
-/// write (4KB) or one map per chunk (larger sizes). The pages must be
-/// unmapped and lie in one VMA, 4KB pages in one leaf table, and at least
-/// `n` blocks of `size`'s order must be free.
+/// would, with one buddy run, one fold of `n` faults, and one
+/// [`map_run`](trident_vm::PageTable::map_run). The pages must be
+/// unmapped and lie in one VMA, and at least `n` blocks of `size`'s order
+/// must be free.
 fn fault_run(
     ctx: &mut MmContext,
     space: &mut AddressSpace,
@@ -253,19 +252,10 @@ fn fault_run(
     };
     ctx.mem
         .allocate_run(geo.order(size), n, FrameUse::User, Some(owner), &mut frames)?;
-    let table = space.page_table_mut();
-    if size.is_base() {
-        table
-            .map_run(vpn, &frames)
-            .expect("run was verified unmapped and inside one leaf table");
-    } else {
-        let span = geo.base_pages(size);
-        for (i, &pfn) in (0..).zip(&frames) {
-            table
-                .map(vpn + i * span, pfn, size)
-                .expect("chunks were verified unmapped and aligned");
-        }
-    }
+    space
+        .page_table_mut()
+        .map_run(vpn, &frames, size)
+        .expect("chunks were verified unmapped and aligned");
     ctx.run_frames = frames;
     let ns = ctx.cost.fault_ns(&geo, size, false);
     ctx.record_n(

@@ -53,12 +53,6 @@ impl PhysicalMemory {
         }
     }
 
-    /// Creates a physical memory of at least `bytes` bytes.
-    #[must_use]
-    pub fn with_bytes(geo: PageGeometry, bytes: u64) -> PhysicalMemory {
-        PhysicalMemory::new(geo, geo.pages_for_bytes(bytes))
-    }
-
     /// The configured geometry.
     #[must_use]
     pub fn geometry(&self) -> PageGeometry {

@@ -101,13 +101,6 @@ impl PerfModel {
         self.anchor_for(spec, config, false)
     }
 
-    /// The compute anchor for virtualized runs: measured from a 4KB+4KB
-    /// run, so nested-walk inflation is absorbed by the anchor the same
-    /// way the hardware counters would absorb it on the paper's testbed.
-    pub fn compute_anchor_virt(&mut self, spec: &WorkloadSpec, config: &SimConfig) -> f64 {
-        self.anchor_for(spec, config, true)
-    }
-
     /// Seeds the anchor cache from an already-measured 4KB run, so
     /// drivers that schedule the anchor run as an explicit cell (the
     /// parallel [`runner`](crate::runner)) never trigger the hidden —

@@ -524,12 +524,6 @@ impl System {
         self.tenants.len()
     }
 
-    /// The registered tenant ids, in order.
-    #[must_use]
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.tenants.iter().map(|t| t.id).collect()
-    }
-
     /// Executes every tenant's allocation plan with first-touch faults
     /// interleaved — both within a tenant (how real applications populate
     /// memory) and *across* tenants (how co-located processes interleave
@@ -1012,12 +1006,6 @@ impl System {
     pub fn tenant_space(&self, tenant: TenantId) -> Option<&AddressSpace> {
         let t = self.tenants.get(tenant.raw() as usize)?;
         self.spaces.get(t.asid)
-    }
-
-    /// Mutable access to tenant 0's RNG (experiments draw auxiliary
-    /// randomness).
-    pub fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.tenants[0].rng
     }
 }
 

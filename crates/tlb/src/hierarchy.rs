@@ -1,6 +1,6 @@
 //! The two-level TLB hierarchy of the experimental platform.
 
-use trident_types::{PageGeometry, PageSize, Vpn};
+use trident_types::{PageGeometry, PageSize, Vpn, MAX_RUNGS};
 
 use crate::SetAssocTlb;
 
@@ -53,6 +53,17 @@ pub struct TlbHierarchy {
     /// How many rungs the shared L2 serves (a prefix of the ladder, since
     /// levels never decrease going up); used to keep their tags disjoint.
     shared_rungs: u64,
+    /// Per rung, indexed by [`PageSize::rung`]: the tag shift (the rung's
+    /// order) and whether the giant L2 serves it. Computed once, so an
+    /// access reads no geometry.
+    rung_tags: [RungTag; MAX_RUNGS],
+}
+
+/// How one rung's entries are tagged.
+#[derive(Debug, Clone, Copy, Default)]
+struct RungTag {
+    shift: u8,
+    giant: bool,
 }
 
 /// Skylake Table 1 entry counts (entries, ways) for a rung at `level`,
@@ -108,6 +119,13 @@ impl TlbHierarchy {
     ) -> TlbHierarchy {
         assert_eq!(l1.len(), geo.rung_count(), "one L1 shape per ladder rung");
         let shared_rungs = geo.rungs().filter(|&s| geo.level(s) < 3).count() as u64;
+        let mut rung_tags = [RungTag::default(); MAX_RUNGS];
+        for size in geo.rungs() {
+            rung_tags[size.rung()] = RungTag {
+                shift: geo.order(size),
+                giant: geo.level(size) >= 3,
+            };
+        }
         TlbHierarchy {
             geo,
             l1: l1
@@ -117,6 +135,7 @@ impl TlbHierarchy {
             l2_shared: SetAssocTlb::new(l2_shared.0, l2_shared.1),
             l2_giant: SetAssocTlb::new(l2_giant.0, l2_giant.1),
             shared_rungs,
+            rung_tags,
         }
     }
 
@@ -139,23 +158,20 @@ impl TlbHierarchy {
         entries as u64 * self.geo.bytes(size)
     }
 
-    fn tag(&self, vpn: Vpn, size: PageSize) -> u64 {
-        vpn.raw() >> self.geo.order(size)
-    }
-
     /// Simulates one translation of `vpn` cached at `size`. A group rung
     /// occupies one (coalesced) entry for its whole span — exactly the
     /// reach benefit NAPOT and contiguous bits exist to provide.
     #[inline]
     pub fn access(&mut self, vpn: Vpn, size: PageSize) -> TlbOutcome {
-        let tag = self.tag(vpn, size);
+        let RungTag { shift, giant } = self.rung_tags[size.rung()];
+        let tag = vpn.raw() >> shift;
         if self.l1[size.rung()].access(tag) {
             return TlbOutcome::L1Hit;
         }
-        let hit = if self.geo.level(size) < 3 {
-            self.l2_shared.access(self.l2_tag(tag, size))
-        } else {
+        let hit = if giant {
             self.l2_giant.access(tag)
+        } else {
+            self.l2_shared.access(self.l2_tag(tag, size))
         };
         if hit {
             TlbOutcome::L2Hit

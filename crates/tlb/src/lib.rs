@@ -45,7 +45,7 @@ pub use walk::{
 };
 
 use trident_obs::{Event, Recorder};
-use trident_types::{PageSize, Vpn};
+use trident_types::{PageSize, Vpn, MAX_RUNGS};
 
 /// Outcome of one simulated address translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,37 +64,34 @@ pub struct TranslationEngine {
     hierarchy: TlbHierarchy,
     cost: WalkCostModel,
     stats: TranslationStats,
-    /// When set, misses are charged the nested walk cost with this host
-    /// page size.
-    nested_host_size: Option<PageSize>,
+    /// Native walk cycles per rung, indexed by [`PageSize::rung`].
+    walk_cycles: [u64; MAX_RUNGS],
+    /// Nested walk cycles per (guest, host) rung pair.
+    nested_walk_cycles: [[u64; MAX_RUNGS]; MAX_RUNGS],
 }
 
 impl TranslationEngine {
-    /// Creates an engine for native execution.
+    /// Creates an engine. Native walks ([`translate`](Self::translate))
+    /// and nested ones ([`translate_nested`](Self::translate_nested)) are
+    /// both charged from per-rung cycle tables computed here once.
     #[must_use]
     pub fn new(hierarchy: TlbHierarchy, cost: WalkCostModel) -> TranslationEngine {
-        TranslationEngine {
-            hierarchy,
-            cost,
-            stats: TranslationStats::default(),
-            nested_host_size: None,
+        let geo = hierarchy.geometry();
+        let mut walk_cycles = [0; MAX_RUNGS];
+        let mut nested_walk_cycles = [[0; MAX_RUNGS]; MAX_RUNGS];
+        for guest in geo.rungs() {
+            walk_cycles[guest.rung()] = cost.walk_cycles(&geo, guest);
+            for host in geo.rungs() {
+                nested_walk_cycles[guest.rung()][host.rung()] =
+                    cost.nested_walk_cycles(&geo, guest, host);
+            }
         }
-    }
-
-    /// Creates an engine for virtualized execution: TLB entries cache
-    /// gVA→hPA at the *smaller* of the guest and host page sizes, and
-    /// misses pay the two-dimensional walk.
-    #[must_use]
-    pub fn new_virtualized(
-        hierarchy: TlbHierarchy,
-        cost: WalkCostModel,
-        host_size: PageSize,
-    ) -> TranslationEngine {
         TranslationEngine {
             hierarchy,
             cost,
             stats: TranslationStats::default(),
-            nested_host_size: Some(host_size),
+            walk_cycles,
+            nested_walk_cycles,
         }
     }
 
@@ -112,31 +109,19 @@ impl TranslationEngine {
         guest_size: PageSize,
         rec: &mut R,
     ) -> AccessResult {
-        let effective = match self.nested_host_size {
-            Some(host) => guest_size.min(host),
-            None => guest_size,
-        };
-        let outcome = self.hierarchy.access(vpn, effective);
+        let outcome = self.hierarchy.access(vpn, guest_size);
         let cycles = match outcome {
             TlbOutcome::L1Hit => 0,
             TlbOutcome::L2Hit => self.cost.l2_hit_cycles,
-            TlbOutcome::Miss => match self.nested_host_size {
-                Some(host) => {
-                    self.cost
-                        .nested_walk_cycles(&self.hierarchy.geometry(), guest_size, host)
-                }
-                None => self
-                    .cost
-                    .walk_cycles(&self.hierarchy.geometry(), guest_size),
-            },
+            TlbOutcome::Miss => self.walk_cycles[guest_size.rung()],
         };
         if outcome == TlbOutcome::Miss && rec.enabled() {
             rec.record(Event::TlbMiss {
-                size: effective,
+                size: guest_size,
                 walk_cycles: cycles,
             });
         }
-        self.stats.record(effective, outcome, cycles);
+        self.stats.record(guest_size, outcome, cycles);
         AccessResult { outcome, cycles }
     }
 
@@ -167,10 +152,7 @@ impl TranslationEngine {
         let cycles = match outcome {
             TlbOutcome::L1Hit => 0,
             TlbOutcome::L2Hit => self.cost.l2_hit_cycles,
-            TlbOutcome::Miss => {
-                self.cost
-                    .nested_walk_cycles(&self.hierarchy.geometry(), guest_size, host_size)
-            }
+            TlbOutcome::Miss => self.nested_walk_cycles[guest_size.rung()][host_size.rung()],
         };
         if outcome == TlbOutcome::Miss && rec.enabled() {
             rec.record(Event::TlbMiss {

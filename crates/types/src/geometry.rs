@@ -351,12 +351,6 @@ impl PageGeometry {
         self.rungs().rev()
     }
 
-    /// The large rungs (everything above base), largest first.
-    #[inline]
-    pub fn large_rungs_desc(&self) -> impl Iterator<Item = PageSize> {
-        self.rungs_desc().filter(|s| s.is_large())
-    }
-
     /// The largest rung.
     #[inline]
     #[must_use]

@@ -210,10 +210,56 @@ pub struct PageTable {
     /// existing leaf — it errors on overlap — so it leaves the stamp
     /// alone.)
     walk_stamp: u64,
+    /// Walk constants, computed once from the geometry.
+    shape: Shape,
     /// Software walker cache: the last leaf a walk resolved, so the hot
     /// sampling loop skips the radix descent for repeated hits. Interior
     /// mutability keeps `translate` a `&self` walk.
     last_walk: Cell<Option<WalkerHit>>,
+}
+
+/// What a walk needs of the geometry, computed once per table so that
+/// walks and index helpers never call into [`PageGeometry`].
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// log2 of the base pages a PUD entry covers.
+    pud_shift: u32,
+    /// log2 of the base pages a PMD entry covers.
+    pmd_shift: u32,
+    /// Entries per PMD table, minus one.
+    pmd_mask: u64,
+    /// Entries per PTE table, minus one.
+    pte_mask: u64,
+    /// The natural rung of each table level, indexed by level (1–3;
+    /// index 0 is unused).
+    natural: [PageSize; 4],
+    /// Base pages per leaf of each rung, indexed by [`PageSize::rung`].
+    rung_pages: [u64; MAX_RUNGS],
+}
+
+impl Shape {
+    fn new(geo: PageGeometry) -> Shape {
+        let pud_shift = u32::from(geo.level_order(3));
+        let pmd_shift = u32::from(geo.level_order(2));
+        let mut natural = [PageSize::BASE; 4];
+        for level in 1..=3u8 {
+            natural[usize::from(level)] = geo
+                .size_for_order(geo.level_order(level))
+                .expect("every table level has a natural rung on the ladder");
+        }
+        let mut rung_pages = [0; MAX_RUNGS];
+        for size in geo.rungs() {
+            rung_pages[size.rung()] = geo.base_pages(size);
+        }
+        Shape {
+            pud_shift,
+            pmd_shift,
+            pmd_mask: (1 << (pud_shift - pmd_shift)) - 1,
+            pte_mask: (1 << pmd_shift) - 1,
+            natural,
+            rung_pages,
+        }
+    }
 }
 
 /// The walker-cache entry: one leaf plus the flag state already written to
@@ -294,6 +340,7 @@ impl PageTable {
             l1_groups,
             dirty_chunks: DenseBitSet::new(),
             walk_stamp: 0,
+            shape: Shape::new(geo),
             last_walk: Cell::new(None),
         }
     }
@@ -307,9 +354,7 @@ impl PageTable {
     /// The rung of a *natural* leaf at table `level` — every shipped
     /// ladder has a rung at each level's natural order.
     fn natural_rung(&self, level: u8) -> PageSize {
-        self.geo
-            .size_for_order(self.geo.level_order(level))
-            .expect("every table level has a natural rung on the ladder")
+        self.shape.natural[usize::from(level)]
     }
 
     /// The rung a present leaf entry at `level` belongs to: its group tag
@@ -323,23 +368,28 @@ impl PageTable {
     }
 
     fn pmd_len(&self) -> usize {
-        1 << (self.geo.level_order(3) - self.geo.level_order(2))
+        self.shape.pmd_mask as usize + 1
     }
 
     fn pte_len(&self) -> usize {
-        1 << self.geo.level_order(2)
+        self.shape.pte_mask as usize + 1
+    }
+
+    /// Base pages per leaf of `size`.
+    fn rung_pages(&self, size: PageSize) -> u64 {
+        self.shape.rung_pages[size.rung()]
     }
 
     fn giant_index(&self, vpn: Vpn) -> u64 {
-        vpn.raw() >> self.geo.level_order(3)
+        vpn.raw() >> self.shape.pud_shift
     }
 
     fn pmd_index(&self, vpn: Vpn) -> usize {
-        ((vpn.raw() >> self.geo.level_order(2)) & (self.pmd_len() as u64 - 1)) as usize
+        ((vpn.raw() >> self.shape.pmd_shift) & self.shape.pmd_mask) as usize
     }
 
     fn pte_index(&self, vpn: Vpn) -> usize {
-        (vpn.raw() & (self.pte_len() as u64 - 1)) as usize
+        (vpn.raw() & self.shape.pte_mask) as usize
     }
 
     /// Grows the dense PUD directory to cover `gi`, returning it as an
@@ -457,10 +507,7 @@ impl PageTable {
                 // Every slot of the span must be free (an empty child
                 // table counts as free and is reclaimed below).
                 for k in 0..span {
-                    let entry = self.pmds.get(pmd_idx)[pi + k];
-                    if entry.is_present()
-                        && (!entry.is_table() || read_count(self.ptes.get(entry.table_index())) > 0)
-                    {
+                    if !self.pmd_entry_is_free(self.pmds.get(pmd_idx)[pi + k]) {
                         return Err(MapError::Overlap { vpn });
                     }
                 }
@@ -530,79 +577,216 @@ impl PageTable {
     }
 
     /// How many consecutive base pages from `vpn` are unmapped, counting
-    /// at most `max` and stopping at the end of `vpn`'s leaf table — the
-    /// longest run [`map_run`](Self::map_run) can install there.
+    /// at most `max` — the longest run [`map_run`](Self::map_run) can
+    /// install there at the base rung. The count crosses leaf-table and
+    /// mid-level-table boundaries: it stops at a present PTE, at a leaf
+    /// PMD or PUD entry, or at `max`.
     #[must_use]
     pub fn unmapped_run(&self, vpn: Vpn, max: u64) -> u64 {
-        let ti = self.pte_index(vpn);
-        let cap = max.min((self.pte_len() - ti) as u64);
-        let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
-        let Some(&slot) = self.puds.get(gi) else {
-            return cap;
-        };
-        if !slot.is_present() {
-            return cap;
+        let Shape {
+            pud_shift,
+            pmd_shift,
+            pte_mask,
+            ..
+        } = self.shape;
+        let mut run = 0;
+        while run < max {
+            let page = vpn.raw() + run;
+            let gi = page >> pud_shift;
+            let Some(&slot) = self
+                .puds
+                .get(usize::try_from(gi).expect("giant index fits usize"))
+            else {
+                // Past the dense directory nothing is mapped.
+                return max;
+            };
+            if !slot.is_present() {
+                run += ((gi + 1) << pud_shift) - page;
+                continue;
+            }
+            if !slot.is_table() {
+                break;
+            }
+            let entry = self.pmds.get(slot.table_index())[self.pmd_index(Vpn::new(page))];
+            let table_end = ((page >> pmd_shift) + 1) << pmd_shift;
+            if !entry.is_present() {
+                run += table_end - page;
+                continue;
+            }
+            if !entry.is_table() {
+                break;
+            }
+            let ti = (page & pte_mask) as usize;
+            let want = (table_end - page).min(max - run);
+            let window = &self.ptes.get(entry.table_index())[ti..ti + want as usize];
+            let free = window.iter().take_while(|pte| !pte.is_present()).count() as u64;
+            run += free;
+            if free < want {
+                break;
+            }
         }
-        if !slot.is_table() {
-            return 0;
-        }
-        let entry = self.pmds.get(slot.table_index())[self.pmd_index(vpn)];
-        if !entry.is_present() {
-            return cap;
-        }
-        if !entry.is_table() {
-            return 0;
-        }
-        let table = &self.ptes.get(entry.table_index())[ti..ti + cap as usize];
-        table.iter().take_while(|pte| !pte.is_present()).count() as u64
+        run.min(max)
     }
 
-    /// Installs base-page leaves mapping `vpn + i → frames[i]` — the
-    /// batched form of one [`map`](Self::map) per frame, leaving the same
-    /// table state. The leaf table's PTEs are written first; its occupancy
-    /// count, the chunk's per-rung totals and the dirty-chunk bit are then
-    /// updated once.
+    /// Installs leaves of `size` mapping chunk `i` of the run at `vpn` to
+    /// `frames[i]` — the batched form of one [`map`](Self::map) per frame,
+    /// leaving the same table state. The run may cross leaf-table and
+    /// mid-level-table boundaries.
+    ///
+    /// * Base pages: each leaf table's PTEs are written, then its
+    ///   occupancy count; each mid-level table's count, its chunk's
+    ///   per-rung total and the dirty-chunk bit are then updated once.
+    /// * Natural level-2 leaves: each mid-level table's entries are
+    ///   written, then its count, its chunk's total and the dirty bit,
+    ///   once per table. An empty leaf table in a slot is freed, as `map`
+    ///   frees it.
+    /// * Any other rung: one `map` per chunk.
     ///
     /// # Errors
     ///
-    /// * [`MapError::Overlap`] — a page of the run is already mapped, or
-    ///   the run leaves `vpn`'s leaf table (see
-    ///   [`unmapped_run`](Self::unmapped_run)). Nothing is changed.
-    pub fn map_run(&mut self, vpn: Vpn, frames: &[Pfn]) -> Result<(), MapError> {
+    /// Nothing is changed on an error.
+    /// * [`MapError::Unaligned`] — `vpn` or a frame is not `size`-aligned.
+    /// * [`MapError::Overlap`] — a page of the run is already mapped.
+    pub fn map_run(&mut self, vpn: Vpn, frames: &[Pfn], size: PageSize) -> Result<(), MapError> {
         let n = frames.len() as u64;
         if n == 0 {
             return Ok(());
         }
-        if self.unmapped_run(vpn, n) != n {
+        if size.is_base() {
+            if self.unmapped_run(vpn, n) != n {
+                return Err(MapError::Overlap { vpn });
+            }
+            self.map_base_run(vpn, frames);
+            return Ok(());
+        }
+        let pages = self.rung_pages(size);
+        if !vpn.raw().is_multiple_of(pages)
+            || frames.iter().any(|pfn| !pfn.raw().is_multiple_of(pages))
+        {
+            return Err(MapError::Unaligned { vpn, size });
+        }
+        if size == self.natural_rung(2) {
+            if !(0..n).all(|i| self.level2_slot_is_free(vpn + i * pages)) {
+                return Err(MapError::Overlap { vpn });
+            }
+            self.map_level2_run(vpn, frames, size);
+            return Ok(());
+        }
+        if (0..n).any(|i| self.chunk_profile(vpn + i * pages, size).mapped_total() != 0) {
             return Err(MapError::Overlap { vpn });
         }
-        let gi = self.giant_index(vpn);
-        let gix = self.ensure_gi(gi);
-        let pi = self.pmd_index(vpn);
-        let ti = self.pte_index(vpn);
-        let pmd_idx = self.pud_table_index(gix, vpn)?;
-        let entry = self.pmds.get(pmd_idx)[pi];
-        let pte_idx = if entry.is_present() {
-            entry.table_index()
-        } else {
-            let idx = self.ptes.alloc(self.pte_len());
+        for (i, &pfn) in (0..).zip(frames) {
+            self.map(vpn + i * pages, pfn, size)?;
+        }
+        Ok(())
+    }
+
+    /// Writes a base-page run that [`unmapped_run`](Self::unmapped_run)
+    /// found free, one mid-level table at a time. Tables are allocated in
+    /// address order, as one `map` per page allocates them.
+    fn map_base_run(&mut self, vpn: Vpn, frames: &[Pfn]) {
+        let mut done = 0;
+        while done < frames.len() {
+            let first = vpn + done as u64;
+            let gi = self.giant_index(first);
+            let gix = self.ensure_gi(gi);
+            let pmd_idx = self
+                .pud_table_index(gix, first)
+                .expect("the run was checked unmapped");
+            // Read the count before table pointers overwrite its bits.
+            let pmd_live = read_count(self.pmds.get(pmd_idx));
+            let mut new_tables = 0;
+            let start = done;
+            for pi in self.pmd_index(first)..self.pmd_len() {
+                if done == frames.len() {
+                    break;
+                }
+                let entry = self.pmds.get(pmd_idx)[pi];
+                let pte_idx = if entry.is_present() {
+                    entry.table_index()
+                } else {
+                    let idx = self.ptes.alloc(self.pte_len());
+                    self.pmds.get_mut(pmd_idx)[pi] = RawPte::table_ptr(idx);
+                    new_tables += 1;
+                    idx
+                };
+                let ti = self.pte_index(vpn + done as u64);
+                let k = (self.pte_len() - ti).min(frames.len() - done);
+                let table = self.ptes.get_mut(pte_idx);
+                let live = read_count(table);
+                for (slot, &pfn) in table[ti..ti + k].iter_mut().zip(&frames[done..]) {
+                    *slot = RawPte::new_leaf(pfn);
+                }
+                write_count(table, live + k as u32);
+                done += k;
+            }
+            if new_tables > 0 {
+                write_count(self.pmds.get_mut(pmd_idx), pmd_live + new_tables);
+            }
+            self.chunk_counts[gix].mapped[PageSize::BASE.rung()] += (done - start) as u32;
+            self.dirty_chunks.insert(gi);
+        }
+        self.leaves[PageSize::BASE.rung()] += frames.len() as u64;
+    }
+
+    /// Whether `map` would accept a natural level-2 leaf at `vpn`: no PUD
+    /// leaf covers it, and its PMD slot is empty or holds an empty leaf
+    /// table.
+    fn level2_slot_is_free(&self, vpn: Vpn) -> bool {
+        let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
+        let Some(&slot) = self.puds.get(gi) else {
+            return true;
+        };
+        if !slot.is_present() {
+            return true;
+        }
+        if !slot.is_table() {
+            return false;
+        }
+        self.pmd_entry_is_free(self.pmds.get(slot.table_index())[self.pmd_index(vpn)])
+    }
+
+    /// Whether a level-2 leaf may take a PMD slot holding `entry`: it is
+    /// empty or an empty leaf table, which the leaf replaces.
+    fn pmd_entry_is_free(&self, entry: RawPte) -> bool {
+        !entry.is_present()
+            || (entry.is_table() && read_count(self.ptes.get(entry.table_index())) == 0)
+    }
+
+    /// Writes a run of natural level-2 leaves whose slots are free, one
+    /// mid-level table at a time.
+    fn map_level2_run(&mut self, vpn: Vpn, frames: &[Pfn], size: PageSize) {
+        let pages = self.rung_pages(size);
+        let mut done = 0;
+        while done < frames.len() {
+            let first = vpn + done as u64 * pages;
+            let gi = self.giant_index(first);
+            let gix = self.ensure_gi(gi);
+            let pmd_idx = self
+                .pud_table_index(gix, first)
+                .expect("the run was checked free");
+            let lo = self.pmd_index(first);
+            let k = (self.pmd_len() - lo).min(frames.len() - done);
+            let mut replaced = 0u32;
+            for pi in lo..lo + k {
+                let entry = self.pmds.get(pmd_idx)[pi];
+                if entry.is_present() {
+                    // An empty leaf table: its slot stays occupied.
+                    self.ptes.free(entry.table_index());
+                    replaced += 1;
+                }
+            }
             let table = self.pmds.get_mut(pmd_idx);
             let live = read_count(table);
-            table[pi] = RawPte::table_ptr(idx);
-            write_count(table, live + 1);
-            idx
-        };
-        let table = self.ptes.get_mut(pte_idx);
-        // Read the count before the leaves overwrite its bits.
-        let live = read_count(table);
-        for (slot, &pfn) in table[ti..].iter_mut().zip(frames) {
-            *slot = RawPte::new_leaf(pfn);
+            for (slot, &pfn) in table[lo..lo + k].iter_mut().zip(&frames[done..]) {
+                *slot = RawPte::new_leaf(pfn);
+            }
+            write_count(table, live + k as u32 - replaced);
+            self.chunk_counts[gix].mapped[size.rung()] += (k as u64 * pages) as u32;
+            self.dirty_chunks.insert(gi);
+            done += k;
         }
-        write_count(table, live + n as u32);
-        self.chunk_counts[gix].mapped[PageSize::BASE.rung()] += n as u32;
-        self.leaves[PageSize::BASE.rung()] += n;
-        self.dirty_chunks.insert(gi);
-        Ok(())
+        self.leaves[size.rung()] += frames.len() as u64;
     }
 
     /// Resolves (materializing if absent) the mid-level table for PUD slot
@@ -647,7 +831,7 @@ impl PageTable {
         }
         if !slot.is_table() {
             let size = self.natural_rung(3);
-            let head_vpn = Vpn::new(self.geo.align_down_page(vpn.raw(), size));
+            let head_vpn = self.leaf_head(vpn, size);
             let translation = self.leaf_translation(vpn, head_vpn, slot, size);
             return Some((translation, slot, LeafSlot::Pud(gi)));
         }
@@ -659,7 +843,7 @@ impl PageTable {
         }
         if !entry.is_table() {
             let size = self.entry_size(entry, 2);
-            let head_vpn = Vpn::new(self.geo.align_down_page(vpn.raw(), size));
+            let head_vpn = self.leaf_head(vpn, size);
             let head_index = self.pmd_index(head_vpn);
             let head = pmd[head_index];
             let translation = self.leaf_translation(vpn, head_vpn, head, size);
@@ -672,11 +856,16 @@ impl PageTable {
             return None;
         }
         let size = self.entry_size(pte, 1);
-        let head_vpn = Vpn::new(self.geo.align_down_page(vpn.raw(), size));
+        let head_vpn = self.leaf_head(vpn, size);
         let head_index = self.pte_index(head_vpn);
         let head = table[head_index];
         let translation = self.leaf_translation(vpn, head_vpn, head, size);
         Some((translation, head, LeafSlot::Pte(pte_idx, head_index)))
+    }
+
+    /// The head page of the `size` leaf covering `vpn`.
+    fn leaf_head(&self, vpn: Vpn, size: PageSize) -> Vpn {
+        Vpn::new(vpn.raw() & !(self.rung_pages(size) - 1))
     }
 
     fn leaf_translation(
@@ -701,7 +890,7 @@ impl PageTable {
         self.last_walk.set(Some(WalkerHit {
             head_vpn: translation.head_vpn,
             head_pfn: translation.head_pfn,
-            pages: self.geo.base_pages(translation.size),
+            pages: self.rung_pages(translation.size),
             size: translation.size,
             stamp: self.walk_stamp,
             accessed: head.accessed(),
@@ -978,7 +1167,7 @@ impl PageTable {
                 if !entry.is_table() {
                     let size = self.entry_size(entry, 2);
                     // Only the head member of a group leaf reports it.
-                    if self.geo.align_down_page(head, size) == head && head >= start {
+                    if self.leaf_head(Vpn::new(head), size).raw() == head && head >= start {
                         visit(Vpn::new(head), entry, size);
                     }
                     continue;
@@ -993,7 +1182,7 @@ impl PageTable {
                     }
                     let vpn = head + ti;
                     let size = self.entry_size(pte, 1);
-                    if self.geo.align_down_page(vpn, size) == vpn {
+                    if self.leaf_head(Vpn::new(vpn), size).raw() == vpn {
                         visit(Vpn::new(vpn), pte, size);
                     }
                 }
@@ -1160,17 +1349,6 @@ impl PageTable {
             count += u64::from(pte.accessed());
         });
         count
-    }
-}
-
-/// Extension: align a page number down to a page-size boundary.
-trait AlignPage {
-    fn align_down_page(&self, page: u64, size: PageSize) -> u64;
-}
-
-impl AlignPage for PageGeometry {
-    fn align_down_page(&self, page: u64, size: PageSize) -> u64 {
-        page & !(self.base_pages(size) - 1)
     }
 }
 
@@ -1443,6 +1621,42 @@ mod tests {
         t.drain_dirty_chunks_into(&mut buf);
         assert!(buf.is_empty());
         assert!(t.take_dirty_chunks().is_empty());
+    }
+
+    /// The packed state without the walker cache.
+    fn packed(t: &PageTable) -> String {
+        let dbg = format!("{t:?}");
+        dbg[..dbg.find("last_walk").expect("walker cache field")].to_owned()
+    }
+
+    #[test]
+    fn rung_1_run_over_an_empty_leaf_table_equals_per_chunk_maps() {
+        // Giant chunk 1's mid-level table gets leaf tables in slots 1 and
+        // 4; slot 1's is then emptied in place. The API frees a leaf
+        // table when its last leaf goes, so the state is made by hand.
+        let mut t = pt();
+        t.map(Vpn::new(72), Pfn::new(1), BASE).unwrap();
+        t.map(Vpn::new(100), Pfn::new(2), BASE).unwrap();
+        let pmd = t.puds[1].table_index();
+        let leaf_table = t.pmds.get(pmd)[1].table_index();
+        let entries = t.ptes.get_mut(leaf_table);
+        entries[0] = RawPte::NOT_PRESENT;
+        write_count(entries, 0);
+        t.chunk_counts[1].mapped[BASE.rung()] -= 1;
+        t.leaves[BASE.rung()] -= 1;
+        // Runs of three chunks: over the empty leaf table, and across
+        // the end of the mid-level table into the next chunk's.
+        for head in [64u64, 120] {
+            let mut single = t.clone();
+            let frames: Vec<Pfn> = (0..3).map(|i| Pfn::new(512 + head + i * 8)).collect();
+            t.map_run(Vpn::new(head), &frames, HUGE).unwrap();
+            for (i, &pfn) in (0..).zip(&frames) {
+                single.map(Vpn::new(head + i * 8), pfn, HUGE).unwrap();
+            }
+            assert_eq!(packed(&t), packed(&single));
+        }
+        assert_eq!(t.ptes.free, vec![leaf_table]);
+        assert_eq!(t.chunk_profile(Vpn::new(64), GIANT).mapped_at(HUGE), 32);
     }
 
     // --- group-leaf (NAPOT / contiguous-span) behavior ---

@@ -35,6 +35,21 @@ fn run_geometries() -> impl Strategy<Value = PageGeometry> {
     ]
 }
 
+/// A ladder of [`run_geometries`], leaves of any rung to map first, and
+/// runs as (salt, cap) pairs.
+#[allow(clippy::type_complexity)]
+fn geometry_pre_and_runs(
+) -> impl Strategy<Value = (PageGeometry, Vec<(u64, PageSize)>, Vec<(u64, u64)>)> {
+    run_geometries().prop_flat_map(|geo| {
+        let sizes = (0..geo.rung_count()).prop_map(PageSize::new);
+        (
+            Just(geo),
+            prop::collection::vec((any::<u64>(), sizes), 0..60),
+            prop::collection::vec((any::<u64>(), 1u64..80), 1..12),
+        )
+    })
+}
+
 /// The table's full packed state — entries with their occupancy-count
 /// bits, arenas and free lists, per-chunk rung totals, leaf counts and
 /// the dirty set — without the walker cache, which only lookups fill.
@@ -43,31 +58,38 @@ fn packed_state(pt: &PageTable) -> String {
     dbg[..dbg.find("last_walk").expect("walker cache field")].to_owned()
 }
 
-/// Maps `pre` leaves into two copies of an empty table, then installs
-/// each run with one `map_run` in the first and one `map` per frame in
-/// the second, comparing the tables after every run.
-fn check_map_run_against_map(geo: PageGeometry, pre: &[(u64, PageSize)], runs: &[(u64, u64)]) {
-    let window = 2 * geo.base_pages(geo.largest());
-    let table_pages = 1u64 << geo.level_order(2);
-    let mut batched = PageTable::new(geo);
+/// Maps `pre` leaves into an empty table and returns it with a copy.
+fn two_tables(geo: PageGeometry, pre: &[(u64, PageSize)], window: u64) -> (PageTable, PageTable) {
+    let mut table = PageTable::new(geo);
     for &(salt, size) in pre {
         let span = geo.base_pages(size);
         let vpn = salt % window / span * span;
-        let _ = batched.map(Vpn::new(vpn), Pfn::new(vpn), size);
+        let _ = table.map(Vpn::new(vpn), Pfn::new(vpn), size);
     }
-    let mut single = batched.clone();
+    let copy = table.clone();
+    (table, copy)
+}
+
+/// Maps `pre` leaves into two copies of an empty table, then installs
+/// each run with one `map_run` in the first and one `map` per frame in
+/// the second, comparing the tables after every run. Runs cross leaf
+/// tables and mid-level tables: `unmapped_run` counts up to `max`.
+fn check_map_run_against_map(geo: PageGeometry, pre: &[(u64, PageSize)], runs: &[(u64, u64)]) {
+    let window = 2 * geo.base_pages(geo.largest());
+    let (mut batched, mut single) = two_tables(geo, pre, window);
     let mut next_pfn = window;
     for &(salt, max) in runs {
         let vpn = salt % window;
         let n = batched.unmapped_run(Vpn::new(vpn), max);
-        let room = max.min(table_pages - vpn % table_pages);
-        let expected = (0..room)
+        let expected = (0..max)
             .take_while(|&i| single.translate(Vpn::new(vpn + i)).is_none())
             .count() as u64;
         assert_eq!(n, expected, "unmapped_run at {vpn} capped at {max}");
         let frames: Vec<Pfn> = (next_pfn..next_pfn + n).map(Pfn::new).collect();
         next_pfn += n;
-        batched.map_run(Vpn::new(vpn), &frames).unwrap();
+        batched
+            .map_run(Vpn::new(vpn), &frames, PageSize::BASE)
+            .unwrap();
         for (i, &pfn) in frames.iter().enumerate() {
             single
                 .map(Vpn::new(vpn + i as u64), pfn, PageSize::BASE)
@@ -78,12 +100,69 @@ fn check_map_run_against_map(geo: PageGeometry, pre: &[(u64, PageSize)], runs: &
             // The pages are mapped now: a second run overlaps and
             // changes nothing.
             assert!(matches!(
-                batched.map_run(Vpn::new(vpn), &frames),
+                batched.map_run(Vpn::new(vpn), &frames, PageSize::BASE),
                 Err(MapError::Overlap { .. })
             ));
             assert_eq!(packed_state(&batched), packed_state(&single));
         }
     }
+    assert_same_tables(geo, window, &mut batched, &mut single);
+}
+
+/// Maps `pre` leaves into two copies of an empty table, then installs
+/// each run of rung-1 chunks with one `map_run` in the first and one
+/// `map` per chunk in the second, comparing the tables after every run.
+/// A run takes up to `max` chunks from its head while each is wholly
+/// unmapped, so runs cross mid-level tables.
+fn check_rung_run_against_map(geo: PageGeometry, pre: &[(u64, PageSize)], runs: &[(u64, u64)]) {
+    let size = PageSize::new(1);
+    let span = geo.base_pages(size);
+    let window = 2 * geo.base_pages(geo.largest());
+    let (mut batched, mut single) = two_tables(geo, pre, window);
+    let mut next_pfn = window;
+    for &(salt, max) in runs {
+        let head = salt % window / span * span;
+        let n = (0..max)
+            .take_while(|&i| {
+                single
+                    .chunk_profile(Vpn::new(head + i * span), size)
+                    .mapped_total()
+                    == 0
+            })
+            .count() as u64;
+        let frames: Vec<Pfn> = (0..n).map(|i| Pfn::new(next_pfn + i * span)).collect();
+        next_pfn += n * span;
+        batched.map_run(Vpn::new(head), &frames, size).unwrap();
+        for (i, &pfn) in (0..).zip(&frames) {
+            single.map(Vpn::new(head + i * span), pfn, size).unwrap();
+        }
+        assert_eq!(packed_state(&batched), packed_state(&single));
+        if n > 0 {
+            // The chunks are mapped now: a second run overlaps, a run
+            // at an unaligned head is rejected, and neither changes
+            // anything.
+            assert!(matches!(
+                batched.map_run(Vpn::new(head), &frames, size),
+                Err(MapError::Overlap { .. })
+            ));
+            assert!(matches!(
+                batched.map_run(Vpn::new(head + 1), &frames, size),
+                Err(MapError::Unaligned { .. })
+            ));
+            assert_eq!(packed_state(&batched), packed_state(&single));
+        }
+    }
+    assert_same_tables(geo, window, &mut batched, &mut single);
+}
+
+/// Requires equal translations over the window, leaf counts, chunk
+/// profiles at every rung, and dirty-chunk drains.
+fn assert_same_tables(
+    geo: PageGeometry,
+    window: u64,
+    batched: &mut PageTable,
+    single: &mut PageTable,
+) {
     for vpn in (0..window).map(Vpn::new) {
         assert_eq!(batched.translate(vpn), single.translate(vpn));
     }
@@ -106,18 +185,19 @@ proptest! {
     /// dirty-chunk drain — on an empty table and on one already holding
     /// leaves of every rung; `unmapped_run` agrees with per-page lookups.
     #[test]
-    fn map_run_equals_per_page_map(
-        (geo, pre, runs) in run_geometries().prop_flat_map(|geo| {
-            let sizes = (0..geo.rung_count()).prop_map(PageSize::new);
-            (
-                Just(geo),
-                prop::collection::vec((any::<u64>(), sizes), 0..60),
-                prop::collection::vec((any::<u64>(), 1u64..80), 1..12),
-            )
-        }),
-    ) {
+    fn map_run_equals_per_page_map((geo, pre, runs) in geometry_pre_and_runs()) {
         check_map_run_against_map(geo, &[], &runs);
         check_map_run_against_map(geo, &pre, &runs);
+    }
+
+    /// A rung-1 `map_run` equals one `map` per chunk in the same terms,
+    /// on every ladder: natural level-2 leaves (x86-64, the miniature
+    /// ladder) take the once-per-table path, and group rungs (NAPOT,
+    /// contiguous PTEs) the per-chunk one.
+    #[test]
+    fn rung_1_map_run_equals_per_chunk_map((geo, pre, runs) in geometry_pre_and_runs()) {
+        check_rung_run_against_map(geo, &[], &runs);
+        check_rung_run_against_map(geo, &pre, &runs);
     }
 
     /// Random aligned maps either succeed or report a precise overlap; a

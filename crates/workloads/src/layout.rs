@@ -70,9 +70,11 @@ pub struct Layout {
     pub stack: ChunkRange,
     /// Total heap pages.
     pub heap_pages: u64,
-    /// Running page totals: `heap_ends[i]` is the number of heap pages in
-    /// chunks `0..=i`.
-    heap_ends: Vec<u64>,
+    /// Per chunk `i`: the number of heap pages in chunks `0..=i`, and
+    /// chunk `i`'s first page minus its first heap index (modulo `2^64`).
+    /// The search key and the answer share a cache line: heap index `x`
+    /// of chunk `i` is page `heap_ends[i].1 + x`.
+    heap_ends: Vec<(u64, u64)>,
     /// log2 of the bucket width, in heap pages: about one average chunk.
     bucket_shift: u32,
     /// `buckets[b]` is the chunk holding heap page `b << bucket_shift`; a
@@ -94,14 +96,15 @@ impl Layout {
     #[must_use]
     pub fn from_ranges(mut ranges: Vec<ChunkRange>) -> Layout {
         let stack = ranges.pop().expect("plan includes a stack");
-        let heap_ends: Vec<u64> = ranges
+        let heap_ends: Vec<(u64, u64)> = ranges
             .iter()
-            .scan(0, |total, c| {
+            .scan(0u64, |total, c| {
+                let first = *total;
                 *total += c.pages;
-                Some(*total)
+                Some((*total, c.start.raw().wrapping_sub(first)))
             })
             .collect();
-        let heap_pages = heap_ends.last().copied().unwrap_or(0);
+        let heap_pages = heap_ends.last().map_or(0, |&(total, _)| total);
         let average = heap_pages / ranges.len().max(1) as u64;
         let bucket_shift = average.max(1).ilog2();
         let mut buckets = Vec::new();
@@ -113,7 +116,7 @@ impl Layout {
                 let page = (bucket << bucket_shift).min(heap_pages - 1);
                 // Empty chunks share their predecessor's total and are
                 // skipped.
-                while heap_ends[chunk] <= page {
+                while heap_ends[chunk].0 <= page {
                     chunk += 1;
                 }
                 buckets.push(u32::try_from(chunk).expect("chunk index fits u32"));
@@ -143,9 +146,8 @@ impl Layout {
         let hi = self.buckets[bucket + 1] as usize;
         // The first chunk whose running total passes `index` holds it;
         // when none before `hi` does, `hi` holds it.
-        let i = lo + self.heap_ends[lo..hi].partition_point(|&end| end <= index);
-        let chunk = &self.heap[i];
-        chunk.start + (index - (self.heap_ends[i] - chunk.pages))
+        let i = lo + self.heap_ends[lo..hi].partition_point(|&(end, _)| end <= index);
+        Vpn::new(self.heap_ends[i].1.wrapping_add(index))
     }
 }
 
