@@ -1,5 +1,6 @@
 //! Static large-page pre-reservation (`libHugetlbfs`).
 
+use trident_obs::NoopRecorder;
 use trident_phys::{FrameUse, MappingOwner, PhysMemError};
 use trident_types::{PageSize, Pfn, Vpn};
 use trident_vm::{AddressSpace, VmaKind};
@@ -39,11 +40,16 @@ impl HugetlbfsPolicy {
     ) -> Result<HugetlbfsPolicy, PhysMemError> {
         let mut pool = Vec::with_capacity(count);
         for _ in 0..count {
-            match ctx.mem.allocate(size, FrameUse::User, None) {
+            match ctx
+                .mem
+                .allocate(size, FrameUse::User, None, &mut NoopRecorder)
+            {
                 Ok(pfn) => pool.push(pfn),
                 Err(e) => {
                     for pfn in pool {
-                        ctx.mem.free(pfn).expect("reserved frame is live");
+                        ctx.mem
+                            .free(pfn, &mut NoopRecorder)
+                            .expect("reserved frame is live");
                     }
                     return Err(e);
                 }
@@ -172,7 +178,7 @@ mod tests {
         // Break every giant chunk with one pinned page per region.
         for r in 0..8 {
             ctx.mem
-                .allocate_in_region(r, 0, FrameUse::Kernel, None)
+                .allocate_in_region(r, 0, FrameUse::Kernel, None, &mut NoopRecorder)
                 .unwrap();
         }
         let free_before = ctx.mem.free_pages();

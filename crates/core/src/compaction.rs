@@ -249,7 +249,7 @@ fn migrate_unit(
 ) -> bool {
     let geo = ctx.geometry();
     for &target in targets {
-        let Ok(dst) = ctx.mem.allocate_in_region_rec(
+        let Ok(dst) = ctx.mem.allocate_in_region(
             target,
             unit.order,
             unit.use_,
@@ -271,7 +271,7 @@ fn migrate_unit(
             debug_assert_eq!(old, unit.head, "unit/leaf correspondence broken");
         }
         ctx.mem
-            .free_rec(unit.head, &mut ctx.recorder)
+            .free(unit.head, &mut ctx.recorder)
             .expect("unit is live");
         let bytes = unit.pages() * geo.base_bytes();
         out.bytes_copied += bytes;
@@ -285,6 +285,7 @@ fn migrate_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_obs::NoopRecorder;
     use trident_phys::{FrameUse, PhysicalMemory};
     use trident_types::{AsId, PageGeometry, Vpn};
     use trident_vm::{AddressSpace, VmaKind};
@@ -315,6 +316,7 @@ mod tests {
                         asid: AsId::new(1),
                         vpn,
                     }),
+                    &mut NoopRecorder,
                 )
                 .unwrap();
             space
@@ -326,7 +328,7 @@ mod tests {
         for (vpn, pfn) in held {
             if vpn.raw() % 8 != 0 {
                 space.page_table_mut().unmap(vpn).unwrap();
-                ctx.mem.free(pfn).unwrap();
+                ctx.mem.free(pfn, &mut NoopRecorder).unwrap();
             }
         }
         assert!(!ctx.mem.has_free(PageSize::new(2)));
@@ -386,6 +388,7 @@ mod tests {
                                 asid: AsId::new(1),
                                 vpn,
                             }),
+                            &mut NoopRecorder,
                         )
                         .unwrap();
                     space
@@ -418,13 +421,17 @@ mod tests {
         let mut ctx = MmContext::new(PhysicalMemory::new(geo, 2 * 64));
         // One kernel page in each region: nothing can be freed.
         ctx.mem
-            .allocate_in_region(0, 0, FrameUse::Kernel, None)
+            .allocate_in_region(0, 0, FrameUse::Kernel, None, &mut NoopRecorder)
             .unwrap();
         ctx.mem
-            .allocate_in_region(1, 0, FrameUse::Kernel, None)
+            .allocate_in_region(1, 0, FrameUse::Kernel, None, &mut NoopRecorder)
             .unwrap();
         // Consume the rest so no free giant chunk exists.
-        while ctx.mem.allocate_order(2, FrameUse::User, None).is_ok() {}
+        while ctx
+            .mem
+            .allocate_order(2, FrameUse::User, None, &mut NoopRecorder)
+            .is_ok()
+        {}
         let mut spaces = SpaceSet::new();
         let out =
             Compactor::new(CompactionKind::Smart).compact(&mut ctx, &mut spaces, PageSize::new(2));
@@ -440,10 +447,10 @@ mod tests {
         // kernel page — neither region can ever be freed.
         for r in 0..2 {
             ctx.mem
-                .allocate_in_region(r, 0, FrameUse::PageCache, None)
+                .allocate_in_region(r, 0, FrameUse::PageCache, None, &mut NoopRecorder)
                 .unwrap();
             ctx.mem
-                .allocate_in_region(r, 0, FrameUse::Kernel, None)
+                .allocate_in_region(r, 0, FrameUse::Kernel, None, &mut NoopRecorder)
                 .unwrap();
         }
         let mut spaces = SpaceSet::new();

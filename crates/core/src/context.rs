@@ -25,7 +25,7 @@ pub struct MmContext {
     pub cost: CostModel,
     /// Event sink; [`ObsRecorder::Noop`] (free) unless tracing was
     /// requested. Borrowable disjointly from `mem`/`stats`, so hot paths
-    /// can pass `&mut ctx.recorder` into `ctx.mem.allocate_rec(..)`.
+    /// can pass `&mut ctx.recorder` into `ctx.mem.allocate(..)`.
     pub recorder: ObsRecorder,
     /// Deterministic fault injector; disabled (free) unless a fault plan
     /// was installed. Lives alongside the recorder so every failure-capable
@@ -43,6 +43,9 @@ pub struct MmContext {
     /// Frame buffer reused by every batched populate run, so a run
     /// allocates nothing on the heap.
     pub(crate) run_frames: Vec<Pfn>,
+    /// Per-block split orders of a run, filled only while a recorder
+    /// listens; reused like `run_frames`.
+    pub(crate) run_splits: Vec<u8>,
 }
 
 impl MmContext {
@@ -61,6 +64,7 @@ impl MmContext {
             tenant_stats: Vec::new(),
             scope: None,
             run_frames: Vec::new(),
+            run_splits: Vec::new(),
         }
     }
 
@@ -135,15 +139,11 @@ impl MmContext {
         self.recorder.record(event);
     }
 
-    /// Reports `count` copies of one event: the batched form of `count`
-    /// calls of [`record`](Self::record), folded in one step. With a
-    /// recorder or a fault plan attached, each copy still goes through
-    /// `record`, so traces and injection streams stay per event.
-    pub fn record_n(&mut self, event: Event, count: u64) {
-        if self.recorder.enabled() || self.fault.enabled() {
-            (0..count).for_each(|_| self.record(event));
-            return;
-        }
+    /// Folds `count` copies of one event into the counters: the batched
+    /// form of `count` calls of [`record`](Self::record) for a run that
+    /// no recorder and no fault plan observe, so no copy is forwarded.
+    pub(crate) fn record_n(&mut self, event: Event, count: u64) {
+        debug_assert!(!self.recorder.enabled() && !self.fault.enabled());
         self.stats.apply_n(&event, count);
         if let Some(tenant) = self.scope {
             self.tenant_stats[tenant.raw() as usize].apply_n(&event, count);

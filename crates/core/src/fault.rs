@@ -91,7 +91,7 @@ pub fn map_chunk(
     };
     // The zero-fill pool prepares blocks of the ladder's top rung only.
     let (pfn, prepared) = if size == ctx.geometry().largest() {
-        match ctx.zero_pool.take_prepared_rec(
+        match ctx.zero_pool.take_prepared(
             &mut ctx.mem,
             FrameUse::User,
             Some(owner),
@@ -100,14 +100,14 @@ pub fn map_chunk(
             Some(pfn) => (pfn, true),
             None => (
                 ctx.mem
-                    .allocate_rec(size, FrameUse::User, Some(owner), &mut ctx.recorder)?,
+                    .allocate(size, FrameUse::User, Some(owner), &mut ctx.recorder)?,
                 false,
             ),
         }
     } else {
         (
             ctx.mem
-                .allocate_rec(size, FrameUse::User, Some(owner), &mut ctx.recorder)?,
+                .allocate(size, FrameUse::User, Some(owner), &mut ctx.recorder)?,
             false,
         )
     };
@@ -138,8 +138,10 @@ pub fn map_chunk(
 /// Without `decide`, every unmapped page is a 4KB fault, and each scan
 /// is bounded by the run's own cap.
 ///
-/// With a recorder or a fault plan attached, this is the per-page loop:
-/// per-fault events and injection draws stay observable there.
+/// Under a fault plan this is the per-page loop, because the injector
+/// draws per [`on_fault`](PagePolicy::on_fault). A recorder takes the
+/// runs too, and each run records the events of its faults one by one
+/// (see [`fault_run`]).
 pub(crate) fn populate_runs<P: PagePolicy + ?Sized>(
     policy: &mut P,
     ctx: &mut MmContext,
@@ -148,7 +150,7 @@ pub(crate) fn populate_runs<P: PagePolicy + ?Sized>(
     pages: u64,
     decide: Option<PageSize>,
 ) -> Result<(), PolicyError> {
-    if ctx.recorder.enabled() || ctx.fault.enabled() {
+    if ctx.fault.enabled() {
         return populate_per_page(policy, ctx, space, start, pages);
     }
     let geo = space.geometry();
@@ -232,10 +234,14 @@ fn map_chunks_after(
 }
 
 /// Maps `n` pages of `size` from `vpn` exactly as `n` faults at `size`
-/// would, with one buddy run, one fold of `n` faults, and one
+/// would, with one buddy run and one
 /// [`map_run`](trident_vm::PageTable::map_run). The pages must be
 /// unmapped and lie in one VMA, and at least `n` blocks of `size`'s order
 /// must be free.
+///
+/// With no recorder listening, the `n` faults are one fold. With one,
+/// each block in address order records what its fault records: the
+/// buddy split of its allocation, if any, then the fault and its span.
 fn fault_run(
     ctx: &mut MmContext,
     space: &mut AddressSpace,
@@ -244,28 +250,51 @@ fn fault_run(
     n: u64,
 ) -> Result<(), PolicyError> {
     let geo = space.geometry();
+    let order = geo.order(size);
+    let listening = ctx.recorder.enabled();
     let mut frames = std::mem::take(&mut ctx.run_frames);
+    let mut splits = std::mem::take(&mut ctx.run_splits);
     frames.clear();
+    splits.clear();
     let owner = MappingOwner {
         asid: space.id(),
         vpn,
     };
-    ctx.mem
-        .allocate_run(geo.order(size), n, FrameUse::User, Some(owner), &mut frames)?;
+    ctx.mem.allocate_run(
+        order,
+        n,
+        FrameUse::User,
+        Some(owner),
+        &mut frames,
+        listening.then_some(&mut splits),
+    )?;
     space
         .page_table_mut()
         .map_run(vpn, &frames, size)
         .expect("chunks were verified unmapped and aligned");
-    ctx.run_frames = frames;
     let ns = ctx.cost.fault_ns(&geo, size, false);
-    ctx.record_n(
-        Event::Fault {
-            size,
-            site: AllocSite::PageFault,
-            ns,
-        },
-        n,
-    );
+    if listening {
+        for &from_order in &splits {
+            if from_order > order {
+                ctx.recorder.record(Event::BuddySplit {
+                    from_order,
+                    to_order: order,
+                });
+            }
+            ctx.record_fault(size, ns);
+        }
+    } else {
+        ctx.record_n(
+            Event::Fault {
+                size,
+                site: AllocSite::PageFault,
+                ns,
+            },
+            n,
+        );
+    }
+    ctx.run_frames = frames;
+    ctx.run_splits = splits;
     Ok(())
 }
 

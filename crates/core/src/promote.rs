@@ -117,7 +117,7 @@ pub fn promote_chunk(
     // block from the pool.
     let owner = MappingOwner { asid, vpn: head };
     let (dst, prepared) = if target == geo.largest() {
-        match ctx.zero_pool.take_prepared_rec(
+        match ctx.zero_pool.take_prepared(
             &mut ctx.mem,
             FrameUse::User,
             Some(owner),
@@ -127,7 +127,7 @@ pub fn promote_chunk(
             None => {
                 match ctx
                     .mem
-                    .allocate_rec(target, FrameUse::User, Some(owner), &mut ctx.recorder)
+                    .allocate(target, FrameUse::User, Some(owner), &mut ctx.recorder)
                 {
                     Ok(pfn) => (pfn, false),
                     Err(_) => return Err(PromoteError::NoContiguity),
@@ -137,7 +137,7 @@ pub fn promote_chunk(
     } else {
         match ctx
             .mem
-            .allocate_rec(target, FrameUse::User, Some(owner), &mut ctx.recorder)
+            .allocate(target, FrameUse::User, Some(owner), &mut ctx.recorder)
         {
             Ok(pfn) => (pfn, false),
             Err(_) => return Err(PromoteError::NoContiguity),
@@ -158,15 +158,13 @@ pub fn promote_chunk(
         .expect("span was emptied");
     let old_heads: Vec<_> = old.iter().map(|m| (m.pfn, m.size, m.vpn)).collect();
     for (pfn, size, vpn) in old_heads {
-        ctx.mem
-            .free_rec(pfn, &mut ctx.recorder)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "old frame was live: {e}; leaf size {size:?} vpn {vpn} unit_at {:?} head_of {:?}",
-                    ctx.mem.unit_at(pfn),
-                    ctx.mem.frames().head_of(pfn),
-                )
-            });
+        ctx.mem.free(pfn, &mut ctx.recorder).unwrap_or_else(|e| {
+            panic!(
+                "old frame was live: {e}; leaf size {size:?} vpn {vpn} unit_at {:?} head_of {:?}",
+                ctx.mem.unit_at(pfn),
+                ctx.mem.frames().head_of(pfn),
+            )
+        });
     }
 
     // Cost accounting. Only pages mapped by natural table-level leaves at
@@ -259,7 +257,7 @@ pub fn demote_chunk(ctx: &mut MmContext, spaces: &mut SpaceSet, chunk: &Promoted
         .unmap(chunk.head)
         .expect("leaf exists");
     ctx.mem
-        .free_rec(t.head_pfn, &mut ctx.recorder)
+        .free(t.head_pfn, &mut ctx.recorder)
         .expect("frame was live");
     // Re-back only the touched portion with base pages. (In the real
     // kernel this is an in-place split; the buddy model reallocates, which
@@ -272,7 +270,7 @@ pub fn demote_chunk(ctx: &mut MmContext, spaces: &mut SpaceSet, chunk: &Promoted
             asid: chunk.asid,
             vpn,
         };
-        let Ok(pfn) = ctx.mem.allocate_rec(
+        let Ok(pfn) = ctx.mem.allocate(
             PageSize::BASE,
             FrameUse::User,
             Some(owner),
@@ -961,6 +959,7 @@ pub fn recover_bloat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_obs::NoopRecorder;
     use trident_phys::PhysicalMemory;
     use trident_types::PageGeometry;
     use trident_vm::{AddressSpace, VmaKind};
@@ -1437,7 +1436,7 @@ mod tests {
         while ctx.mem.has_free(PageSize::BASE) {
             pins.push(
                 ctx.mem
-                    .allocate(PageSize::BASE, FrameUse::Kernel, None)
+                    .allocate(PageSize::BASE, FrameUse::Kernel, None, &mut NoopRecorder)
                     .unwrap(),
             );
         }
@@ -1465,7 +1464,7 @@ mod tests {
         );
         // Contiguity returns mid-window (skip_ticks > 0 at this point).
         for pfn in pins {
-            ctx.mem.free(pfn).unwrap();
+            ctx.mem.free(pfn, &mut NoopRecorder).unwrap();
         }
         let (out, promoted) = promoter.tick(&mut ctx, &mut spaces);
         assert_eq!(promoted.len(), 1, "promotion resumes immediately");

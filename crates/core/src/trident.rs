@@ -280,6 +280,7 @@ impl PagePolicy for TridentPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_obs::NoopRecorder;
     use trident_phys::{FrameUse, PhysicalMemory};
     use trident_types::{AsId, PageGeometry};
     use trident_vm::VmaKind;
@@ -329,10 +330,10 @@ mod tests {
         let (mut ctx, mut spaces) = setup(2);
         // Break all giant chunks but leave huge chunks.
         ctx.mem
-            .allocate_in_region(0, 0, FrameUse::Kernel, None)
+            .allocate_in_region(0, 0, FrameUse::Kernel, None, &mut NoopRecorder)
             .unwrap();
         ctx.mem
-            .allocate_in_region(1, 0, FrameUse::Kernel, None)
+            .allocate_in_region(1, 0, FrameUse::Kernel, None, &mut NoopRecorder)
             .unwrap();
         let mut policy = TridentPolicy::default();
         let space = spaces.get_mut(AsId::new(1)).unwrap();
@@ -343,7 +344,7 @@ mod tests {
         // Now exhaust huge chunks too; remaining faults are 4KB.
         while ctx.mem.has_free(PageSize::new(1)) {
             ctx.mem
-                .allocate(PageSize::new(1), FrameUse::Kernel, None)
+                .allocate(PageSize::new(1), FrameUse::Kernel, None, &mut NoopRecorder)
                 .unwrap();
         }
         let out = policy.on_fault(&mut ctx, space, Vpn::new(20)).unwrap();
@@ -354,10 +355,10 @@ mod tests {
     fn giant_only_ablation_skips_huge_pages() {
         let (mut ctx, mut spaces) = setup(2);
         ctx.mem
-            .allocate_in_region(0, 0, FrameUse::Kernel, None)
+            .allocate_in_region(0, 0, FrameUse::Kernel, None, &mut NoopRecorder)
             .unwrap();
         ctx.mem
-            .allocate_in_region(1, 0, FrameUse::Kernel, None)
+            .allocate_in_region(1, 0, FrameUse::Kernel, None, &mut NoopRecorder)
             .unwrap();
         let mut policy = TridentPolicy::new(TridentConfig::giant_only());
         assert_eq!(policy.name(), "Trident-1Gonly");
@@ -422,7 +423,11 @@ mod tests {
         assert!(ctx.stats.bloat_pages > 0);
         // Create memory pressure by grabbing almost everything free.
         while ctx.mem.free_fraction() > 0.05 {
-            if ctx.mem.allocate_order(0, FrameUse::Kernel, None).is_err() {
+            if ctx
+                .mem
+                .allocate_order(0, FrameUse::Kernel, None, &mut NoopRecorder)
+                .is_err()
+            {
                 break;
             }
         }

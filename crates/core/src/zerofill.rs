@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use trident_obs::{NoopRecorder, Recorder};
+use trident_obs::Recorder;
 use trident_phys::{FrameUse, MappingOwner, PhysicalMemory};
 use trident_types::Pfn;
 
@@ -65,25 +65,15 @@ impl ZeroFillPool {
     }
 
     /// Takes one prepared giant block and allocates it, returning its head
-    /// frame. Stale handles are dropped along the way. Returns `None` if no
-    /// prepared block survives validation.
+    /// frame and reporting buddy events of the allocation to `rec`. Stale
+    /// handles are dropped along the way. Returns `None` if no prepared
+    /// block survives validation.
     pub fn take_prepared(
         &mut self,
         mem: &mut PhysicalMemory,
         use_: FrameUse,
         owner: Option<MappingOwner>,
-    ) -> Option<Pfn> {
-        self.take_prepared_rec(mem, use_, owner, &mut NoopRecorder)
-    }
-
-    /// [`take_prepared`](Self::take_prepared), reporting buddy events of
-    /// the underlying allocation to `rec`.
-    pub fn take_prepared_rec<R: Recorder>(
-        &mut self,
-        mem: &mut PhysicalMemory,
-        use_: FrameUse,
-        owner: Option<MappingOwner>,
-        rec: &mut R,
+        rec: &mut impl Recorder,
     ) -> Option<Pfn> {
         let geo = mem.geometry();
         let order = geo.order(geo.largest());
@@ -93,7 +83,7 @@ impl ZeroFillPool {
             }
             let region = geo.giant_region_of(start);
             let head = mem
-                .allocate_in_region_rec(region, order, use_, owner, rec)
+                .allocate_in_region(region, order, use_, owner, rec)
                 .expect("validated free giant block is allocatable");
             debug_assert_eq!(head.raw(), start);
             return Some(head);
@@ -105,6 +95,7 @@ impl ZeroFillPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_obs::NoopRecorder;
     use trident_types::{PageGeometry, PageSize};
 
     fn setup() -> (PhysicalMemory, ZeroFillPool, CostModel) {
@@ -133,7 +124,7 @@ mod tests {
         let (mut mem, mut pool, cost) = setup();
         pool.tick(&mem, &cost, 1);
         let head = pool
-            .take_prepared(&mut mem, FrameUse::User, None)
+            .take_prepared(&mut mem, FrameUse::User, None, &mut NoopRecorder)
             .expect("one block prepared");
         assert!(mem.is_unit_head(head));
         assert_eq!(pool.prepared_blocks(), 0);
@@ -147,25 +138,30 @@ mod tests {
         // back: allocate all giants, then a base page, then free giants.
         let g: Vec<_> = (0..4)
             .map(|_| {
-                mem.allocate(PageSize::new(2), FrameUse::User, None)
+                mem.allocate(PageSize::new(2), FrameUse::User, None, &mut NoopRecorder)
                     .unwrap()
             })
             .collect();
         for h in &g[..2] {
-            mem.free(*h).unwrap();
+            mem.free(*h, &mut NoopRecorder).unwrap();
         }
         // Blocks 0 and 1 are free again, so handles are actually valid;
         // split block 0 by taking a base page from it.
-        mem.allocate_in_region(0, 0, FrameUse::User, None).unwrap();
-        let head = pool.take_prepared(&mut mem, FrameUse::User, None);
+        mem.allocate_in_region(0, 0, FrameUse::User, None, &mut NoopRecorder)
+            .unwrap();
+        let head = pool.take_prepared(&mut mem, FrameUse::User, None, &mut NoopRecorder);
         // Handle for region 0 was stale; region 1's handle still works.
         assert_eq!(head.map(|h| h.raw()), Some(64));
-        assert!(pool.take_prepared(&mut mem, FrameUse::User, None).is_none());
+        assert!(pool
+            .take_prepared(&mut mem, FrameUse::User, None, &mut NoopRecorder)
+            .is_none());
     }
 
     #[test]
     fn empty_pool_returns_none() {
         let (mut mem, mut pool, _) = setup();
-        assert!(pool.take_prepared(&mut mem, FrameUse::User, None).is_none());
+        assert!(pool
+            .take_prepared(&mut mem, FrameUse::User, None, &mut NoopRecorder)
+            .is_none());
     }
 }

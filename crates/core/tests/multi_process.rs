@@ -4,8 +4,8 @@
 //! map.
 
 use trident_core::{
-    assert_mm_consistent, map_chunk, CompactionKind, Compactor, MmContext, PagePolicy, SpaceSet,
-    TridentConfig, TridentPolicy,
+    assert_mm_consistent, map_chunk, CompactionKind, Compactor, MmContext, NoopRecorder,
+    PagePolicy, SpaceSet, TridentConfig, TridentPolicy,
 };
 use trident_phys::PhysicalMemory;
 use trident_types::{AsId, PageGeometry, PageSize, Vpn};
@@ -89,7 +89,7 @@ fn compaction_fixes_page_tables_of_every_owner() {
         let space = spaces.get_mut(AsId::new(p)).expect("space");
         for leaf in heads {
             space.page_table_mut().unmap(leaf.vpn).expect("unmap");
-            ctx.mem.free(leaf.pfn).expect("free");
+            ctx.mem.free(leaf.pfn, &mut NoopRecorder).expect("free");
         }
     }
     assert!(!ctx.mem.has_free(PageSize::new(2)));

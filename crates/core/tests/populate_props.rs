@@ -1,8 +1,9 @@
 //! Property tests for batched populate: every override of
 //! `PagePolicy::populate` must leave exactly what the default per-page
 //! loop leaves from the same state — the same `MmStats`, tenant rows,
-//! buddy state, frame table, region counters and page table, and the same
-//! error at the same page when memory runs out. The scenarios produce
+//! buddy state, frame table, region counters and page table, the same
+//! trace under a recorder, and the same error at the same page when
+//! memory runs out. The scenarios produce
 //! 4KB runs and runs of rung-1 chunks: VMAs spanning several rung-2 and
 //! top-rung chunks and ending inside a chunk, calls starting and ending
 //! mid-chunk, and memory too small or too fragmented for every chunk.
@@ -11,8 +12,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use trident_core::{
-    map_chunk, BasePolicy, FaultOutcome, MmContext, ObsRecorder, PagePolicy, PolicyError, SpaceSet,
-    ThpPolicy, TridentConfig, TridentPolicy,
+    map_chunk, BasePolicy, FaultOutcome, MmContext, NoopRecorder, ObsRecorder, PagePolicy,
+    PolicyError, SpaceSet, ThpPolicy, TridentConfig, TridentPolicy,
 };
 use trident_phys::{FrameUse, PhysicalMemory};
 use trident_types::{AsId, PageGeometry, PageSize, TenantId, Vpn};
@@ -75,7 +76,8 @@ struct Scenario {
     /// straddle the VMA start. Long calls cross rung-2 and top-rung
     /// boundaries.
     calls: Vec<(u64, u64, bool)>,
-    /// Attach a ring recorder, which must force the per-page path.
+    /// Attach a ring recorder: the run path must record the per-page
+    /// trace.
     traced: bool,
 }
 
@@ -138,7 +140,7 @@ fn boot(s: &Scenario, policy: &mut dyn PagePolicy) -> (MmContext, SpaceSet) {
         } else {
             FrameUse::PageCache
         };
-        if let Ok(head) = ctx.mem.allocate_order(order, use_, None) {
+        if let Ok(head) = ctx.mem.allocate_order(order, use_, None, &mut NoopRecorder) {
             held.push(head);
         }
     }
@@ -147,7 +149,7 @@ fn boot(s: &Scenario, policy: &mut dyn PagePolicy) -> (MmContext, SpaceSet) {
             break;
         }
         ctx.mem
-            .free(held.swap_remove(idx.index(held.len())))
+            .free(held.swap_remove(idx.index(held.len())), &mut NoopRecorder)
             .unwrap();
     }
     let mut spaces = SpaceSet::new();
@@ -283,17 +285,13 @@ fn rung_1_runs<P: PagePolicy>(s: &Scenario, mut policy: P) -> u64 {
 }
 
 /// The scenarios exercise the rung-1 runs: on every ladder, THP and
-/// Trident both see untraced populate calls that map at least two rung-1
-/// chunks.
+/// Trident both see populate calls that map at least two rung-1 chunks.
 #[test]
 fn scenarios_produce_rung_1_runs() {
     let mut rng = proptest::test_runner::rng_for("scenarios_produce_rung_1_runs");
     let mut seen: BTreeMap<(&str, &str), u64> = BTreeMap::new();
     for _ in 0..96 {
         let s = scenarios().generate(&mut rng);
-        if s.traced {
-            continue;
-        }
         *seen.entry((s.geo.name(), "THP")).or_default() += rung_1_runs(&s, ThpPolicy::new());
         *seen.entry((s.geo.name(), "Trident")).or_default() +=
             rung_1_runs(&s, TridentPolicy::new(TridentConfig::full()));

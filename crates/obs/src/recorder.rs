@@ -48,53 +48,6 @@ impl Recorder for NoopRecorder {
     fn record(&mut self, _event: Event) {}
 }
 
-/// Generates the plain (recorder-free) variant of a `*_rec` method as a
-/// one-line wrapper that passes [`NoopRecorder`], so the two variants can
-/// never drift: the recorder-generic method is the single real
-/// implementation.
-///
-/// Each entry names the plain method, the `*_rec` method it forwards to,
-/// and the non-recorder part of the signature; attributes and doc
-/// comments pass through to the generated method.
-///
-/// # Examples
-///
-/// ```
-/// use trident_obs::{Event, Recorder};
-///
-/// struct Counter(u64);
-///
-/// impl Counter {
-///     pub fn bump_rec<R: Recorder>(&mut self, by: u64, rec: &mut R) -> u64 {
-///         rec.record(Event::ZeroFill { blocks: by });
-///         self.0 += by;
-///         self.0
-///     }
-///
-///     trident_obs::noop_variant! {
-///         /// [`bump_rec`](Self::bump_rec) without event reporting.
-///         pub fn bump => bump_rec(&mut self, by: u64) -> u64;
-///     }
-/// }
-///
-/// assert_eq!(Counter(0).bump(3), 3);
-/// ```
-#[macro_export]
-macro_rules! noop_variant {
-    ($(
-        $(#[$meta:meta])*
-        $vis:vis fn $plain:ident => $rec:ident (
-            &mut self $(, $arg:ident : $ty:ty )* $(,)?
-        ) $(-> $ret:ty)?;
-    )+) => {$(
-        $(#[$meta])*
-        #[inline]
-        $vis fn $plain(&mut self $(, $arg: $ty)*) $(-> $ret)? {
-            self.$rec($($arg,)* &mut $crate::NoopRecorder)
-        }
-    )+};
-}
-
 /// A bounded ring buffer of the most recent events.
 ///
 /// When full, the oldest event is evicted and counted in

@@ -74,12 +74,13 @@ impl OrderList {
 /// # Examples
 ///
 /// ```
+/// use trident_obs::NoopRecorder;
 /// use trident_phys::BuddyAllocator;
 ///
 /// let mut buddy = BuddyAllocator::new(1024, 6);
-/// let block = buddy.alloc(6)?; // one "giant" block of 64 pages
+/// let block = buddy.alloc(6, &mut NoopRecorder)?; // one "giant" block of 64 pages
 /// assert_eq!(block % 64, 0);
-/// buddy.free(block, 6);
+/// buddy.free(block, 6, &mut NoopRecorder);
 /// assert_eq!(buddy.free_pages(), 1024);
 /// # Ok::<(), trident_phys::AllocError>(())
 /// ```
@@ -174,22 +175,9 @@ impl BuddyAllocator {
             .sum()
     }
 
-    trident_obs::noop_variant! {
-        /// Allocates a naturally-aligned block of `2^order` pages, returning its
-        /// start frame.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`AllocError`] if no free block of at least `order` exists.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `order > max_order`.
-        pub fn alloc => alloc_rec(&mut self, order: u8) -> Result<u64, AllocError>;
-    }
-
-    /// [`alloc`](Self::alloc), reporting a [`Event::BuddySplit`] to `rec`
-    /// when the allocation had to split a larger free block.
+    /// Allocates a naturally-aligned block of `2^order` pages, returning its
+    /// start frame, and reports an [`Event::BuddySplit`] to `rec` when the
+    /// allocation had to split a larger free block.
     ///
     /// # Errors
     ///
@@ -198,7 +186,7 @@ impl BuddyAllocator {
     /// # Panics
     ///
     /// Panics if `order > max_order`.
-    pub fn alloc_rec<R: Recorder>(&mut self, order: u8, rec: &mut R) -> Result<u64, AllocError> {
+    pub fn alloc(&mut self, order: u8, rec: &mut impl Recorder) -> Result<u64, AllocError> {
         assert!(order <= self.max_order, "order exceeds max_order");
         let found = (order..=self.max_order)
             .find(|o| !self.free_lists[usize::from(*o)].is_empty())
@@ -225,11 +213,16 @@ impl BuddyAllocator {
     /// so the next single allocations would split this block and hand
     /// out its blocks from the low end. The step does that at once and
     /// returns the unused tail to the free lists as its aligned binary
-    /// decomposition. Calls `emit(start, pages)` once per contiguous span
-    /// handed out, in allocation order.
+    /// decomposition. Calls `emit(start, pages, found)` once per
+    /// contiguous span handed out, in allocation order, where `found` is
+    /// the order of the free block the span was cut from.
     ///
-    /// Split events are not reported: the batched populate path runs only
-    /// when no recorder is listening.
+    /// Nothing is recorded here, but `found` gives the splits that the
+    /// single allocations would record. The span's first block splits
+    /// `found` down to `order` when `found > order`. Its block `j > 0`
+    /// splits `order + tz(j)` down to `order` when `tz(j) > 0`, where
+    /// `tz` counts trailing zero bits: blocks `0..j` leave their
+    /// smallest free piece, of that order, starting at block `j`.
     ///
     /// # Errors
     ///
@@ -243,7 +236,7 @@ impl BuddyAllocator {
         &mut self,
         order: u8,
         n: u64,
-        mut emit: impl FnMut(u64, u64),
+        mut emit: impl FnMut(u64, u64, u8),
     ) -> Result<(), AllocError> {
         if n > self.free_capacity(order) {
             return Err(AllocError { order });
@@ -270,36 +263,19 @@ impl BuddyAllocator {
                 self.free_lists[usize::from(k)].insert(page);
                 page += 1 << k;
             }
-            emit(start, len);
+            emit(start, len, found);
             left -= blocks;
         }
         self.free_pages -= n << order;
         Ok(())
     }
 
-    trident_obs::noop_variant! {
-        /// Allocates a block of `2^order` pages that lies entirely within
-        /// `range` (frame numbers), returning its start frame.
-        ///
-        /// Smart compaction uses this to place migrated data inside a chosen
-        /// *target* region instead of wherever the global allocator would put it.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`AllocError`] if no suitably-placed block exists.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `order > max_order`.
-        pub fn alloc_in_range => alloc_in_range_rec(
-            &mut self,
-            order: u8,
-            range: Range<u64>,
-        ) -> Result<u64, AllocError>;
-    }
-
-    /// [`alloc_in_range`](Self::alloc_in_range), reporting a
+    /// Allocates a block of `2^order` pages that lies entirely within
+    /// `range` (frame numbers), returning its start frame, and reports an
     /// [`Event::BuddySplit`] to `rec` when a larger block was split.
+    ///
+    /// Smart compaction uses this to place migrated data inside a chosen
+    /// *target* region instead of wherever the global allocator would put it.
     ///
     /// # Errors
     ///
@@ -308,11 +284,11 @@ impl BuddyAllocator {
     /// # Panics
     ///
     /// Panics if `order > max_order`.
-    pub fn alloc_in_range_rec<R: Recorder>(
+    pub fn alloc_in_range(
         &mut self,
         order: u8,
         range: Range<u64>,
-        rec: &mut R,
+        rec: &mut impl Recorder,
     ) -> Result<u64, AllocError> {
         assert!(order <= self.max_order, "order exceeds max_order");
         for o in order..=self.max_order {
@@ -346,25 +322,15 @@ impl BuddyAllocator {
         }
     }
 
-    trident_obs::noop_variant! {
-        /// Returns a block of `2^order` pages starting at `start` to the free
-        /// lists, coalescing with free buddies as far as possible.
-        ///
-        /// # Panics
-        ///
-        /// Panics (in debug builds) if `start` is not aligned to `order` or the
-        /// block exceeds physical memory.
-        pub fn free => free_rec(&mut self, start: u64, order: u8);
-    }
-
-    /// [`free`](Self::free), reporting a [`Event::BuddyCoalesce`] to `rec`
-    /// when the freed block merged with free buddies.
+    /// Returns a block of `2^order` pages starting at `start` to the free
+    /// lists, coalescing with free buddies as far as possible, and reports
+    /// an [`Event::BuddyCoalesce`] to `rec` when the block merged.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `start` is not aligned to `order` or the
     /// block exceeds physical memory.
-    pub fn free_rec<R: Recorder>(&mut self, start: u64, order: u8, rec: &mut R) {
+    pub fn free(&mut self, start: u64, order: u8, rec: &mut impl Recorder) {
         debug_assert_eq!(start % (1u64 << order), 0, "misaligned free");
         debug_assert!(
             start + (1u64 << order) <= self.total_pages,
@@ -491,6 +457,7 @@ impl BuddyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_obs::NoopRecorder;
 
     #[test]
     fn fresh_allocator_is_fully_free_and_coalesced() {
@@ -514,18 +481,18 @@ mod tests {
     #[test]
     fn alloc_prefers_lowest_address() {
         let mut b = BuddyAllocator::new(256, 6);
-        assert_eq!(b.alloc(0).unwrap(), 0);
-        assert_eq!(b.alloc(0).unwrap(), 1);
-        assert_eq!(b.alloc(6).unwrap(), 64);
+        assert_eq!(b.alloc(0, &mut NoopRecorder).unwrap(), 0);
+        assert_eq!(b.alloc(0, &mut NoopRecorder).unwrap(), 1);
+        assert_eq!(b.alloc(6, &mut NoopRecorder).unwrap(), 64);
         b.assert_consistent();
     }
 
     #[test]
     fn split_and_coalesce_roundtrip() {
         let mut b = BuddyAllocator::new(64, 6);
-        let p = b.alloc(0).unwrap();
+        let p = b.alloc(0, &mut NoopRecorder).unwrap();
         assert_eq!(b.free_blocks(6), 0);
-        b.free(p, 0);
+        b.free(p, 0, &mut NoopRecorder);
         assert_eq!(b.free_blocks(6), 1);
         b.assert_consistent();
     }
@@ -533,13 +500,13 @@ mod tests {
     #[test]
     fn coalescing_stops_at_used_buddy() {
         let mut b = BuddyAllocator::new(64, 6);
-        let a = b.alloc(0).unwrap();
-        let c = b.alloc(0).unwrap();
+        let a = b.alloc(0, &mut NoopRecorder).unwrap();
+        let c = b.alloc(0, &mut NoopRecorder).unwrap();
         assert_eq!((a, c), (0, 1));
-        b.free(a, 0);
+        b.free(a, 0, &mut NoopRecorder);
         // Buddy of page 0 at order 0 is page 1, still used: no merge.
         assert_eq!(b.free_blocks(0), 1);
-        b.free(c, 0);
+        b.free(c, 0, &mut NoopRecorder);
         assert_eq!(b.free_blocks(6), 1);
     }
 
@@ -547,24 +514,26 @@ mod tests {
     fn alloc_fails_when_no_contiguity() {
         let mut b = BuddyAllocator::new(8, 3);
         // Occupy every other page so no order-1 block can exist.
-        let pages: Vec<u64> = (0..8).map(|_| b.alloc(0).unwrap()).collect();
+        let pages: Vec<u64> = (0..8)
+            .map(|_| b.alloc(0, &mut NoopRecorder).unwrap())
+            .collect();
         for &p in pages.iter().filter(|p| **p % 2 == 0) {
-            b.free(p, 0);
+            b.free(p, 0, &mut NoopRecorder);
         }
         assert_eq!(b.free_pages(), 4);
-        assert_eq!(b.alloc(1), Err(AllocError { order: 1 }));
-        assert!(b.alloc(0).is_ok());
+        assert_eq!(b.alloc(1, &mut NoopRecorder), Err(AllocError { order: 1 }));
+        assert!(b.alloc(0, &mut NoopRecorder).is_ok());
     }
 
     #[test]
     fn alloc_in_range_respects_bounds() {
         let mut b = BuddyAllocator::new(256, 6);
-        let got = b.alloc_in_range(0, 128..192).unwrap();
+        let got = b.alloc_in_range(0, 128..192, &mut NoopRecorder).unwrap();
         assert!((128..192).contains(&got));
         // Range with no free blocks inside.
-        let p = b.alloc_in_range(6, 192..256).unwrap();
+        let p = b.alloc_in_range(6, 192..256, &mut NoopRecorder).unwrap();
         assert_eq!(p, 192);
-        assert!(b.alloc_in_range(6, 192..256).is_err());
+        assert!(b.alloc_in_range(6, 192..256, &mut NoopRecorder).is_err());
         b.assert_consistent();
     }
 
@@ -574,20 +543,22 @@ mod tests {
         // Only giant blocks exist; none lies fully inside a half-region
         // range, so any request there fails — ranges are meant to be whole
         // giant regions.
-        assert!(b.alloc_in_range(6, 0..32).is_err());
-        assert!(b.alloc_in_range(0, 0..32).is_err());
+        assert!(b.alloc_in_range(6, 0..32, &mut NoopRecorder).is_err());
+        assert!(b.alloc_in_range(0, 0..32, &mut NoopRecorder).is_err());
         // A full-region range succeeds and splits in place.
-        assert_eq!(b.alloc_in_range(0, 0..64).unwrap(), 0);
+        assert_eq!(b.alloc_in_range(0, 0..64, &mut NoopRecorder).unwrap(), 0);
     }
 
     #[test]
     fn fmfi_tracks_fragmentation() {
         let mut b = BuddyAllocator::new(64, 6);
         assert_eq!(b.fmfi(6), 0.0);
-        let pages: Vec<u64> = (0..64).map(|_| b.alloc(0).unwrap()).collect();
+        let pages: Vec<u64> = (0..64)
+            .map(|_| b.alloc(0, &mut NoopRecorder).unwrap())
+            .collect();
         assert_eq!(b.fmfi(0), 1.0); // nothing free at all
         for &p in pages.iter().filter(|p| **p % 2 == 1) {
-            b.free(p, 0);
+            b.free(p, 0, &mut NoopRecorder);
         }
         // 32 pages free, none usable at order >= 1.
         assert_eq!(b.fmfi(1), 1.0);
@@ -599,14 +570,14 @@ mod tests {
         let mut b = BuddyAllocator::new(4 << 12, 12);
         let mut held = Vec::new();
         for order in [0u8, 3, 5, 0, 9, 1, 12, 0, 7] {
-            held.push((b.alloc(order).unwrap(), order));
+            held.push((b.alloc(order, &mut NoopRecorder).unwrap(), order));
         }
         b.assert_consistent();
         // Free in a scrambled order.
         held.swap(0, 8);
         held.swap(2, 5);
         for (start, order) in held {
-            b.free(start, order);
+            b.free(start, order, &mut NoopRecorder);
         }
         assert_eq!(b.free_blocks(12), 4);
         assert_eq!(b.free_pages(), 4 << 12);

@@ -11,6 +11,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use trident_obs::NoopRecorder;
 use trident_types::{Pfn, MAX_RUNGS};
 
 use crate::{FrameUse, PhysicalMemory};
@@ -134,7 +135,8 @@ impl Fragmenter {
         for region in 0..regions {
             if rng.gen_bool(self.profile.unmovable_region_fraction) {
                 // Best effort: a full region simply stays unpoisoned.
-                let _ = mem.allocate_in_region(region, 0, FrameUse::Kernel, None);
+                let _ =
+                    mem.allocate_in_region(region, 0, FrameUse::Kernel, None, &mut NoopRecorder);
             }
         }
     }
@@ -143,11 +145,11 @@ impl Fragmenter {
     fn fill_with_page_cache<R: Rng + ?Sized>(&mut self, mem: &mut PhysicalMemory, rng: &mut R) {
         loop {
             let order = rng.gen_range(0..=self.profile.max_chunk_order);
-            match mem.allocate_order(order, FrameUse::PageCache, None) {
+            match mem.allocate_order(order, FrameUse::PageCache, None, &mut NoopRecorder) {
                 Ok(head) => self.resident.push(head),
                 Err(_) => {
                     // Retry at order 0 to squeeze out the last pages.
-                    match mem.allocate_order(0, FrameUse::PageCache, None) {
+                    match mem.allocate_order(0, FrameUse::PageCache, None, &mut NoopRecorder) {
                         Ok(head) => self.resident.push(head),
                         Err(_) => break,
                     }
@@ -193,7 +195,8 @@ impl Fragmenter {
             let Some((_, head)) = queue.next() else {
                 break;
             };
-            mem.free(head).expect("resident chunk is allocated");
+            mem.free(head, &mut NoopRecorder)
+                .expect("resident chunk is allocated");
         }
         self.resident = keep;
         self.resident.extend(queue.map(|(_, head)| head));
@@ -214,7 +217,8 @@ impl Fragmenter {
             };
             match mem.unit_at(head) {
                 Some(unit) if unit.use_ == FrameUse::PageCache => {
-                    mem.free(head).expect("page-cache unit is live");
+                    mem.free(head, &mut NoopRecorder)
+                        .expect("page-cache unit is live");
                     freed += unit.pages();
                 }
                 _ => {} // stale handle: migrated or reused by another owner
@@ -276,7 +280,9 @@ mod tests {
     #[test]
     fn fragmentation_leaves_base_pages_allocatable() {
         let (mut mem, _, _) = fragmented();
-        assert!(mem.allocate(PageSize::BASE, FrameUse::User, None).is_ok());
+        assert!(mem
+            .allocate(PageSize::BASE, FrameUse::User, None, &mut NoopRecorder)
+            .is_ok());
     }
 
     #[test]

@@ -23,14 +23,15 @@
 //! # Examples
 //!
 //! ```
+//! use trident_obs::NoopRecorder;
 //! use trident_phys::{FrameUse, PhysicalMemory};
 //! use trident_types::{PageGeometry, PageSize};
 //!
 //! let geo = PageGeometry::TINY;
 //! let mut mem = PhysicalMemory::new(geo, 4 * geo.base_pages(geo.largest()));
-//! let giant = mem.allocate(geo.largest(), FrameUse::User, None)?;
+//! let giant = mem.allocate(geo.largest(), FrameUse::User, None, &mut NoopRecorder)?;
 //! assert!(mem.is_unit_head(giant));
-//! mem.free(giant)?;
+//! mem.free(giant, &mut NoopRecorder)?;
 //! # Ok::<(), trident_phys::PhysMemError>(())
 //! ```
 

@@ -18,15 +18,16 @@ use crate::{
 /// # Examples
 ///
 /// ```
+/// use trident_obs::NoopRecorder;
 /// use trident_phys::{FrameUse, PhysicalMemory};
 /// use trident_types::{PageGeometry, PageSize};
 ///
 /// let geo = PageGeometry::TINY;
 /// let mut mem = PhysicalMemory::new(geo, 2 * geo.base_pages(geo.largest()));
 /// let huge = PageSize::new(1);
-/// let head = mem.allocate(huge, FrameUse::User, None)?;
+/// let head = mem.allocate(huge, FrameUse::User, None, &mut NoopRecorder)?;
 /// assert_eq!(mem.free_pages(), mem.total_pages() - geo.base_pages(huge));
-/// mem.free(head)?;
+/// mem.free(head, &mut NoopRecorder)?;
 /// # Ok::<(), trident_phys::PhysMemError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -91,36 +92,22 @@ impl PhysicalMemory {
         self.buddy.fmfi(self.geo.order(size))
     }
 
-    trident_obs::noop_variant! {
-        /// Allocates one page of `size`, returning its head frame.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`PhysMemError::OutOfContiguousMemory`] when no contiguous
-        /// chunk of that size exists — the condition that makes Trident fall
-        /// back to a smaller page size or invoke compaction.
-        pub fn allocate => allocate_rec(
-            &mut self,
-            size: PageSize,
-            use_: FrameUse,
-            owner: Option<MappingOwner>,
-        ) -> Result<Pfn, PhysMemError>;
-    }
-
-    /// [`allocate`](Self::allocate), reporting buddy split events to `rec`.
+    /// Allocates one page of `size`, returning its head frame, and reports
+    /// buddy split events to `rec`.
     ///
     /// # Errors
     ///
     /// Returns [`PhysMemError::OutOfContiguousMemory`] when no contiguous
-    /// chunk of that size exists.
-    pub fn allocate_rec<R: Recorder>(
+    /// chunk of that size exists — the condition that makes Trident fall
+    /// back to a smaller page size or invoke compaction.
+    pub fn allocate(
         &mut self,
         size: PageSize,
         use_: FrameUse,
         owner: Option<MappingOwner>,
-        rec: &mut R,
+        rec: &mut impl Recorder,
     ) -> Result<Pfn, PhysMemError> {
-        self.allocate_order_rec(self.geo.order(size), use_, owner, rec)
+        self.allocate_order(self.geo.order(size), use_, owner, rec)
     }
 
     /// Allocates `n` blocks of `2^order` frames backing consecutive
@@ -129,6 +116,11 @@ impl PhysicalMemory {
     /// same blocks in the same order, and the same buddy lists, frame
     /// table and region counters. Block `i` is owned by `owner` advanced
     /// by `i` blocks. The blocks' head frames are appended to `frames`.
+    ///
+    /// Nothing is recorded. With `splits`, each block's split is appended
+    /// to it instead: the order of the free block that the single
+    /// allocation of that block would split and report, or `order` when
+    /// it would split none ([`BuddyAllocator::alloc_run`]).
     ///
     /// # Errors
     ///
@@ -141,12 +133,17 @@ impl PhysicalMemory {
         use_: FrameUse,
         owner: Option<MappingOwner>,
         frames: &mut Vec<Pfn>,
+        mut splits: Option<&mut Vec<u8>>,
     ) -> Result<(), PhysMemError> {
         let mut next_owner = owner;
-        self.buddy.alloc_run(order, n, |start, len| {
+        self.buddy.alloc_run(order, n, |start, len, found| {
             self.frames
                 .mark_units(Pfn::new(start), len, order, use_, next_owner);
             frames.extend((start..start + len).step_by(1 << order).map(Pfn::new));
+            if let Some(splits) = splits.as_deref_mut() {
+                splits.push(found);
+                splits.extend((1..len >> order).map(|j| order + j.trailing_zeros() as u8));
+            }
             if let Some(o) = &mut next_owner {
                 o.vpn += len;
             }
@@ -155,80 +152,45 @@ impl PhysicalMemory {
         Ok(())
     }
 
-    trident_obs::noop_variant! {
-        /// Allocates a raw buddy block of `2^order` frames (used by the
-        /// fragmenter, which churns sub-huge-page chunks like the page cache
-        /// does).
-        ///
-        /// # Errors
-        ///
-        /// Returns [`PhysMemError::OutOfContiguousMemory`] when no block of
-        /// `order` exists.
-        pub fn allocate_order => allocate_order_rec(
-            &mut self,
-            order: u8,
-            use_: FrameUse,
-            owner: Option<MappingOwner>,
-        ) -> Result<Pfn, PhysMemError>;
-    }
-
-    /// [`allocate_order`](Self::allocate_order), reporting buddy split
-    /// events to `rec`.
+    /// Allocates a raw buddy block of `2^order` frames (used by the
+    /// fragmenter, which churns sub-huge-page chunks like the page cache
+    /// does), and reports buddy split events to `rec`.
     ///
     /// # Errors
     ///
     /// Returns [`PhysMemError::OutOfContiguousMemory`] when no block of
     /// `order` exists.
-    pub fn allocate_order_rec<R: Recorder>(
+    pub fn allocate_order(
         &mut self,
         order: u8,
         use_: FrameUse,
         owner: Option<MappingOwner>,
-        rec: &mut R,
+        rec: &mut impl Recorder,
     ) -> Result<Pfn, PhysMemError> {
-        let start = self.buddy.alloc_rec(order, rec)?;
+        let start = self.buddy.alloc(order, rec)?;
         self.finish_alloc(start, order, use_, owner);
         Ok(Pfn::new(start))
     }
 
-    trident_obs::noop_variant! {
-        /// Allocates a block of `2^order` frames entirely inside `region` —
-        /// how smart compaction steers migrated data into its chosen target
-        /// region.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`PhysMemError::OutOfContiguousMemory`] when the region has
-        /// no suitably-sized free block.
-        pub fn allocate_in_region => allocate_in_region_rec(
-            &mut self,
-            region: RegionId,
-            order: u8,
-            use_: FrameUse,
-            owner: Option<MappingOwner>,
-        ) -> Result<Pfn, PhysMemError>;
-    }
-
-    /// [`allocate_in_region`](Self::allocate_in_region), reporting buddy
-    /// split events to `rec`.
+    /// Allocates a block of `2^order` frames entirely inside `region` —
+    /// how smart compaction steers migrated data into its chosen target
+    /// region — and reports buddy split events to `rec`.
     ///
     /// # Errors
     ///
     /// Returns [`PhysMemError::OutOfContiguousMemory`] when the region has
     /// no suitably-sized free block.
-    pub fn allocate_in_region_rec<R: Recorder>(
+    pub fn allocate_in_region(
         &mut self,
         region: RegionId,
         order: u8,
         use_: FrameUse,
         owner: Option<MappingOwner>,
-        rec: &mut R,
+        rec: &mut impl Recorder,
     ) -> Result<Pfn, PhysMemError> {
         let range = self.regions.region_range(region);
         let end = range.end.min(self.total_pages());
-        let start = self
-            .buddy
-            .alloc_in_range_rec(order, range.start..end, rec)?;
+        let start = self.buddy.alloc_in_range(order, range.start..end, rec)?;
         self.finish_alloc(start, order, use_, owner);
         Ok(Pfn::new(start))
     }
@@ -239,29 +201,18 @@ impl PhysicalMemory {
         self.regions.on_alloc(start, 1 << order, !use_.is_movable());
     }
 
-    trident_obs::noop_variant! {
-        /// Frees the allocation unit headed at `head`, returning its
-        /// description.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`PhysMemError::NotAUnitHead`] if `head` does not identify a
-        /// live allocation unit, or [`PhysMemError::FrameOutOfBounds`] if it is
-        /// outside memory.
-        pub fn free => free_rec(&mut self, head: Pfn) -> Result<AllocationUnit, PhysMemError>;
-    }
-
-    /// [`free`](Self::free), reporting buddy coalesce events to `rec`.
+    /// Frees the allocation unit headed at `head`, returning its
+    /// description, and reports buddy coalesce events to `rec`.
     ///
     /// # Errors
     ///
     /// Returns [`PhysMemError::NotAUnitHead`] if `head` does not identify a
     /// live allocation unit, or [`PhysMemError::FrameOutOfBounds`] if it is
     /// outside memory.
-    pub fn free_rec<R: Recorder>(
+    pub fn free(
         &mut self,
         head: Pfn,
-        rec: &mut R,
+        rec: &mut impl Recorder,
     ) -> Result<AllocationUnit, PhysMemError> {
         if head.raw() >= self.total_pages() {
             return Err(PhysMemError::FrameOutOfBounds { pfn: head.raw() });
@@ -273,7 +224,7 @@ impl PhysicalMemory {
         self.frames.mark_freed(head);
         self.regions
             .on_free(head.raw(), unit.pages(), !unit.use_.is_movable());
-        self.buddy.free_rec(head.raw(), unit.order, rec);
+        self.buddy.free(head.raw(), unit.order, rec);
         Ok(unit)
     }
 
@@ -364,6 +315,7 @@ impl PhysicalMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_obs::NoopRecorder;
     use trident_types::{AsId, Vpn};
 
     fn mem() -> PhysicalMemory {
@@ -378,7 +330,12 @@ mod tests {
             vpn: Vpn::new(0),
         };
         let head = m
-            .allocate(PageSize::new(1), FrameUse::User, Some(owner))
+            .allocate(
+                PageSize::new(1),
+                FrameUse::User,
+                Some(owner),
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert_eq!(m.free_pages(), 4 * 64 - 8);
         assert_eq!(m.unit_at(head).unwrap().owner, Some(owner));
@@ -389,8 +346,10 @@ mod tests {
     #[test]
     fn free_restores_everything() {
         let mut m = mem();
-        let head = m.allocate(PageSize::new(2), FrameUse::User, None).unwrap();
-        let unit = m.free(head).unwrap();
+        let head = m
+            .allocate(PageSize::new(2), FrameUse::User, None, &mut NoopRecorder)
+            .unwrap();
+        let unit = m.free(head, &mut NoopRecorder).unwrap();
         assert_eq!(unit.pages(), 64);
         assert_eq!(m.free_pages(), 4 * 64);
         assert_eq!(m.regions().counters(0).free_pages, 64);
@@ -400,10 +359,12 @@ mod tests {
     #[test]
     fn double_free_is_an_error() {
         let mut m = mem();
-        let head = m.allocate(PageSize::BASE, FrameUse::User, None).unwrap();
-        m.free(head).unwrap();
+        let head = m
+            .allocate(PageSize::BASE, FrameUse::User, None, &mut NoopRecorder)
+            .unwrap();
+        m.free(head, &mut NoopRecorder).unwrap();
         assert_eq!(
-            m.free(head),
+            m.free(head, &mut NoopRecorder),
             Err(PhysMemError::NotAUnitHead { pfn: head.raw() })
         );
     }
@@ -412,7 +373,7 @@ mod tests {
     fn free_out_of_bounds_is_an_error() {
         let mut m = mem();
         assert_eq!(
-            m.free(Pfn::new(10_000)),
+            m.free(Pfn::new(10_000), &mut NoopRecorder),
             Err(PhysMemError::FrameOutOfBounds { pfn: 10_000 })
         );
     }
@@ -420,9 +381,10 @@ mod tests {
     #[test]
     fn exhaustion_reports_out_of_contiguous_memory() {
         let mut m = PhysicalMemory::new(PageGeometry::TINY, 64);
-        m.allocate(PageSize::new(2), FrameUse::User, None).unwrap();
+        m.allocate(PageSize::new(2), FrameUse::User, None, &mut NoopRecorder)
+            .unwrap();
         let err = m
-            .allocate(PageSize::BASE, FrameUse::User, None)
+            .allocate(PageSize::BASE, FrameUse::User, None, &mut NoopRecorder)
             .unwrap_err();
         assert!(matches!(err, PhysMemError::OutOfContiguousMemory(_)));
     }
@@ -430,7 +392,9 @@ mod tests {
     #[test]
     fn allocate_in_region_lands_in_region() {
         let mut m = mem();
-        let head = m.allocate_in_region(2, 3, FrameUse::User, None).unwrap();
+        let head = m
+            .allocate_in_region(2, 3, FrameUse::User, None, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(m.geometry().giant_region_of(head.raw()), 2);
         assert_eq!(m.regions().counters(2).free_pages, 64 - 8);
     }
@@ -438,7 +402,8 @@ mod tests {
     #[test]
     fn kernel_allocations_poison_region_counters() {
         let mut m = mem();
-        m.allocate(PageSize::BASE, FrameUse::Kernel, None).unwrap();
+        m.allocate(PageSize::BASE, FrameUse::Kernel, None, &mut NoopRecorder)
+            .unwrap();
         assert_eq!(m.regions().counters(0).unmovable_pages, 1);
         assert!(m.regions().source_candidates().is_empty());
     }
@@ -446,8 +411,12 @@ mod tests {
     #[test]
     fn units_in_region_sees_only_that_region() {
         let mut m = mem();
-        let a = m.allocate_in_region(0, 0, FrameUse::User, None).unwrap();
-        let b = m.allocate_in_region(1, 0, FrameUse::User, None).unwrap();
+        let a = m
+            .allocate_in_region(0, 0, FrameUse::User, None, &mut NoopRecorder)
+            .unwrap();
+        let b = m
+            .allocate_in_region(1, 0, FrameUse::User, None, &mut NoopRecorder)
+            .unwrap();
         let units0 = m.units_in_region(0);
         assert_eq!(units0.len(), 1);
         assert_eq!(units0[0].head, a);
@@ -461,7 +430,8 @@ mod tests {
         assert_eq!(m.fmfi(PageSize::new(2)), 0.0);
         // Take all giant blocks; giant FMFI becomes 1.
         for _ in 0..4 {
-            m.allocate(PageSize::new(2), FrameUse::User, None).unwrap();
+            m.allocate(PageSize::new(2), FrameUse::User, None, &mut NoopRecorder)
+                .unwrap();
         }
         assert_eq!(m.fmfi(PageSize::new(2)), 1.0);
     }

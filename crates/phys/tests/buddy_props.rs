@@ -1,6 +1,7 @@
 //! Property-based tests for the buddy allocator and physical memory.
 
 use proptest::prelude::*;
+use trident_obs::{Event, NoopRecorder, RingTracer};
 use trident_phys::{BuddyAllocator, FrameUse, MappingOwner, PhysicalMemory};
 use trident_types::{AsId, PageGeometry, PageSize, Pfn, Vpn};
 
@@ -50,14 +51,25 @@ fn assert_same_memory(a: &PhysicalMemory, b: &PhysicalMemory) {
     a.assert_consistent();
 }
 
+/// The split a single allocation reports, as `allocate_run` and the
+/// closed form below give it: the order of the free block it splits, or
+/// `order` when it splits none.
+fn split_event(from_order: u8, order: u8) -> Option<Event> {
+    (from_order > order).then_some(Event::BuddySplit {
+        from_order,
+        to_order: order,
+    })
+}
+
 /// Runs `runs` (order, blocks) through `allocate_run` on one copy of
 /// `mem` and through single `allocate_order` calls on another, comparing
-/// after each run; then checks that a run larger than the free capacity
-/// fails without effect.
+/// heads and each block's split after each run; then checks that a run
+/// larger than the free capacity fails without effect.
 fn check_runs_against_single_allocations(mem: PhysicalMemory, runs: &[(u8, u64)]) {
     let (mut batched, mut single) = (mem.clone(), mem);
     let asid = AsId::new(1);
     let mut vpn = 1000u64;
+    let mut tracer = RingTracer::new(1);
     for &(order, n) in runs {
         let n = n.min(batched.buddy().free_capacity(order));
         let owner = MappingOwner {
@@ -65,31 +77,53 @@ fn check_runs_against_single_allocations(mem: PhysicalMemory, runs: &[(u8, u64)]
             vpn: Vpn::new(vpn),
         };
         let mut frames = vec![Pfn::new(7)];
+        let mut splits = Vec::new();
         batched
-            .allocate_run(order, n, FrameUse::User, Some(owner), &mut frames)
+            .allocate_run(
+                order,
+                n,
+                FrameUse::User,
+                Some(owner),
+                &mut frames,
+                Some(&mut splits),
+            )
             .unwrap();
-        let want: Vec<Pfn> = std::iter::once(Pfn::new(7))
-            .chain((0..n).map(|i| {
-                let owner = MappingOwner {
-                    asid,
-                    vpn: Vpn::new(vpn + (i << order)),
-                };
-                single
-                    .allocate_order(order, FrameUse::User, Some(owner))
-                    .unwrap()
-            }))
-            .collect();
-        assert_eq!(frames, want, "heads appended in allocation order");
+        let mut want = vec![(Pfn::new(7), None)];
+        want.extend((0..n).map(|i| {
+            let owner = MappingOwner {
+                asid,
+                vpn: Vpn::new(vpn + (i << order)),
+            };
+            let head = single
+                .allocate_order(order, FrameUse::User, Some(owner), &mut tracer)
+                .unwrap();
+            (head, tracer.drain().pop())
+        }));
+        let splits =
+            std::iter::once(None).chain(splits.iter().map(|&from| split_event(from, order)));
+        let got: Vec<(Pfn, Option<Event>)> = frames.into_iter().zip(splits).collect();
+        assert_eq!(
+            got, want,
+            "heads appended in allocation order, with their splits"
+        );
         assert_same_memory(&batched, &single);
         vpn += n << order;
     }
+    assert_eq!(tracer.dropped(), 0, "one split at most per allocation");
     for order in 0..=batched.buddy().max_order() {
         let over = batched.buddy().free_capacity(order) + 1;
-        let mut frames = Vec::new();
+        let (mut frames, mut splits) = (Vec::new(), Vec::new());
         assert!(batched
-            .allocate_run(order, over, FrameUse::User, None, &mut frames)
+            .allocate_run(
+                order,
+                over,
+                FrameUse::User,
+                None,
+                &mut frames,
+                Some(&mut splits)
+            )
             .is_err());
-        assert!(frames.is_empty());
+        assert!(frames.is_empty() && splits.is_empty());
     }
     assert_same_memory(&batched, &single);
 }
@@ -118,14 +152,19 @@ fn churned_buddy(
     let mut buddy = BuddyAllocator::new((3 << max_order) + tail, max_order);
     let mut held: Vec<(u64, u8)> = churn
         .iter()
-        .filter_map(|&order| buddy.alloc(order).ok().map(|start| (start, order)))
+        .filter_map(|&order| {
+            buddy
+                .alloc(order, &mut NoopRecorder)
+                .ok()
+                .map(|start| (start, order))
+        })
         .collect();
     for idx in frees {
         if held.is_empty() {
             break;
         }
         let (start, order) = held.swap_remove(idx.index(held.len()));
-        buddy.free(start, order);
+        buddy.free(start, order, &mut NoopRecorder);
     }
     buddy
 }
@@ -134,7 +173,10 @@ proptest! {
     /// `alloc_run(order, n)` hands out the blocks that `n` calls of
     /// `alloc(order)` hand out, in the same order, and leaves the same
     /// free lists and free count, at every order, from a clean allocator
-    /// and from churned ones. A run past the free capacity fails and
+    /// and from churned ones. The splits its spans' `found` orders give
+    /// (the first block of a span splits `found`, block `j > 0` splits
+    /// `order + tz(j)`) are the `BuddySplit`s the single allocations
+    /// record, block by block. A run past the free capacity fails and
     /// changes nothing.
     #[test]
     fn alloc_run_equals_single_allocs_at_every_order(
@@ -146,6 +188,7 @@ proptest! {
             prop::collection::vec((0..=max, 1u64..70, any::<bool>()), 1..10),
         )),
     ) {
+        let mut tracer = RingTracer::new(1);
         for mut batched in [
             churned_buddy(max_order, tail, &[], &[]),
             churned_buddy(max_order, tail, &churn, &frees),
@@ -156,23 +199,37 @@ proptest! {
                 let n = if exhaust { capacity } else { n.min(capacity) };
                 let mut got = Vec::new();
                 batched
-                    .alloc_run(order, n, |start, pages| {
-                        got.extend((start..start + pages).step_by(1 << order));
+                    .alloc_run(order, n, |start, pages, found| {
+                        got.extend((0..pages >> order).map(|j| {
+                            let from = if j == 0 {
+                                found
+                            } else {
+                                order + j.trailing_zeros() as u8
+                            };
+                            (start + (j << order), split_event(from, order))
+                        }));
                     })
                     .unwrap();
-                let want: Vec<u64> = (0..n).map(|_| single.alloc(order).unwrap()).collect();
-                prop_assert_eq!(&got, &want, "blocks of order {} in order", order);
+                let want: Vec<(u64, Option<Event>)> = (0..n)
+                    .map(|_| {
+                        let start = single.alloc(order, &mut tracer).unwrap();
+                        (start, tracer.drain().pop())
+                    })
+                    .collect();
+                prop_assert_eq!(&got, &want, "blocks of order {} in order, with their splits", order);
                 assert_same_buddy(&batched, &single);
                 let over = batched.free_capacity(order) + 1;
-                prop_assert!(batched.alloc_run(order, over, |_, _| {}).is_err());
+                prop_assert!(batched.alloc_run(order, over, |_, _, _| {}).is_err());
                 assert_same_buddy(&batched, &single);
             }
         }
+        prop_assert_eq!(tracer.dropped(), 0, "one split at most per allocation");
     }
 
     /// `allocate_run(order, n)` equals `n` calls of
-    /// `allocate_order(order)` at every order, from a clean machine and
-    /// from one fragmented by churn of every order and use.
+    /// `allocate_order(order)` at every order, each block's split
+    /// included, from a clean machine and from one fragmented by churn of
+    /// every order and use.
     #[test]
     fn allocate_run_equals_single_allocations(
         (geo, churn, frees, runs) in run_geometries().prop_flat_map(|geo| {
@@ -195,7 +252,7 @@ proptest! {
         let mut held = Vec::new();
         for (order, use_) in churn {
             let use_ = [FrameUse::User, FrameUse::PageCache, FrameUse::Kernel][usize::from(use_)];
-            if let Ok(head) = mem.allocate_order(order, use_, None) {
+            if let Ok(head) = mem.allocate_order(order, use_, None, &mut NoopRecorder) {
                 held.push(head);
             }
         }
@@ -203,7 +260,7 @@ proptest! {
             if held.is_empty() {
                 break;
             }
-            mem.free(held.swap_remove(idx.index(held.len()))).unwrap();
+            mem.free(held.swap_remove(idx.index(held.len())), &mut NoopRecorder).unwrap();
         }
         check_runs_against_single_allocations(mem, &runs);
     }
@@ -218,7 +275,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Alloc(order) => {
-                    if let Ok(start) = buddy.alloc(order) {
+                    if let Ok(start) = buddy.alloc(order, &mut NoopRecorder) {
                         prop_assert_eq!(start % (1 << order), 0);
                         held.push((start, order));
                     }
@@ -226,7 +283,7 @@ proptest! {
                 Op::FreeNth(n) => {
                     if !held.is_empty() {
                         let (start, order) = held.swap_remove(n % held.len());
-                        buddy.free(start, order);
+                        buddy.free(start, order, &mut NoopRecorder);
                     }
                 }
             }
@@ -235,7 +292,7 @@ proptest! {
         let held_pages: u64 = held.iter().map(|(_, o)| 1u64 << o).sum();
         prop_assert_eq!(buddy.free_pages(), total - held_pages);
         for (start, order) in held {
-            buddy.free(start, order);
+            buddy.free(start, order, &mut NoopRecorder);
         }
         prop_assert_eq!(buddy.free_pages(), total);
         prop_assert_eq!(buddy.free_blocks(6), 4);
@@ -247,7 +304,7 @@ proptest! {
         let mut buddy = BuddyAllocator::new(1 << 10, 10);
         let mut spans: Vec<(u64, u64)> = Vec::new();
         for order in orders {
-            if let Ok(start) = buddy.alloc(order) {
+            if let Ok(start) = buddy.alloc(order, &mut NoopRecorder) {
                 spans.push((start, start + (1 << order)));
             }
         }
@@ -281,18 +338,18 @@ proptest! {
         let mut mem = PhysicalMemory::new(geo, 8 * geo.base_pages(geo.largest()));
         let mut held = Vec::new();
         for size in seq {
-            if let Ok(head) = mem.allocate(size, FrameUse::User, None) {
+            if let Ok(head) = mem.allocate(size, FrameUse::User, None, &mut NoopRecorder) {
                 held.push(head);
             }
         }
         for idx in frees {
             if held.is_empty() { break; }
             let head = held.swap_remove(idx.index(held.len()));
-            mem.free(head).unwrap();
+            mem.free(head, &mut NoopRecorder).unwrap();
         }
         mem.assert_consistent();
         for head in held {
-            mem.free(head).unwrap();
+            mem.free(head, &mut NoopRecorder).unwrap();
         }
         mem.assert_consistent();
         prop_assert_eq!(mem.free_pages(), mem.total_pages());
@@ -303,7 +360,7 @@ proptest! {
     fn fmfi_bounds_and_monotonicity(orders in prop::collection::vec(0u8..=6, 0..80)) {
         let mut buddy = BuddyAllocator::new(1 << 9, 9);
         for order in orders {
-            let _ = buddy.alloc(order);
+            let _ = buddy.alloc(order, &mut NoopRecorder);
         }
         let mut last = 0.0f64;
         for order in 0..=9u8 {

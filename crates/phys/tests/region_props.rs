@@ -2,6 +2,7 @@
 //! with a brute-force recount of the frame table.
 
 use proptest::prelude::*;
+use trident_obs::NoopRecorder;
 use trident_phys::{FrameUse, PhysicalMemory};
 use trident_types::{PageGeometry, Pfn};
 
@@ -26,14 +27,14 @@ proptest! {
         let mut mem = PhysicalMemory::new(geo, 8 * geo.base_pages(geo.largest()));
         let mut held: Vec<Pfn> = Vec::new();
         for (order, use_) in allocs {
-            if let Ok(head) = mem.allocate_order(order, use_, None) {
+            if let Ok(head) = mem.allocate_order(order, use_, None, &mut NoopRecorder) {
                 held.push(head);
             }
         }
         for idx in frees {
             if held.is_empty() { break; }
             let head = held.swap_remove(idx.index(held.len()));
-            mem.free(head).unwrap();
+            mem.free(head, &mut NoopRecorder).unwrap();
         }
         let region_pages = geo.base_pages(geo.largest());
         for region in 0..mem.regions().region_count() {
@@ -66,7 +67,7 @@ proptest! {
         let geo = PageGeometry::TINY;
         let mut mem = PhysicalMemory::new(geo, 8 * geo.base_pages(geo.largest()));
         for (order, use_) in allocs {
-            let _ = mem.allocate_order(order, use_, None);
+            let _ = mem.allocate_order(order, use_, None, &mut NoopRecorder);
         }
         let region_pages = geo.base_pages(geo.largest());
         for source in mem.regions().source_candidates() {

@@ -10,6 +10,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use trident_core::NoopRecorder;
 use trident_phys::{FrameUse, PhysicalMemory};
 use trident_tlb::{TlbHierarchy, TranslationEngine, WalkCostModel};
 use trident_types::{AsId, PageSize, Vpn};
@@ -95,7 +96,7 @@ pub fn run(opts: &ExpOptions) -> Result {
         let mut page = 0;
         while page + span <= total_pages {
             let pfn = mem
-                .allocate(size, FrameUse::Kernel, None)
+                .allocate(size, FrameUse::Kernel, None, &mut NoopRecorder)
                 .expect("identity map allocation");
             space
                 .page_table_mut()
@@ -107,7 +108,7 @@ pub fn run(opts: &ExpOptions) -> Result {
             TranslationEngine::new(TlbHierarchy::with_geometry(geo), WalkCostModel::default());
         for vpn in &samples {
             if let Some(t) = space.page_table().translate(*vpn) {
-                engine.translate(*vpn, t.size);
+                engine.translate_rec(*vpn, t.size, &mut NoopRecorder);
             }
         }
         let stats = *engine.stats();

@@ -11,8 +11,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use trident_core::{
-    Event, FaultInjector, InvariantViolation, MmContext, ObsRecorder, PagePolicy, PolicyError,
-    PolicyHint, Recorder, RingTracer, SpaceSet, StatsSnapshot, TenantPolicy,
+    Event, FaultInjector, InvariantViolation, MmContext, NoopRecorder, ObsRecorder, PagePolicy,
+    PolicyError, PolicyHint, Recorder, RingTracer, SpaceSet, StatsSnapshot, TenantPolicy,
 };
 use trident_phys::{Fragmenter, PhysMemError, PhysicalMemory};
 use trident_prof::{Profile, Profiler};
@@ -987,7 +987,7 @@ impl System {
             if self
                 .ctx
                 .mem
-                .allocate_order(0, trident_phys::FrameUse::Kernel, None)
+                .allocate_order(0, trident_phys::FrameUse::Kernel, None, &mut NoopRecorder)
                 .is_err()
             {
                 break;

@@ -16,12 +16,13 @@
 //! # Examples
 //!
 //! ```
+//! use trident_obs::NoopRecorder;
 //! use trident_tlb::{TlbHierarchy, TranslationEngine, WalkCostModel};
 //! use trident_types::{PageSize, Vpn};
 //!
 //! let mut engine = TranslationEngine::new(TlbHierarchy::skylake(), WalkCostModel::default());
-//! let first = engine.translate(Vpn::new(42), PageSize::BASE);
-//! let second = engine.translate(Vpn::new(42), PageSize::BASE);
+//! let first = engine.translate_rec(Vpn::new(42), PageSize::BASE, &mut NoopRecorder);
+//! let second = engine.translate_rec(Vpn::new(42), PageSize::BASE, &mut NoopRecorder);
 //! assert!(first.cycles > second.cycles); // the second access hits the TLB
 //! ```
 
@@ -44,7 +45,7 @@ pub use walk::{
     WalkCostModel,
 };
 
-use trident_obs::{Event, Recorder};
+use trident_obs::{Event, NoopRecorder, Recorder};
 use trident_types::{PageSize, Vpn, MAX_RUNGS};
 
 /// Outcome of one simulated address translation.
@@ -71,9 +72,10 @@ pub struct TranslationEngine {
 }
 
 impl TranslationEngine {
-    /// Creates an engine. Native walks ([`translate`](Self::translate))
-    /// and nested ones ([`translate_nested`](Self::translate_nested)) are
-    /// both charged from per-rung cycle tables computed here once.
+    /// Creates an engine. Native walks
+    /// ([`translate_rec`](Self::translate_rec)) and nested ones
+    /// ([`translate_nested_rec`](Self::translate_nested_rec)) are both
+    /// charged from per-rung cycle tables computed here once.
     #[must_use]
     pub fn new(hierarchy: TlbHierarchy, cost: WalkCostModel) -> TranslationEngine {
         let geo = hierarchy.geometry();
@@ -95,19 +97,22 @@ impl TranslationEngine {
         }
     }
 
-    trident_obs::noop_variant! {
-        /// Translates one access to `vpn`, mapped by a leaf of `guest_size`.
-        /// Returns the outcome and accumulates statistics.
-        pub fn translate => translate_rec(&mut self, vpn: Vpn, guest_size: PageSize) -> AccessResult;
+    /// [`translate_rec`](Self::translate_rec) with no recorder. Kept only
+    /// because the repository benchmark calls it; it goes once perfbench
+    /// calls `translate_rec`.
+    #[inline]
+    pub fn translate(&mut self, vpn: Vpn, guest_size: PageSize) -> AccessResult {
+        self.translate_rec(vpn, guest_size, &mut NoopRecorder)
     }
 
-    /// [`translate`](Self::translate), reporting each full miss to `rec` as
-    /// an [`Event::TlbMiss`] carrying the walk cost.
-    pub fn translate_rec<R: Recorder>(
+    /// Translates one access to `vpn`, mapped by a leaf of `guest_size`.
+    /// Returns the outcome, accumulates statistics, and reports each full
+    /// miss to `rec` as an [`Event::TlbMiss`] carrying the walk cost.
+    pub fn translate_rec(
         &mut self,
         vpn: Vpn,
         guest_size: PageSize,
-        rec: &mut R,
+        rec: &mut impl Recorder,
     ) -> AccessResult {
         let outcome = self.hierarchy.access(vpn, guest_size);
         let cycles = match outcome {
@@ -125,27 +130,30 @@ impl TranslationEngine {
         AccessResult { outcome, cycles }
     }
 
-    trident_obs::noop_variant! {
-        /// Translates one virtualized access where the host-level page size is
-        /// known per access (the host may back different gPA ranges with
-        /// different sizes). The TLB caches gVA→hPA at the smaller of the two
-        /// sizes; a miss pays the two-dimensional walk for the actual pair.
-        pub fn translate_nested => translate_nested_rec(
-            &mut self,
-            vpn: Vpn,
-            guest_size: PageSize,
-            host_size: PageSize,
-        ) -> AccessResult;
-    }
-
-    /// [`translate_nested`](Self::translate_nested), reporting each full
-    /// miss to `rec` as an [`Event::TlbMiss`].
-    pub fn translate_nested_rec<R: Recorder>(
+    /// [`translate_nested_rec`](Self::translate_nested_rec) with no
+    /// recorder. Kept only because the repository benchmark calls it; it
+    /// goes once perfbench calls `translate_nested_rec`.
+    #[inline]
+    pub fn translate_nested(
         &mut self,
         vpn: Vpn,
         guest_size: PageSize,
         host_size: PageSize,
-        rec: &mut R,
+    ) -> AccessResult {
+        self.translate_nested_rec(vpn, guest_size, host_size, &mut NoopRecorder)
+    }
+
+    /// Translates one virtualized access where the host-level page size is
+    /// known per access (the host may back different gPA ranges with
+    /// different sizes). The TLB caches gVA→hPA at the smaller of the two
+    /// sizes; a miss pays the two-dimensional walk for the actual pair and
+    /// is reported to `rec` as an [`Event::TlbMiss`].
+    pub fn translate_nested_rec(
+        &mut self,
+        vpn: Vpn,
+        guest_size: PageSize,
+        host_size: PageSize,
+        rec: &mut impl Recorder,
     ) -> AccessResult {
         let effective = guest_size.min(host_size);
         let outcome = self.hierarchy.access(vpn, effective);

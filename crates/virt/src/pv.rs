@@ -12,7 +12,7 @@
 use core::fmt;
 use std::error::Error;
 
-use trident_core::{Event, PromoteError, SpanKind};
+use trident_core::{Event, NoopRecorder, PromoteError, SpanKind};
 use trident_phys::{FrameUse, MappingOwner};
 use trident_types::{AsId, PageGeometry, PageSize, Pfn, Vpn};
 
@@ -163,7 +163,10 @@ impl Hypervisor {
             .expect("giant leaf exists");
         debug_assert_eq!(t.size, geo.largest());
         space.page_table_mut().unmap(head_gpa).expect("leaf exists");
-        self.ctx.mem.free(t.head_pfn).expect("frame was live");
+        self.ctx
+            .mem
+            .free(t.head_pfn, &mut NoopRecorder)
+            .expect("frame was live");
         let hp = geo.base_pages(huge);
         let count = geo.base_pages(geo.largest()) / hp;
         for i in 0..count {
@@ -172,7 +175,7 @@ impl Hypervisor {
             let pfn = self
                 .ctx
                 .mem
-                .allocate(huge, FrameUse::User, Some(owner))
+                .allocate(huge, FrameUse::User, Some(owner), &mut NoopRecorder)
                 .expect("the freed giant block provides the huge frames");
             let space = self.spaces.get_mut(vm).expect("vm exists");
             space
@@ -244,19 +247,19 @@ pub fn copyless_promote_giant(
 
     // Contiguous destination in guest-physical memory.
     let owner = MappingOwner { asid, vpn: head };
-    let dst: Pfn =
-        match guest
+    let dst: Pfn = match guest.ctx.zero_pool.take_prepared(
+        &mut guest.ctx.mem,
+        FrameUse::User,
+        Some(owner),
+        &mut NoopRecorder,
+    ) {
+        Some(pfn) => pfn,
+        None => guest
             .ctx
-            .zero_pool
-            .take_prepared(&mut guest.ctx.mem, FrameUse::User, Some(owner))
-        {
-            Some(pfn) => pfn,
-            None => guest
-                .ctx
-                .mem
-                .allocate(top, FrameUse::User, Some(owner))
-                .map_err(|_| PromoteError::NoContiguity)?,
-        };
+            .mem
+            .allocate(top, FrameUse::User, Some(owner), &mut NoopRecorder)
+            .map_err(|_| PromoteError::NoContiguity)?,
+    };
 
     // Collect the old leaves and the exchange batch.
     let old = space.page_table().mappings_in(head, span);
@@ -313,7 +316,11 @@ pub fn copyless_promote_giant(
         .map(head, dst, top)
         .expect("span was emptied");
     for m in &old {
-        guest.ctx.mem.free(m.pfn).expect("old gPA block was live");
+        guest
+            .ctx
+            .mem
+            .free(m.pfn, &mut NoopRecorder)
+            .expect("old gPA block was live");
     }
 
     let bytes_copied = copied_pages * geo.base_bytes();

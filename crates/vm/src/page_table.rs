@@ -491,38 +491,19 @@ impl PageTable {
                     rung_tag.is_none(),
                     "group rungs above level 2 are not supported"
                 );
-                let slot = self.puds[gix];
-                if slot.is_present() {
-                    if !slot.is_table() || read_count(self.pmds.get(slot.table_index())) > 0 {
-                        return Err(MapError::Overlap { vpn });
-                    }
-                    // An empty mid-level table can be replaced outright.
-                    self.pmds.free(slot.table_index());
+                if self.puds[gix].is_present() {
+                    return Err(MapError::Overlap { vpn });
                 }
                 self.puds[gix] = RawPte::new_leaf(pfn);
             }
             2 => {
                 let pi = self.pmd_index(vpn);
                 let pmd_idx = self.pud_table_index(gix, vpn)?;
-                // Every slot of the span must be free (an empty child
-                // table counts as free and is reclaimed below).
-                for k in 0..span {
-                    if !self.pmd_entry_is_free(self.pmds.get(pmd_idx)[pi + k]) {
-                        return Err(MapError::Overlap { vpn });
-                    }
-                }
-                let mut replaced = 0u32;
-                for k in 0..span {
-                    let entry = self.pmds.get(pmd_idx)[pi + k];
-                    if entry.is_present() {
-                        // Replacing an empty leaf table keeps the slot
-                        // occupied, so the PMD count is unchanged for it.
-                        self.ptes.free(entry.table_index());
-                        replaced += 1;
-                    }
+                let table = self.pmds.get_mut(pmd_idx);
+                if table[pi..pi + span].iter().any(|entry| entry.is_present()) {
+                    return Err(MapError::Overlap { vpn });
                 }
                 let level_span = 1u64 << self.geo.level_order(2);
-                let table = self.pmds.get_mut(pmd_idx);
                 let live = read_count(table);
                 for k in 0..span {
                     let mut leaf = RawPte::new_leaf(pfn + (k as u64) * level_span);
@@ -531,7 +512,7 @@ impl PageTable {
                     }
                     table[pi + k] = leaf;
                 }
-                write_count(table, live + span as u32 - replaced);
+                write_count(table, live + span as u32);
                 self.chunk_counts[gix].mapped[size.rung()] += self.geo.base_pages(size) as u32;
             }
             _ => {
@@ -638,8 +619,7 @@ impl PageTable {
     ///   per-rung total and the dirty-chunk bit are then updated once.
     /// * Natural level-2 leaves: each mid-level table's entries are
     ///   written, then its count, its chunk's total and the dirty bit,
-    ///   once per table. An empty leaf table in a slot is freed, as `map`
-    ///   frees it.
+    ///   once per table.
     /// * Any other rung: one `map` per chunk.
     ///
     /// # Errors
@@ -730,8 +710,7 @@ impl PageTable {
     }
 
     /// Whether `map` would accept a natural level-2 leaf at `vpn`: no PUD
-    /// leaf covers it, and its PMD slot is empty or holds an empty leaf
-    /// table.
+    /// leaf covers it, and its PMD slot is empty.
     fn level2_slot_is_free(&self, vpn: Vpn) -> bool {
         let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
         let Some(&slot) = self.puds.get(gi) else {
@@ -743,14 +722,7 @@ impl PageTable {
         if !slot.is_table() {
             return false;
         }
-        self.pmd_entry_is_free(self.pmds.get(slot.table_index())[self.pmd_index(vpn)])
-    }
-
-    /// Whether a level-2 leaf may take a PMD slot holding `entry`: it is
-    /// empty or an empty leaf table, which the leaf replaces.
-    fn pmd_entry_is_free(&self, entry: RawPte) -> bool {
-        !entry.is_present()
-            || (entry.is_table() && read_count(self.ptes.get(entry.table_index())) == 0)
+        !self.pmds.get(slot.table_index())[self.pmd_index(vpn)].is_present()
     }
 
     /// Writes a run of natural level-2 leaves whose slots are free, one
@@ -767,21 +739,12 @@ impl PageTable {
                 .expect("the run was checked free");
             let lo = self.pmd_index(first);
             let k = (self.pmd_len() - lo).min(frames.len() - done);
-            let mut replaced = 0u32;
-            for pi in lo..lo + k {
-                let entry = self.pmds.get(pmd_idx)[pi];
-                if entry.is_present() {
-                    // An empty leaf table: its slot stays occupied.
-                    self.ptes.free(entry.table_index());
-                    replaced += 1;
-                }
-            }
             let table = self.pmds.get_mut(pmd_idx);
             let live = read_count(table);
             for (slot, &pfn) in table[lo..lo + k].iter_mut().zip(&frames[done..]) {
                 *slot = RawPte::new_leaf(pfn);
             }
-            write_count(table, live + k as u32 - replaced);
+            write_count(table, live + k as u32);
             self.chunk_counts[gix].mapped[size.rung()] += (k as u64 * pages) as u32;
             self.dirty_chunks.insert(gi);
             done += k;
@@ -1621,42 +1584,6 @@ mod tests {
         t.drain_dirty_chunks_into(&mut buf);
         assert!(buf.is_empty());
         assert!(t.take_dirty_chunks().is_empty());
-    }
-
-    /// The packed state without the walker cache.
-    fn packed(t: &PageTable) -> String {
-        let dbg = format!("{t:?}");
-        dbg[..dbg.find("last_walk").expect("walker cache field")].to_owned()
-    }
-
-    #[test]
-    fn rung_1_run_over_an_empty_leaf_table_equals_per_chunk_maps() {
-        // Giant chunk 1's mid-level table gets leaf tables in slots 1 and
-        // 4; slot 1's is then emptied in place. The API frees a leaf
-        // table when its last leaf goes, so the state is made by hand.
-        let mut t = pt();
-        t.map(Vpn::new(72), Pfn::new(1), BASE).unwrap();
-        t.map(Vpn::new(100), Pfn::new(2), BASE).unwrap();
-        let pmd = t.puds[1].table_index();
-        let leaf_table = t.pmds.get(pmd)[1].table_index();
-        let entries = t.ptes.get_mut(leaf_table);
-        entries[0] = RawPte::NOT_PRESENT;
-        write_count(entries, 0);
-        t.chunk_counts[1].mapped[BASE.rung()] -= 1;
-        t.leaves[BASE.rung()] -= 1;
-        // Runs of three chunks: over the empty leaf table, and across
-        // the end of the mid-level table into the next chunk's.
-        for head in [64u64, 120] {
-            let mut single = t.clone();
-            let frames: Vec<Pfn> = (0..3).map(|i| Pfn::new(512 + head + i * 8)).collect();
-            t.map_run(Vpn::new(head), &frames, HUGE).unwrap();
-            for (i, &pfn) in (0..).zip(&frames) {
-                single.map(Vpn::new(head + i * 8), pfn, HUGE).unwrap();
-            }
-            assert_eq!(packed(&t), packed(&single));
-        }
-        assert_eq!(t.ptes.free, vec![leaf_table]);
-        assert_eq!(t.chunk_profile(Vpn::new(64), GIANT).mapped_at(HUGE), 32);
     }
 
     // --- group-leaf (NAPOT / contiguous-span) behavior ---

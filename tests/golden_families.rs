@@ -5,6 +5,11 @@
 //! families reach the fragmented, co-located, virtualized and non-x86
 //! ladder paths, so a drift anywhere in the MM engine shows up here as
 //! the first line that changed.
+//!
+//! Each family also runs in a determinism matrix of three observed
+//! modes, and must print the same CSV in each: tracing at 1 thread,
+//! profiling at 3 threads, and both at 2 threads. A recorder may change
+//! which code path runs, never what it computes.
 
 use trident_repro::sim::experiments::{self, ExpOptions};
 
@@ -19,7 +24,7 @@ fn assert_same_text(name: &str, actual: &str, expected: &str) {
         match (got.next(), want.next()) {
             (Some(g), Some(w)) if g == w => {}
             (g, w) => panic!(
-                "{name}.csv drifted at line {line}:\n  expected: {}\n  actual:   {}",
+                "{name} drifted at line {line}:\n  expected: {}\n  actual:   {}",
                 w.unwrap_or("<end of file>"),
                 g.unwrap_or("<end of file>")
             ),
@@ -27,17 +32,41 @@ fn assert_same_text(name: &str, actual: &str, expected: &str) {
     }
 }
 
+/// The determinism matrix: (threads, trace ring capacity, profile).
+const OBSERVED: [(usize, Option<usize>, bool); 3] = [
+    (1, Some(1 << 16), false),
+    (3, None, true),
+    (2, Some(1 << 16), true),
+];
+
+/// The quick options plain, then in each mode of the matrix.
+fn modes() -> impl Iterator<Item = ExpOptions> {
+    std::iter::once(ExpOptions::quick()).chain(OBSERVED.into_iter().map(
+        |(threads, trace_capacity, profile)| ExpOptions {
+            threads,
+            trace_capacity,
+            profile,
+            ..ExpOptions::quick()
+        },
+    ))
+}
+
 macro_rules! golden {
     ($($test:ident: $file:literal => |$o:ident| $run:expr;)*) => {$(
         #[test]
         fn $test() {
-            let $o = ExpOptions::quick();
-            let csv = $run.to_csv();
-            assert_same_text(
-                $file,
-                &csv,
-                include_str!(concat!("golden/", $file, ".csv")),
-            );
+            for $o in modes() {
+                let csv = $run.to_csv();
+                let name = format!(
+                    "{}.csv (threads {}, trace {:?}, profile {})",
+                    $file, $o.threads, $o.trace_capacity, $o.profile
+                );
+                assert_same_text(
+                    &name,
+                    &csv,
+                    include_str!(concat!("golden/", $file, ".csv")),
+                );
+            }
         }
     )*};
 }

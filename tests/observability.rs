@@ -81,10 +81,10 @@ fn the_exported_jsonl_parses_back_to_the_same_trace() {
     assert_eq!(StatsSnapshot::from_events(&parsed), m.snapshot);
 }
 
-/// The batched populate path runs only while the recorder and the fault
-/// injector are both disabled. A plain run must keep them so: one
-/// switched on by accident would silently put every run back on the
-/// per-page path.
+/// A plain run keeps the recorder and the fault injector off. A recorder
+/// switched on by accident would record every event for nobody, and an
+/// injector would put every populate back on the per-page path, which
+/// fault plans keep because the injector draws per fault.
 #[test]
 fn plain_runs_keep_the_recorder_and_the_injector_off() {
     let config = SimConfig::at_scale(256);
