@@ -9,9 +9,6 @@
 //! tridentctl jobs --connect 127.0.0.1:7117
 //! tridentctl watch 3 --connect 127.0.0.1:7117
 //! tridentctl metrics --connect 127.0.0.1:7117
-//! tridentctl health --connect 127.0.0.1:9117
-//! tridentctl fleet --workload GUPS --policy Trident --cells 8 \
-//!     --connect 127.0.0.1:7117 --connect 127.0.0.1:7118
 //! tridentctl shutdown --connect 127.0.0.1:7117
 //! ```
 //!
@@ -19,22 +16,12 @@
 //! request and executes on the daemon's worker pool; without it the same
 //! [`JobSpec`] runs in-process. Both paths call
 //! `trident_serve::job::execute`, so the results are bit-identical.
-//!
-//! `fleet` fans a grid of cells across several daemons with retry,
-//! failover and hedging ([`trident_serve::fleet`]); because every cell's
-//! result is a pure function of its spec, the merged report is
-//! byte-identical to running the same cells against one daemon — even
-//! under an adversarial `--net-fault` plan or a daemon crash mid-grid.
 
 use std::time::Duration;
 
 use trident_bench::args::{ArgError, Args};
-use trident_fault::{WirePlan, WireSite};
 use trident_serve::proto::FaultSpec;
-use trident_serve::{
-    probe_healthz, Client, FleetClient, FleetConfig, Health, JobResult, JobSpec, Request, Response,
-    RetryPolicy, TenantJob,
-};
+use trident_serve::{Client, JobResult, JobSpec, Request, Response, TenantJob};
 use trident_sim::PolicyKind;
 use trident_types::PageSize;
 use trident_workloads::WorkloadSpec;
@@ -54,13 +41,6 @@ usage: tridentctl list
        tridentctl watch <id> --connect ADDR [--interval-ms N] [--timeout-ms N]
        tridentctl jobs --connect ADDR
        tridentctl metrics --connect ADDR
-       tridentctl health --connect ADDR [--timeout-ms N]
-       tridentctl fleet --workload <name> --policy <name> --cells N
-                        --connect ADDR[,metrics=ADDR]... [run flags]
-                        [--attempts N] [--backoff-ms N] [--jitter-seed N]
-                        [--connect-timeout-ms N] [--request-timeout-ms N]
-                        [--result-timeout-ms N] [--hedge-ms N] [--poll-ms N]
-                        [--net-fault SITE:PROB[:CAP]]... [--net-fault-seed N]
        tridentctl shutdown --connect ADDR";
 
 /// `println!` that treats a closed stdout (e.g. `tridentctl jobs |
@@ -103,8 +83,6 @@ fn main() {
         "watch" => watch(args),
         "jobs" => remote(args, Request::List),
         "metrics" => remote(args, Request::Metrics),
-        "health" => health(args),
-        "fleet" => fleet(args),
         "shutdown" => remote(args, Request::Shutdown),
         _ => usage(),
     };
@@ -283,14 +261,12 @@ fn watch(mut args: Args) -> Result<(), ArgError> {
     let timeout_ms: u64 = args.parsed_or("--timeout-ms", 10_000)?;
     args.finish()?;
 
-    // A per-request deadline so a dead daemon yields a typed timeout
-    // instead of blocking the watch forever.
-    let policy = RetryPolicy {
-        request_timeout: Duration::from_millis(timeout_ms.max(1)),
-        ..RetryPolicy::default()
-    };
-    let mut client = Client::connect_with(&addr, policy)
-        .unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")));
+    // A read deadline so a dead daemon yields a typed timeout instead
+    // of blocking the watch forever.
+    let mut client = connect(&addr);
+    client
+        .set_deadline(Duration::from_millis(timeout_ms.max(1)))
+        .unwrap_or_else(|e| fail(e));
     let mut last = None;
     loop {
         let (state, progress) = match request(&mut client, &Request::Progress { id }) {
@@ -307,7 +283,7 @@ fn watch(mut args: Args) -> Result<(), ArgError> {
         if state.is_terminal() {
             return Ok(());
         }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(10)));
+        std::thread::sleep(Duration::from_millis(interval_ms.max(10)));
     }
 }
 
@@ -342,143 +318,6 @@ fn remote_by_id(mut args: Args, req: impl Fn(u64) -> Request) -> Result<(), ArgE
     remote(args, req(id))
 }
 
-/// `health`: probes a daemon's `/healthz` endpoint and renders its
-/// drain state, honouring the `Retry-After` hint a draining daemon
-/// sends. Exits non-zero when the daemon is unreachable.
-fn health(mut args: Args) -> Result<(), ArgError> {
-    let addr = args.value("--connect")?.unwrap_or_else(|| usage());
-    let timeout_ms: u64 = args.parsed_or("--timeout-ms", 2_000)?;
-    args.finish()?;
-    match probe_healthz(&addr, Duration::from_millis(timeout_ms.max(1))) {
-        Health::Serving => println!("{addr}: serving"),
-        Health::Draining {
-            retry_after: Some(secs),
-        } => println!("{addr}: draining (retry after {secs}s)"),
-        Health::Draining { retry_after: None } => println!("{addr}: draining"),
-        Health::Unreachable => {
-            println!("{addr}: unreachable");
-            std::process::exit(1);
-        }
-    }
-    Ok(())
-}
-
-/// `fleet`: fans `--cells N` cells of one spec across every `--connect`
-/// endpoint with retry, failover and hedging, then prints one
-/// deterministic line per cell (stdout carries only cell results, so
-/// the report diffs cleanly against any other run of the same grid).
-fn fleet(mut args: Args) -> Result<(), ArgError> {
-    let spec = spec_from_args(&mut args)?;
-    let mut endpoints = Vec::new();
-    while let Some(addr) = args.value("--connect")? {
-        endpoints.push(addr);
-    }
-    if endpoints.is_empty() {
-        usage()
-    }
-    let cells: u64 = args.parsed_or("--cells", 1)?;
-
-    let mut retry = RetryPolicy::default();
-    retry.max_attempts = args.parsed_or("--attempts", retry.max_attempts)?;
-    retry.jitter_seed = args.parsed_or("--jitter-seed", spec.seed)?;
-    for (flag, slot) in [
-        ("--backoff-ms", &mut retry.backoff_base),
-        ("--connect-timeout-ms", &mut retry.connect_timeout),
-        ("--request-timeout-ms", &mut retry.request_timeout),
-        ("--result-timeout-ms", &mut retry.result_timeout),
-    ] {
-        if let Some(ms) = args.parsed::<u64>(flag)? {
-            *slot = Duration::from_millis(ms.max(1));
-        }
-    }
-    let mut config = FleetConfig {
-        retry,
-        ..FleetConfig::default()
-    };
-    if let Some(ms) = args.parsed::<u64>("--hedge-ms")? {
-        config.hedge_after = Duration::from_millis(ms.max(1));
-    }
-    if let Some(ms) = args.parsed::<u64>("--poll-ms")? {
-        config.poll_interval = Duration::from_millis(ms.max(1));
-    }
-
-    let net_fault_seed: Option<u64> = args.parsed("--net-fault-seed")?;
-    let mut builder = WirePlan::builder(net_fault_seed.unwrap_or(spec.seed));
-    let mut any_rule = false;
-    while let Some(raw) = args.value("--net-fault")? {
-        let mut parts = raw.split(':');
-        let parsed = (|| {
-            let site = WireSite::parse(parts.next()?)?;
-            let prob: u16 = parts.next()?.parse().ok()?;
-            let cap: Option<u32> = match parts.next() {
-                Some(c) => Some(c.parse().ok()?),
-                None => None,
-            };
-            parts.next().is_none().then_some((site, prob, cap))
-        })();
-        match parsed {
-            Some((site, prob, Some(cap))) => {
-                builder = builder.site_capped(site, prob, cap);
-                any_rule = true;
-            }
-            Some((site, prob, None)) => {
-                builder = builder.site(site, prob);
-                any_rule = true;
-            }
-            None => {
-                return Err(ArgError::InvalidValue {
-                    flag: "--net-fault".to_owned(),
-                    value: raw,
-                    expected: "SITE:PROB[:CAP] with SITE one of drop|delay|truncate|corrupt|sever \
-                               (probability in thousandths, CAP = max faults)",
-                })
-            }
-        }
-    }
-    if any_rule {
-        config.wire = Some(builder.build().unwrap_or_else(|e| fail(e)));
-    }
-    args.finish()?;
-
-    let fleet = FleetClient::new(&endpoints, config).unwrap_or_else(|e| fail(e));
-    let cell_list: Vec<u64> = (0..cells).collect();
-    let outcome = fleet
-        .run_cells(&spec, &cell_list)
-        .unwrap_or_else(|e| fail(e));
-    for (cell, r) in &outcome.results {
-        let mapped = r
-            .rungs
-            .iter()
-            .map(|row| row.bytes.to_string())
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "cell {cell}: walks={} walk_cycles={} tlb={} mapped=[{mapped}] faults={}",
-            r.walks,
-            r.walk_cycles,
-            r.tlb_accesses,
-            r.snapshot.total_faults(),
-        );
-    }
-    println!("grid: {} cells ok", outcome.results.len());
-    let s = outcome.stats;
-    eprintln!(
-        "# fleet: submits={} accepted={} queue_full={} timeouts={} io_errors={} \
-         malformed={} failovers={} hedges={} duplicates={} mismatches={}",
-        s.submits,
-        s.accepted,
-        s.queue_full,
-        s.timeouts,
-        s.io_errors,
-        s.malformed,
-        s.failovers,
-        s.hedges,
-        s.duplicates,
-        s.mismatches,
-    );
-    Ok(())
-}
-
 fn connect(addr: &str) -> Client {
     Client::connect(addr).unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")))
 }
@@ -501,14 +340,8 @@ fn describe_service(info: &trident_serve::ServiceInfo) -> String {
         .map(u64::to_string)
         .collect::<Vec<_>>()
         .join(" ");
-    let journal = info.journal.as_ref().map_or_else(String::new, |j| {
-        format!(
-            "\njournal: {} records, {} replayed, {} pending",
-            j.records, j.replayed, j.pending
-        )
-    });
     format!(
-        "daemon: {} workers{}, queue depth {} per shard, queued [{queues}]{journal}",
+        "daemon: {} workers{}, queue depth {} per shard, queued [{queues}]",
         info.workers,
         if info.paused { " (paused)" } else { "" },
         info.queue_depth,
@@ -532,19 +365,8 @@ fn describe(response: &Response) -> String {
                 .iter()
                 .map(|j| {
                     format!(
-                        "{:>4}  {:<10} {:<14} {}{}{}",
-                        j.id,
-                        j.state,
-                        j.policy,
-                        j.workload,
-                        if j.origin == trident_serve::JobOrigin::Journal {
-                            "  (replayed)"
-                        } else {
-                            ""
-                        },
-                        j.key
-                            .as_deref()
-                            .map_or_else(String::new, |k| format!("  key={k}")),
+                        "{:>4}  {:<10} {:<14} {}",
+                        j.id, j.state, j.policy, j.workload
                     )
                 })
                 .collect();

@@ -1,16 +1,14 @@
 //! `tridentd` — the Trident job daemon.
 //!
-//! Serves the versioned line-JSON protocol of `trident-serve` over TCP
-//! (default) or stdin/stdout, executing submitted workload×policy cells
-//! on a sharded worker pool. Results are bit-identical to running the
-//! same cell locally — `tridentctl run --connect` is a thin client of
-//! the same request types.
+//! Serves the versioned line-JSON protocol of `trident-serve` over TCP,
+//! executing submitted workload×policy cells on a sharded worker pool.
+//! Results are bit-identical to running the same cell locally —
+//! `tridentctl run --connect` is a thin client of the same request
+//! types.
 //!
 //! ```sh
 //! tridentd --listen 127.0.0.1:7117 --workers 4 --queue-depth 64
-//! tridentd --stdin            # serve one request stream on stdin
 //! tridentd --metrics-listen 127.0.0.1:9117   # add a /metrics scraper
-//! tridentd --journal /var/lib/tridentd/jobs.jsonl   # crash durability
 //! ```
 //!
 //! With `--metrics-listen`, a second listener serves `GET /metrics`
@@ -18,26 +16,22 @@
 //! draining) on its own thread; scrapes read an in-memory registry and
 //! never contend with job execution.
 //!
-//! With `--journal PATH`, every accepted job is fsync'd to an
-//! append-only journal before it runs and marked again when it settles;
-//! on restart the journal is replayed and accepted-but-unfinished jobs
-//! re-execute (safe: results are a pure function of the spec).
-//!
-//! A client `shutdown` request (or end of stdin) drains queued and
-//! in-flight jobs before the process exits.
+//! A client `shutdown` request drains queued and in-flight jobs before
+//! the process exits. Jobs live only in memory: a cell is a pure
+//! function of its spec, so a job lost with its daemon is recovered by
+//! submitting the spec again.
 
 use std::sync::Arc;
 
 use trident_bench::args::Args;
 use trident_serve::service::{Service, ServiceConfig};
-use trident_serve::{serve_lines, serve_metrics, serve_tcp, MetricsHandle};
+use trident_serve::{serve_metrics, serve_tcp, MetricsHandle};
 
-const USAGE: &str = "usage: tridentd [--listen ADDR] [--stdin] [--workers N] [--queue-depth N] \
-                     [--metrics-listen ADDR] [--journal PATH]";
+const USAGE: &str =
+    "usage: tridentd [--listen ADDR] [--workers N] [--queue-depth N] [--metrics-listen ADDR]";
 
 fn main() {
     let mut args = Args::from_env();
-    let use_stdin = args.flag("--stdin");
     let parsed = (|| {
         let listen = args
             .value("--listen")?
@@ -45,43 +39,19 @@ fn main() {
         let workers = args.parsed_or("--workers", 0usize)?;
         let queue_depth = args.parsed_or("--queue-depth", 64usize)?;
         let metrics_listen = args.value("--metrics-listen")?;
-        let journal = args.value("--journal")?;
-        Ok((listen, workers, queue_depth, metrics_listen, journal))
+        Ok((listen, workers, queue_depth, metrics_listen))
     })();
-    let (listen, workers, queue_depth, metrics_listen, journal) =
+    let (listen, workers, queue_depth, metrics_listen) =
         match parsed.and_then(|v| args.finish().map(|()| v)) {
             Ok(v) => v,
             Err(err) => err.exit(USAGE),
         };
 
-    let config = ServiceConfig {
+    let service = Arc::new(Service::start(ServiceConfig {
         workers,
         queue_depth,
         start_paused: false,
-    };
-    let service = match journal {
-        Some(path) => match Service::start_with_journal(config, std::path::Path::new(&path)) {
-            Ok((service, replay)) => {
-                // The smoke tests parse this line for the replay count.
-                eprintln!(
-                    "# tridentd: journal replayed {} jobs ({} records{})",
-                    replay.replayed,
-                    replay.records,
-                    if replay.corrupt > 0 {
-                        format!(", {} corrupt lines skipped", replay.corrupt)
-                    } else {
-                        String::new()
-                    }
-                );
-                service
-            }
-            Err(err) => {
-                eprintln!("tridentd: cannot open journal {path}: {err}");
-                std::process::exit(1);
-            }
-        },
-        None => Service::start(config),
-    };
+    }));
     eprintln!(
         "# tridentd: {} workers, queue depth {} per shard",
         service.workers(),
@@ -101,33 +71,6 @@ fn main() {
             }
         }
     });
-    let stop_metrics = |handle: Option<MetricsHandle>| {
-        if let Some(handle) = handle {
-            handle.stop();
-            if let Err(err) = handle.join() {
-                eprintln!("tridentd: metrics listener failed: {err}");
-            }
-        }
-    };
-
-    if use_stdin {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        match serve_lines(&service, stdin.lock(), stdout.lock()) {
-            Ok(_) => {}
-            Err(err) => {
-                eprintln!("tridentd: stdin stream failed: {err}");
-                std::process::exit(1);
-            }
-        }
-        eprintln!("# tridentd: draining…");
-        service.shutdown();
-        stop_metrics(metrics_handle);
-        eprintln!("# tridentd: done");
-        return;
-    }
-
-    let service = Arc::new(service);
     let handle = match serve_tcp(Arc::clone(&service), &listen) {
         Ok(handle) => handle,
         Err(err) => {
@@ -145,6 +88,11 @@ fn main() {
         Ok(service) => service.shutdown(),
         Err(service) => service.request_stop(), // a connection thread still holds a reference
     }
-    stop_metrics(metrics_handle);
+    if let Some(handle) = metrics_handle {
+        handle.stop();
+        if let Err(err) = handle.join() {
+            eprintln!("tridentd: metrics listener failed: {err}");
+        }
+    }
     eprintln!("# tridentd: done");
 }

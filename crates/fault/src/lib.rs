@@ -45,10 +45,7 @@
 #![deny(deprecated)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod wire;
-
 pub use trident_obs::InjectSite;
-pub use wire::{mix64, WireInjector, WirePlan, WirePlanError, WireSite, WIRE_SITE_COUNT};
 
 /// Number of injection sites (the length of [`InjectSite::ALL`]).
 pub const SITE_COUNT: usize = InjectSite::ALL.len();
@@ -57,31 +54,24 @@ pub const SITE_COUNT: usize = InjectSite::ALL.len();
 /// the plan stays integer-only and `Copy`.
 pub const PROB_SCALE: u16 = 1000;
 
-/// One site's injection rule: a per-mille probability and an optional cap
-/// on total injections at that site.
+/// One site's injection rule: a per-mille probability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SiteRule {
     /// Injection probability in thousandths (0 = never, 1000 = always).
     pub prob_milli: u16,
-    /// Maximum injections at this site; `u32::MAX` means unbounded. The
-    /// default of 0 combined with `prob_milli == 0` disables the site.
-    pub max_faults: u32,
 }
 
 impl SiteRule {
-    /// An unbounded rule firing with probability `prob_milli`/1000.
+    /// A rule firing with probability `prob_milli`/1000.
     #[must_use]
     pub fn with_probability(prob_milli: u16) -> SiteRule {
-        SiteRule {
-            prob_milli,
-            max_faults: u32::MAX,
-        }
+        SiteRule { prob_milli }
     }
 
     /// Whether this rule can ever fire.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.prob_milli > 0 && self.max_faults > 0
+        self.prob_milli > 0
     }
 }
 
@@ -175,33 +165,13 @@ pub struct FaultPlanBuilder {
 }
 
 impl FaultPlanBuilder {
-    /// Sets `site` to fire unbounded with probability `prob_milli`/1000.
+    /// Sets `site` to fire with probability `prob_milli`/1000.
     #[must_use]
     pub fn site(mut self, site: InjectSite, prob_milli: u16) -> FaultPlanBuilder {
         if prob_milli > PROB_SCALE {
             self.error = Some(PlanError::ProbabilityOutOfRange { site, prob_milli });
         } else {
             self.plan.rules[site as usize] = SiteRule::with_probability(prob_milli);
-        }
-        self
-    }
-
-    /// Sets `site` to fire with probability `prob_milli`/1000 at most
-    /// `max_faults` times.
-    #[must_use]
-    pub fn site_capped(
-        mut self,
-        site: InjectSite,
-        prob_milli: u16,
-        max_faults: u32,
-    ) -> FaultPlanBuilder {
-        if prob_milli > PROB_SCALE {
-            self.error = Some(PlanError::ProbabilityOutOfRange { site, prob_milli });
-        } else {
-            self.plan.rules[site as usize] = SiteRule {
-                prob_milli,
-                max_faults,
-            };
         }
         self
     }
@@ -321,9 +291,6 @@ impl FaultInjector {
             return false;
         }
         let state = &mut self.sites[site as usize];
-        if state.injected >= u64::from(rule.max_faults) {
-            return false;
-        }
         let index = state.decisions;
         state.decisions += 1;
         let word = splitmix64(
@@ -409,20 +376,6 @@ mod tests {
             .map(|_| b.should_inject(InjectSite::Alloc))
             .collect();
         assert_ne!(sa, sb);
-    }
-
-    #[test]
-    fn cap_limits_injections() {
-        let plan = FaultPlan::builder(3)
-            .site_capped(InjectSite::Alloc, 1000, 5)
-            .build()
-            .unwrap();
-        let mut inj = FaultInjector::new(plan);
-        let fired = (0..100)
-            .filter(|_| inj.should_inject(InjectSite::Alloc))
-            .count();
-        assert_eq!(fired, 5);
-        assert_eq!(inj.injected(InjectSite::Alloc), 5);
     }
 
     #[test]

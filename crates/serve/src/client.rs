@@ -5,30 +5,20 @@
 //! exactly one answer line. `tridentctl --connect` and the integration
 //! tests are built on this.
 //!
-//! [`Client::connect`] keeps the original fire-and-hope behavior: no
-//! deadlines, a dead daemon blocks forever. [`Client::connect_with`]
-//! attaches a [`RetryPolicy`] so connects retry with deterministic
-//! backoff and every read carries a per-operation deadline — an expired
-//! deadline surfaces as a typed
+//! By default a read blocks until the daemon answers, so a dead daemon
+//! blocks forever. [`Client::set_deadline`] bounds every later read: an
+//! expired deadline surfaces as a typed
 //! [`ProtoError::Timeout`](crate::proto::ProtoError) instead of a hang.
 //! A timed-out connection is *poisoned*: the response may still arrive
 //! later and would misalign request/response framing, so the client
 //! refuses further use and the caller reconnects.
-//!
-//! For chaos runs the client can carry a [`WireInjector`]: seeded
-//! drop/delay/truncate/corrupt/sever faults applied around the line
-//! transport, so the fleet's retry machinery is exercised by the same
-//! deterministic plan vocabulary `trident-fault` gives the MM layer.
 
 use std::io::{BufReader, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-use trident_fault::{WireInjector, WireSite};
 
 use crate::json::{self, BoundedLine};
 use crate::proto::{ProtoError, Request, Response};
-use crate::retry::RetryPolicy;
 
 /// Why a round-trip failed.
 #[derive(Debug)]
@@ -38,8 +28,7 @@ pub enum ClientError {
     /// The daemon closed the connection without answering.
     ConnectionClosed,
     /// The daemon answered with something this build cannot decode —
-    /// including [`ProtoError::Timeout`] when a per-operation deadline
-    /// expired.
+    /// including [`ProtoError::Timeout`] when the read deadline expired.
     Proto(ProtoError),
     /// A previous timeout left the stream mid-message; the connection
     /// must be discarded and re-established.
@@ -71,16 +60,15 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
-    policy: Option<RetryPolicy>,
-    wire: Option<WireInjector>,
+    deadline: Option<Duration>,
     poisoned: bool,
 }
 
 impl Client {
     /// Connects to a daemon at `addr` (any `host:port` form) with no
-    /// deadlines: reads block until the daemon answers or the OS gives
-    /// up. Prefer [`connect_with`](Self::connect_with) anywhere a hung
-    /// daemon must not hang the caller.
+    /// read deadline: reads block until the daemon answers or the OS
+    /// gives up. Call [`set_deadline`](Self::set_deadline) anywhere a
+    /// hung daemon must not hang the caller.
     ///
     /// # Errors
     ///
@@ -91,84 +79,26 @@ impl Client {
         Ok(Client {
             writer,
             reader,
-            policy: None,
-            wire: None,
+            deadline: None,
             poisoned: false,
         })
     }
 
-    /// Connects under `policy`: each resolved address gets
-    /// `policy.connect_timeout`, the whole operation gets
-    /// `policy.max_attempts` tries with deterministic backoff between
-    /// them, and every subsequent [`request`](Self::request) carries a
-    /// per-operation read deadline.
+    /// Bounds every later read on this connection by `deadline`. A
+    /// `result` request waits for its job to settle, so give a deadline
+    /// only where every answer is prompt, or one that covers a whole job.
     ///
     /// # Errors
     ///
-    /// The last connection failure once attempts are exhausted, or
-    /// [`ProtoError::Timeout`] wrapped in [`ClientError::Proto`] when
-    /// every attempt timed out.
-    pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        policy: RetryPolicy,
-    ) -> Result<Client, ClientError> {
-        let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
-        if addrs.is_empty() {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "address resolved to nothing",
-            )));
-        }
-        let attempts = policy.max_attempts.max(1);
-        let mut last: Option<ClientError> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(policy.backoff(attempt - 1));
-            }
-            for sock in &addrs {
-                match TcpStream::connect_timeout(sock, policy.connect_timeout) {
-                    Ok(writer) => {
-                        let reader = BufReader::new(writer.try_clone()?);
-                        return Ok(Client {
-                            writer,
-                            reader,
-                            policy: Some(policy),
-                            wire: None,
-                            poisoned: false,
-                        });
-                    }
-                    Err(err) if timed_out(&err) => {
-                        last = Some(ClientError::Proto(ProtoError::Timeout {
-                            op: "connect",
-                            ms: as_millis(policy.connect_timeout),
-                        }));
-                    }
-                    Err(err) => last = Some(ClientError::Io(err)),
-                }
-            }
-        }
-        Err(last.unwrap_or(ClientError::ConnectionClosed))
+    /// Propagates the socket-option failure.
+    pub fn set_deadline(&mut self, deadline: Duration) -> Result<(), ClientError> {
+        self.reader.get_ref().set_read_timeout(Some(deadline))?;
+        self.deadline = Some(deadline);
+        Ok(())
     }
 
-    /// Installs a seeded wire-fault injector; its decisions apply to
-    /// every subsequent round-trip on this connection.
-    pub fn set_wire_faults(&mut self, injector: WireInjector) {
-        self.wire = Some(injector);
-    }
-
-    /// Removes and returns the wire-fault injector, preserving its
-    /// decision-stream position — a fleet thread carries it across
-    /// reconnects so the fault sequence stays one deterministic stream
-    /// per endpoint.
-    pub fn take_wire_faults(&mut self) -> Option<WireInjector> {
-        self.wire.take()
-    }
-
-    /// Sends one request and blocks for its response. Without a policy
-    /// (plain [`connect`](Self::connect)) a `result` request blocks
-    /// until the daemon's job settles; under
-    /// [`connect_with`](Self::connect_with) the read is bounded by the
-    /// policy's per-operation deadline.
+    /// Sends one request and blocks for its response, for at most the
+    /// [`set_deadline`](Self::set_deadline) deadline when one is set.
     ///
     /// # Errors
     ///
@@ -179,38 +109,10 @@ impl Client {
         if self.poisoned {
             return Err(ClientError::Poisoned);
         }
-        // Outbound faults. Sever models a connection dying mid-exchange;
-        // Drop models the request line vanishing — only meaningful when
-        // a read deadline will unblock us, so it downgrades to Sever
-        // under a deadline-less client.
-        let mut dropped = false;
-        if let Some(wire) = &mut self.wire {
-            if wire.should_inject(WireSite::Sever) {
-                self.poisoned = true;
-                let _ = self.writer.shutdown(Shutdown::Both);
-                return Err(ClientError::ConnectionClosed);
-            }
-            dropped = wire.should_inject(WireSite::Drop);
-            if dropped && self.policy.is_none() {
-                self.poisoned = true;
-                let _ = self.writer.shutdown(Shutdown::Both);
-                return Err(ClientError::ConnectionClosed);
-            }
-        }
-        if !dropped {
-            self.writer.write_all(request.to_jsonl().as_bytes())?;
-            self.writer.write_all(b"\n")?;
-            self.writer.flush()?;
-        }
-        let (deadline, op) = match &self.policy {
-            Some(policy) => (
-                Some(policy.deadline_for(request)),
-                RetryPolicy::op_for(request),
-            ),
-            None => (None, "request"),
-        };
-        self.reader.get_ref().set_read_timeout(deadline)?;
-        let mut line = match json::read_line_bounded(&mut self.reader, json::MAX_LINE_BYTES) {
+        self.writer.write_all(request.to_jsonl().as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
+        let line = match json::read_line_bounded(&mut self.reader, json::MAX_LINE_BYTES) {
             Ok(BoundedLine::Line(line)) => line,
             Ok(BoundedLine::Eof) => return Err(ClientError::ConnectionClosed),
             Ok(BoundedLine::Oversized) => {
@@ -223,33 +125,11 @@ impl Client {
                 // the next round-trip; refuse further use.
                 self.poisoned = true;
                 return Err(ClientError::Proto(ProtoError::Timeout {
-                    op,
-                    ms: deadline.map_or(0, as_millis),
+                    ms: self.deadline.map_or(0, as_millis),
                 }));
             }
             Err(err) => return Err(ClientError::Io(err)),
         };
-        // Inbound faults mangle the already-consumed line, so framing
-        // stays aligned: the mangled answer decodes as Malformed, never
-        // as silently different bytes.
-        if let Some(wire) = &mut self.wire {
-            if wire.should_inject(WireSite::Delay) {
-                let ms = 1 + wire.magnitude(WireSite::Delay) % 25;
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            if wire.should_inject(WireSite::Truncate) {
-                let mut cut = line.len() / 2;
-                while cut > 0 && !line.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                line.truncate(cut);
-            }
-            if wire.should_inject(WireSite::Corrupt) && line.is_char_boundary(1) {
-                // Overwrite the opening brace: always detectable, never
-                // a silent payload change.
-                line.replace_range(0..1, "#");
-            }
-        }
         Response::parse_jsonl(line.trim_end()).map_err(ClientError::Proto)
     }
 }

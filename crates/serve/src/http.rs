@@ -28,9 +28,9 @@ use crate::metrics::DaemonMetrics;
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The `Retry-After` hint (seconds) a draining `/healthz` sends: long
-/// enough for a typical drain, short enough that a fleet client
-/// re-probes a restarted daemon promptly.
-pub const RETRY_AFTER_SECS: u64 = 2;
+/// enough for a typical drain, short enough that a prober re-probes a
+/// restarted daemon promptly.
+pub(crate) const RETRY_AFTER_SECS: u64 = 2;
 
 /// A listening metrics endpoint; stop it with
 /// [`stop`](MetricsHandle::stop) then [`join`](MetricsHandle::join).

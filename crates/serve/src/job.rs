@@ -49,14 +49,18 @@ pub fn resolve(spec: &JobSpec) -> Result<(SimConfig, PolicyKind, Vec<TenantSpec>
             )
         })?,
     };
+    // `scaled_geometry_for` and `ExpOptions::config` below assert
+    // this; a request must get a typed refusal, not a panic.
+    if !spec.scale.is_power_of_two() || spec.scale > 256 {
+        return Err(format!(
+            "scale must be a power of two from 1 to 256, got {}",
+            spec.scale
+        ));
+    }
     // The run's ladder: the architecture, rescaled with the job. Prefer
     // labels resolve against this, so a rung the scale squeezes out is
     // an error at admission, not a silently re-aimed hint.
-    let geo = if spec.scale.is_power_of_two() && spec.scale <= 256 {
-        scaled_geometry_for(&arch, spec.scale)
-    } else {
-        arch
-    };
+    let geo = scaled_geometry_for(&arch, spec.scale);
     let mut tenants = vec![TenantSpec::new(workload)];
     for t in &spec.tenants {
         let neighbor = WorkloadSpec::by_name(&t.workload)
@@ -88,9 +92,6 @@ pub fn resolve(spec: &JobSpec) -> Result<(SimConfig, PolicyKind, Vec<TenantSpec>
         let mut ts = TenantSpec::new(neighbor).weight(t.weight).hint(hint);
         ts.chunk_budget = t.chunk_budget;
         tenants.push(ts);
-    }
-    if spec.scale == 0 {
-        return Err("scale must be at least 1".to_owned());
     }
     if spec.samples == 0 {
         return Err("samples must be at least 1".to_owned());
@@ -168,7 +169,7 @@ pub fn execute(spec: &JobSpec) -> Result<JobResult, String> {
 /// # Errors
 ///
 /// Same failure modes as [`execute`].
-pub fn execute_with_progress(
+pub(crate) fn execute_with_progress(
     spec: &JobSpec,
     progress: Option<Box<dyn FnMut(RunProgress) + Send>>,
 ) -> Result<JobResult, String> {
@@ -259,9 +260,11 @@ mod tests {
         let unknown_pol = JobSpec::new("GUPS", "NoSuchPolicy");
         assert!(resolve(&unknown_pol).unwrap_err().contains("policy"));
 
-        let mut zero_scale = quick_spec();
-        zero_scale.scale = 0;
-        assert!(resolve(&zero_scale).is_err());
+        for scale in [0, 3, 512] {
+            let mut bad_scale = quick_spec();
+            bad_scale.scale = scale;
+            assert!(resolve(&bad_scale).unwrap_err().contains("power of two"));
+        }
 
         let mut bad_plan = quick_spec();
         bad_plan.fault = Some(FaultSpec {

@@ -23,17 +23,8 @@
 //!   queues (`queue_full` backpressure), non-blocking status, blocking
 //!   results, cancellation of queued jobs, pause/resume, and draining
 //!   shutdown;
-//! - [`journal`]: the crash-durable job journal — an fsync'd
-//!   append-only WAL of accepted specs and terminal marks, replayed on
-//!   restart so accepted-but-unfinished jobs re-execute;
-//! - [`server`] / [`client`]: TCP and stdin framing, and the blocking
-//!   client `tridentctl --connect` uses;
-//! - [`retry`]: [`retry::RetryPolicy`] — bounded attempts,
-//!   deterministic jittered backoff, and the per-operation deadlines
-//!   that turn every blocking wait into a typed timeout;
-//! - [`fleet`]: [`fleet::FleetClient`] — fans a grid across N daemons
-//!   with failover and hedging, safe because `derive_cell_seed` makes
-//!   every cell's result a pure function of its spec;
+//! - [`server`] / [`client`]: line-JSON framing over TCP, and the
+//!   blocking client `tridentctl --connect` uses;
 //! - [`metrics`] / [`http`]: the observability plane — a lock-light
 //!   [`metrics::DaemonMetrics`] registry updated at every job
 //!   transition and per-tick heartbeat, rendered to Prometheus text
@@ -63,28 +54,20 @@
 #![deny(deprecated)]
 
 pub mod client;
-pub mod fleet;
 pub mod http;
 pub mod job;
-pub mod journal;
 pub mod metrics;
 pub mod proto;
-pub mod retry;
 pub mod server;
 pub mod service;
 
 pub use client::{Client, ClientError};
-pub use fleet::{
-    probe_healthz, FleetClient, FleetConfig, FleetError, FleetOutcome, FleetStats, Health,
-};
 pub use http::{serve_metrics, MetricsHandle};
-pub use journal::{Journal, JournalReplay};
 pub use metrics::DaemonMetrics;
 pub use proto::{
-    JobOrigin, JobProgress, JobResult, JobSpec, JobState, JournalInfo, ProtoError, Request,
-    Response, ServiceInfo, TenantJob, TenantRow, PROTO_VERSION,
+    JobProgress, JobResult, JobSpec, JobState, ProtoError, Request, Response, ServiceInfo,
+    TenantJob, TenantRow, PROTO_VERSION,
 };
-pub use retry::RetryPolicy;
-pub use server::{serve_lines, serve_tcp, ServerHandle};
-pub use service::{JobWait, ReplayReport, Service, ServiceConfig, SubmitError};
+pub use server::{serve_tcp, ServerHandle};
+pub use service::{JobWait, Service, ServiceConfig, SubmitError};
 pub use trident_types::json;

@@ -1,7 +1,7 @@
 //! The daemon's live metrics registry.
 //!
 //! One [`DaemonMetrics`] per [`Service`](crate::Service) accumulates
-//! everything an operator needs to see a running fleet: jobs by state,
+//! everything an operator needs to see a running daemon: jobs by state,
 //! per-shard queue occupancy and high-water marks, submission outcomes,
 //! job wall-time and queue-wait latency histograms, trace-ring drop
 //! totals, per-tenant walk/fault/FMFI attribution folded from each
@@ -76,10 +76,6 @@ pub struct DaemonMetrics {
     cancelled: AtomicU64,
     trace_dropped: AtomicU64,
     heartbeats: AtomicU64,
-    journal_records: AtomicU64,
-    journal_replayed: AtomicU64,
-    journal_pending: AtomicU64,
-    journal_errors: AtomicU64,
     paused: AtomicBool,
     draining: AtomicBool,
     shards: Vec<ShardGauges>,
@@ -114,10 +110,6 @@ impl DaemonMetrics {
             cancelled: AtomicU64::new(0),
             trace_dropped: AtomicU64::new(0),
             heartbeats: AtomicU64::new(0),
-            journal_records: AtomicU64::new(0),
-            journal_replayed: AtomicU64::new(0),
-            journal_pending: AtomicU64::new(0),
-            journal_errors: AtomicU64::new(0),
             paused: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             shards: (0..workers).map(|_| ShardGauges::default()).collect(),
@@ -132,7 +124,7 @@ impl DaemonMetrics {
     }
 
     /// Records a refused submission, by refusal kind.
-    pub fn on_rejected(&self, err: &SubmitError) {
+    pub(crate) fn on_rejected(&self, err: &SubmitError) {
         let counter = match err {
             SubmitError::QueueFull { .. } => &self.rejected_queue_full,
             SubmitError::Invalid(_) => &self.rejected_invalid,
@@ -185,7 +177,7 @@ impl DaemonMetrics {
     }
 
     /// Records one per-tick progress report from job `id`'s simulation.
-    pub fn heartbeat(&self, id: u64, progress: RunProgress) {
+    pub(crate) fn heartbeat(&self, id: u64, progress: RunProgress) {
         self.heartbeats.fetch_add(1, Ordering::SeqCst);
         self.progress
             .lock()
@@ -226,7 +218,7 @@ impl DaemonMetrics {
     }
 
     /// Records a job that ran and failed after `wall_ns`.
-    pub fn on_failed(&self, _id: u64, wall_ns: u64) {
+    pub(crate) fn on_failed(&self, _id: u64, wall_ns: u64) {
         dec(&self.running);
         self.failed.fetch_add(1, Ordering::SeqCst);
         self.folded
@@ -237,55 +229,30 @@ impl DaemonMetrics {
     }
 
     /// Records a queued job being cancelled before it ran.
-    pub fn on_cancelled(&self) {
+    pub(crate) fn on_cancelled(&self) {
         dec(&self.queued);
         self.cancelled.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Records a journaled acceptance: one more record on disk, one
-    /// more job a crash right now would replay.
-    pub fn on_journal_accept(&self) {
-        self.journal_records.fetch_add(1, Ordering::SeqCst);
-        self.journal_pending.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Records a journaled terminal mark: one more record on disk, one
-    /// fewer job a crash would replay.
-    pub fn on_journal_terminal(&self) {
-        self.journal_records.fetch_add(1, Ordering::SeqCst);
-        dec(&self.journal_pending);
-    }
-
-    /// Records the replay count of a journal opened at startup.
-    pub fn on_journal_replayed(&self, jobs: u64) {
-        self.journal_replayed.fetch_add(jobs, Ordering::SeqCst);
-    }
-
-    /// Records a failed journal append — the job still runs, but its
-    /// durability is gone; operators alert on this.
-    pub fn on_journal_error(&self) {
-        self.journal_errors.fetch_add(1, Ordering::SeqCst);
-    }
-
     /// Mirrors the service's paused flag.
-    pub fn set_paused(&self, paused: bool) {
+    pub(crate) fn set_paused(&self, paused: bool) {
         self.paused.store(paused, Ordering::SeqCst);
     }
 
     /// Whether the service is currently paused.
     #[must_use]
-    pub fn paused(&self) -> bool {
+    pub(crate) fn paused(&self) -> bool {
         self.paused.load(Ordering::SeqCst)
     }
 
     /// Mirrors the service entering draining mode; `/healthz` turns 503.
-    pub fn set_draining(&self, draining: bool) {
+    pub(crate) fn set_draining(&self, draining: bool) {
         self.draining.store(draining, Ordering::SeqCst);
     }
 
     /// `false` once the service started draining for shutdown.
     #[must_use]
-    pub fn healthy(&self) -> bool {
+    pub(crate) fn healthy(&self) -> bool {
         !self.draining.load(Ordering::SeqCst)
     }
 
@@ -299,15 +266,6 @@ impl DaemonMetrics {
             .expect("progress table poisoned")
             .get(&id)
             .copied()
-    }
-
-    /// Current queued occupancy per shard.
-    #[must_use]
-    pub fn queue_depths(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|g| g.depth.load(Ordering::SeqCst))
-            .collect()
     }
 
     /// Renders the whole registry as a Prometheus text body: the
@@ -406,38 +364,6 @@ impl DaemonMetrics {
             "tridentd_trace_dropped_total",
             &[],
             load(&self.trace_dropped),
-        );
-        enc.counter(
-            "tridentd_journal_records_total",
-            "Records appended to the durable job journal.",
-        );
-        enc.sample(
-            "tridentd_journal_records_total",
-            &[],
-            load(&self.journal_records),
-        );
-        enc.counter(
-            "tridentd_journal_replayed_total",
-            "Jobs re-admitted from the journal at startup.",
-        );
-        enc.sample(
-            "tridentd_journal_replayed_total",
-            &[],
-            load(&self.journal_replayed),
-        );
-        enc.gauge(
-            "tridentd_journal_pending",
-            "Journaled jobs a crash right now would replay.",
-        );
-        enc.sample("tridentd_journal_pending", &[], load(&self.journal_pending));
-        enc.counter(
-            "tridentd_journal_errors_total",
-            "Journal appends that failed (durability degraded).",
-        );
-        enc.sample(
-            "tridentd_journal_errors_total",
-            &[],
-            load(&self.journal_errors),
         );
         let folded = self.folded.lock().expect("metrics fold poisoned");
         enc.summary(
@@ -575,7 +501,19 @@ mod tests {
         let m = DaemonMetrics::new(2, 8);
         m.on_accepted(1, 1);
         m.on_accepted(1, 2);
-        assert_eq!(m.queue_depths(), vec![0, 2]);
+        let queued = m.render();
+        let depths: Vec<&str> = queued
+            .lines()
+            .filter(|line| line.starts_with("tridentd_shard_queue_depth{"))
+            .collect();
+        assert_eq!(
+            depths,
+            [
+                "tridentd_shard_queue_depth{shard=\"0\"} 0",
+                "tridentd_shard_queue_depth{shard=\"1\"} 2",
+            ],
+            "{queued}"
+        );
         m.on_dequeue(1, 1);
         m.on_start(1, 5_000, 100);
         m.heartbeat(
@@ -633,28 +571,6 @@ mod tests {
         let text = m.render();
         assert!(text.contains("tridentd_paused 1\n"));
         assert!(text.contains("tridentd_draining 1\n"));
-        prom::lint(&text).unwrap();
-    }
-
-    #[test]
-    fn journal_counters_render_and_pending_is_a_gauge() {
-        let m = DaemonMetrics::new(1, 4);
-        m.on_journal_replayed(2);
-        m.on_journal_accept();
-        m.on_journal_accept();
-        m.on_journal_terminal();
-        m.on_journal_error();
-        let text = m.render();
-        assert!(
-            text.contains("tridentd_journal_records_total 3\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("tridentd_journal_replayed_total 2\n"),
-            "{text}"
-        );
-        assert!(text.contains("tridentd_journal_pending 1\n"), "{text}");
-        assert!(text.contains("tridentd_journal_errors_total 1\n"), "{text}");
         prom::lint(&text).unwrap();
     }
 

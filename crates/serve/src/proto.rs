@@ -10,14 +10,14 @@
 //! Requests:
 //!
 //! ```json
-//! {"v":4,"op":"submit","job":{"workload":"GUPS","policy":"Trident","scale":256,...}}
-//! {"v":4,"op":"status","id":3}
-//! {"v":4,"op":"result","id":3}
-//! {"v":4,"op":"cancel","id":3}
-//! {"v":4,"op":"list"}
-//! {"v":4,"op":"metrics"}
-//! {"v":4,"op":"progress","id":3}
-//! {"v":4,"op":"shutdown"}
+//! {"v":6,"op":"submit","job":{"workload":"GUPS","policy":"Trident","scale":256,...}}
+//! {"v":6,"op":"status","id":3}
+//! {"v":6,"op":"result","id":3}
+//! {"v":6,"op":"cancel","id":3}
+//! {"v":6,"op":"list"}
+//! {"v":6,"op":"metrics"}
+//! {"v":6,"op":"progress","id":3}
+//! {"v":6,"op":"shutdown"}
 //! ```
 //!
 //! Responses mirror the request vocabulary (`"ok"` discriminator) or
@@ -46,7 +46,10 @@ use trident_types::{json_record, wire_enum};
 /// fixed three-element `mapped_bytes` array with per-rung `rungs` rows
 /// keyed by size-class label, and tenant `prefer` hints are rung labels
 /// resolved against the job's geometry at admission.
-pub const PROTO_VERSION: u32 = 5;
+/// v6: one daemon, one client — jobs lose the idempotency `key`, job
+/// summaries lose `key` and `origin`, and the `service` block loses its
+/// `journal` section.
+pub const PROTO_VERSION: u32 = 6;
 
 /// One simulation cell to run: workload × policy plus the knobs the
 /// `SimConfig` builders expose. Mirrors what `tridentctl run` accepted
@@ -88,12 +91,6 @@ pub struct JobSpec {
     /// Run the per-tick consistency audit and report the violation count
     /// in the result (off by default — it is O(machine) per tick).
     pub audit: bool,
-    /// Caller-chosen idempotency key. Two submissions carrying the same
-    /// key are the same logical cell — since results are a pure function
-    /// of the spec (`derive_cell_seed`), a fleet client dedups retried
-    /// and hedged submissions by this key and asserts byte-identity when
-    /// duplicates both complete.
-    pub key: Option<String>,
     /// Tenants co-located *beside* the primary workload (which runs as
     /// tenant 0 with neutral scheduling). Empty = classic single-tenant
     /// job.
@@ -120,7 +117,6 @@ impl JobSpec {
             trace_out: None,
             profile_out: None,
             audit: false,
-            key: None,
             tenants: Vec::new(),
         }
     }
@@ -143,7 +139,6 @@ json_record! {
         fault: opt,
         trace_out: opt,
         profile_out: opt,
-        key: opt,
     }
 }
 
@@ -271,28 +266,6 @@ struct Rule {
 
 json_record! { Rule { site: req, prob: req } }
 
-/// The durable-journal slice of a [`ServiceInfo`] — present only when
-/// the daemon runs with `--journal`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalInfo {
-    /// Records appended to the journal since it was opened (accepts,
-    /// requeues and terminal marks combined).
-    pub records: u64,
-    /// Jobs replayed from the journal when the daemon last started.
-    pub replayed: u64,
-    /// Jobs currently accepted but not yet terminal — what a crash
-    /// right now would replay.
-    pub pending: u64,
-}
-
-json_record! {
-    JournalInfo {
-        records: req,
-        replayed: req,
-        pending: req,
-    }
-}
-
 /// A snapshot of the service itself, attached to `Status` and `Jobs`
 /// answers so operators see pool health alongside job state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,8 +278,6 @@ pub struct ServiceInfo {
     pub queue_depth: usize,
     /// Current queued occupancy of each shard, in shard order.
     pub queues: Vec<u64>,
-    /// Durable-journal state, when the daemon journals accepted jobs.
-    pub journal: Option<JournalInfo>,
 }
 
 json_record! {
@@ -315,7 +286,6 @@ json_record! {
         workers: req,
         queue_depth: req,
         queues: req,
-        journal: opt,
     }
 }
 
@@ -372,19 +342,6 @@ impl JobState {
     }
 }
 
-wire_enum! {
-    /// Where a job entered the service — directly from a client, or
-    /// re-admitted from the durable journal after a restart.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum JobOrigin {
-        /// Submitted by a connected client.
-        Client = "client",
-        /// Replayed from the journal: it was accepted before a crash and
-        /// re-executes under a fresh id.
-        Journal = "journal",
-    }
-}
-
 /// One row of a `list` response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSummary {
@@ -396,10 +353,6 @@ pub struct JobSummary {
     pub workload: String,
     /// The cell it runs (policy name as submitted).
     pub policy: String,
-    /// The idempotency key the submitter attached, if any.
-    pub key: Option<String>,
-    /// Whether the job came from a client or a journal replay.
-    pub origin: JobOrigin,
 }
 
 json_record! {
@@ -408,8 +361,6 @@ json_record! {
         state: req,
         workload: req,
         policy: req,
-        key: opt,
-        origin: req,
     }
 }
 
@@ -506,25 +457,6 @@ json_record! {
         tenants: req,
         snapshot: req,
     }
-}
-
-/// Serializes a [`StatsSnapshot`] with its own schema version embedded;
-/// the decoder refuses snapshots from a different schema.
-#[must_use]
-pub fn snapshot_to_json(s: &StatsSnapshot) -> String {
-    json::to_string(s)
-}
-
-/// Decodes a snapshot serialized by [`snapshot_to_json`].
-///
-/// # Errors
-///
-/// [`ProtoError::Version`] when the embedded snapshot schema version is
-/// not this build's [`SNAPSHOT_VERSION`](trident_core::SNAPSHOT_VERSION);
-/// [`ProtoError::Malformed`] on
-/// any missing or unparsable field.
-pub fn snapshot_from_json(obj: &str) -> Result<StatsSnapshot, ProtoError> {
-    StatsSnapshot::read_json(obj).map_err(|e| e.at("snapshot").into())
 }
 
 /// A client-to-daemon message.
@@ -782,14 +714,11 @@ pub enum ProtoError {
     /// A required field is missing or unparsable; carries the field's
     /// dotted path.
     Malformed(&'static str),
-    /// A blocking wait exceeded its per-operation deadline. Raised on
-    /// the client side only — the daemon never answers with this; the
-    /// wire simply went quiet for longer than the [`crate::retry::RetryPolicy`]
-    /// allows.
+    /// A read outlasted the client's deadline. Raised on the client
+    /// side only — the daemon never answers with this; the wire simply
+    /// went quiet for longer than
+    /// [`Client::set_deadline`](crate::Client::set_deadline) allows.
     Timeout {
-        /// Which operation timed out (`"connect"`, `"request"`,
-        /// `"result"`).
-        op: &'static str,
         /// The deadline that expired, in milliseconds.
         ms: u64,
     },
@@ -803,9 +732,7 @@ impl fmt::Display for ProtoError {
                 "protocol version mismatch: peer speaks v{got}, this build speaks v{PROTO_VERSION}"
             ),
             ProtoError::Malformed(field) => write!(f, "malformed message: bad field {field:?}"),
-            ProtoError::Timeout { op, ms } => {
-                write!(f, "operation {op:?} exceeded its {ms}ms deadline")
-            }
+            ProtoError::Timeout { ms } => write!(f, "no answer within the {ms}ms deadline"),
         }
     }
 }
@@ -829,11 +756,6 @@ fn envelope(line: &str) -> Result<Obj<'_>, ProtoError> {
     Ok(o)
 }
 
-// The unit tests restamp snapshots against the schema version the
-// snapshot record checks.
-#[cfg(test)]
-use trident_core::SNAPSHOT_VERSION;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,7 +778,6 @@ mod tests {
             trace_out: Some("out dir/run \"a\".jsonl".to_owned()),
             profile_out: Some("prof.json".to_owned()),
             audit: true,
-            key: Some("fig1/GUPS/Trident/3".to_owned()),
             geometry: Some("sv48".to_owned()),
             tenants: vec![
                 TenantJob {
@@ -878,11 +799,6 @@ mod tests {
             workers: 2,
             queue_depth: 64,
             queues: vec![3, 0],
-            journal: Some(JournalInfo {
-                records: 12,
-                replayed: 2,
-                pending: 1,
-            }),
         }
     }
 
@@ -988,16 +904,12 @@ mod tests {
                         state: JobState::Done,
                         workload: "GUPS".to_owned(),
                         policy: "Trident".to_owned(),
-                        key: Some("cell/7".to_owned()),
-                        origin: JobOrigin::Client,
                     },
                     JobSummary {
                         id: 2,
                         state: JobState::Queued,
                         workload: "Redis".to_owned(),
                         policy: "4KB".to_owned(),
-                        key: None,
-                        origin: JobOrigin::Journal,
                     },
                 ],
                 service: service_info(),
@@ -1009,7 +921,6 @@ mod tests {
                     workers: 1,
                     queue_depth: 1,
                     queues: vec![0],
-                    journal: None,
                 },
             },
             Response::Metrics {
@@ -1051,6 +962,12 @@ mod tests {
         assert_eq!(
             Request::parse_jsonl(&line),
             Err(ProtoError::Version { got: 4 })
+        );
+        // So must a v5 peer, whose job summaries still carry `origin`.
+        let line = Request::List.to_jsonl().replace(&stamp, "\"v\":5");
+        assert_eq!(
+            Request::parse_jsonl(&line),
+            Err(ProtoError::Version { got: 5 })
         );
         let line = Response::ShuttingDown
             .to_jsonl()
@@ -1096,18 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_schema_version_is_checked() {
-        let snap = StatsSnapshot::default();
-        let json = snapshot_to_json(&snap);
-        assert_eq!(snapshot_from_json(&json), Ok(snap));
-        let stale = json.replace(&format!("\"version\":{SNAPSHOT_VERSION}"), "\"version\":1");
-        assert_eq!(
-            snapshot_from_json(&stale),
-            Err(ProtoError::Version { got: 1 })
-        );
-    }
-
-    #[test]
     fn present_but_malformed_optionals_fail_loudly() {
         let good = Request::Submit(JobSpec::new("GUPS", "Trident")).to_jsonl();
         let bad_cell = good.replace("\"fragment\"", "\"cell\":\"x\",\"fragment\"");
@@ -1115,22 +1020,16 @@ mod tests {
             Request::parse_jsonl(&bad_cell),
             Err(ProtoError::Malformed("cell"))
         );
-        let bad_key = good.replace("\"fragment\"", "\"key\":7,\"fragment\"");
+        let bad_geometry = good.replace("\"fragment\"", "\"geometry\":7,\"fragment\"");
         assert_eq!(
-            Request::parse_jsonl(&bad_key),
-            Err(ProtoError::Malformed("key"))
+            Request::parse_jsonl(&bad_geometry),
+            Err(ProtoError::Malformed("geometry"))
         );
     }
 
     #[test]
-    fn timeout_error_displays_op_and_deadline() {
-        let err = ProtoError::Timeout {
-            op: "result",
-            ms: 120_000,
-        };
-        assert_eq!(
-            err.to_string(),
-            "operation \"result\" exceeded its 120000ms deadline"
-        );
+    fn timeout_error_displays_the_deadline() {
+        let err = ProtoError::Timeout { ms: 120_000 };
+        assert_eq!(err.to_string(), "no answer within the 120000ms deadline");
     }
 }

@@ -1,6 +1,6 @@
-//! Transports: line-delimited JSON over TCP or any byte stream (stdin).
+//! Transport: line-delimited JSON over TCP.
 //!
-//! Both transports are thin framing around [`Service::handle`]: read a
+//! Each connection is thin framing around [`Service::handle`]: read a
 //! line, decode a [`Request`], write the [`Response`] line. Malformed
 //! or wrong-version lines are answered with a typed error and the
 //! connection continues — one bad client line never takes the daemon
@@ -24,7 +24,7 @@ use crate::service::Service;
 /// # Errors
 ///
 /// Propagates I/O errors on either stream.
-pub fn serve_lines<R: BufRead, W: Write>(
+pub(crate) fn serve_lines<R: BufRead, W: Write>(
     service: &Service,
     mut input: R,
     mut output: W,

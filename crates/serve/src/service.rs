@@ -16,7 +16,6 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -25,11 +24,10 @@ use std::time::Instant;
 use trident_sim::RunProgress;
 
 use crate::job;
-use crate::journal::Journal;
 use crate::metrics::DaemonMetrics;
 use crate::proto::{
-    ErrorCode, JobOrigin, JobProgress, JobResult, JobSpec, JobState, JobSummary, JournalInfo,
-    Request, Response, ServiceInfo,
+    ErrorCode, JobProgress, JobResult, JobSpec, JobState, JobSummary, Request, Response,
+    ServiceInfo,
 };
 
 /// Sizing knobs for a [`Service`].
@@ -116,7 +114,6 @@ pub enum JobWait {
 struct JobEntry {
     spec: JobSpec,
     state: JobState,
-    origin: JobOrigin,
     result: Option<JobResult>,
     error: Option<String>,
     /// Wall-clock admission time, for the queue-wait histogram. Never
@@ -143,28 +140,6 @@ struct Inner {
     stopping: AtomicBool,
     paused: AtomicBool,
     metrics: Arc<DaemonMetrics>,
-    /// Durable job journal, when the daemon was started with one.
-    /// Lock order: table before journal (journal appends happen under
-    /// the table lock so records land in table-transition order).
-    journal: Option<Mutex<Journal>>,
-    /// Jobs replayed from the journal at startup.
-    replayed: u64,
-}
-
-impl Inner {
-    /// Appends a terminal mark for `id`; journal failures degrade
-    /// durability loudly (metric + stderr), never job execution.
-    fn journal_terminal(&self, id: u64, op: &'static str) {
-        if let Some(journal) = &self.journal {
-            let result = journal.lock().expect("journal poisoned").terminal(id, op);
-            if let Err(err) = result {
-                self.metrics.on_journal_error();
-                eprintln!("# journal: failed to record {op} for job {id}: {err}");
-            } else {
-                self.metrics.on_journal_terminal();
-            }
-        }
-    }
 }
 
 /// A running job service. Dropping without [`shutdown`](Service::shutdown)
@@ -174,63 +149,20 @@ pub struct Service {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// What opening a journal at service start found and did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Well-formed records the existing journal held.
-    pub records: u64,
-    /// Orphaned (accepted-but-unfinished) jobs re-admitted for
-    /// execution.
-    pub replayed: u64,
-    /// Torn or corrupt lines skipped during replay.
-    pub corrupt: u64,
-}
-
 impl Service {
     /// Starts the worker pool.
     #[must_use]
     pub fn start(config: ServiceConfig) -> Service {
-        let (service, _) = Service::start_inner(config, None);
-        service
-    }
-
-    /// Starts the worker pool with a crash-durable job journal at
-    /// `path`. Jobs the journal shows as accepted but not terminal —
-    /// orphans of a crash — are re-admitted under fresh ids (origin
-    /// [`JobOrigin::Journal`]) before the first worker runs, bypassing
-    /// the admission bound so a deep pre-crash backlog is never dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors opening or replaying the journal.
-    pub fn start_with_journal(
-        config: ServiceConfig,
-        path: &Path,
-    ) -> std::io::Result<(Service, ReplayReport)> {
-        let (journal, replay) = Journal::open(path)?;
-        let (service, report) = Service::start_inner(config, Some((journal, replay)));
-        Ok((service, report))
-    }
-
-    fn start_inner(
-        config: ServiceConfig,
-        journal: Option<(Journal, crate::journal::JournalReplay)>,
-    ) -> (Service, ReplayReport) {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
         } else {
             config.workers
         };
-        let (journal, replay) = match journal {
-            Some((journal, replay)) => (Some(journal), Some(replay)),
-            None => (None, None),
-        };
-        let replayed = replay.as_ref().map_or(0, |r| r.pending.len() as u64);
-        let mut inner = Inner {
+        let metrics = Arc::new(DaemonMetrics::new(workers, config.queue_depth.max(1)));
+        metrics.set_paused(config.start_paused);
+        let inner = Arc::new(Inner {
             table: Mutex::new(JobTable {
-                // Never reuse a pre-crash id: resume above the highest
-                // id the journal ever named.
-                next_id: replay.as_ref().map_or(0, |r| r.max_id) + 1,
+                next_id: 1,
                 jobs: HashMap::new(),
             }),
             settled: Condvar::new(),
@@ -243,41 +175,18 @@ impl Service {
             queue_depth: config.queue_depth.max(1),
             stopping: AtomicBool::new(false),
             paused: AtomicBool::new(config.start_paused),
-            metrics: {
-                let metrics = Arc::new(DaemonMetrics::new(workers, config.queue_depth.max(1)));
-                metrics.set_paused(config.start_paused);
-                metrics
-            },
-            journal: journal.map(Mutex::new),
-            replayed,
-        };
-        let report = ReplayReport {
-            records: replay.as_ref().map_or(0, |r| r.records),
-            replayed,
-            corrupt: replay.as_ref().map_or(0, |r| r.corrupt),
-        };
-        // Re-admit orphans before any worker exists: no contention, and
-        // the first tick a worker takes is already in replay order.
-        if let Some(replay) = replay {
-            inner.metrics.on_journal_replayed(replayed);
-            for (old_id, spec) in replay.pending {
-                admit_replayed(&mut inner, old_id, spec);
-            }
-        }
-        let inner = Arc::new(inner);
+            metrics,
+        });
         let handles = (0..workers)
             .map(|shard| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || worker_loop(&inner, shard))
             })
             .collect();
-        (
-            Service {
-                inner,
-                workers: handles,
-            },
-            report,
-        )
+        Service {
+            inner,
+            workers: handles,
+        }
     }
 
     /// The number of worker threads (= shards).
@@ -323,31 +232,11 @@ impl Service {
             self.inner.metrics.on_accepted(shard_idx, queue.len());
         }
         table.next_id += 1;
-        // Journal the acceptance before the submitter hears about it
-        // (still under the table lock, so records land in id order). A
-        // journal write failure degrades durability, loudly, but never
-        // refuses a job the queue already took.
-        if let Some(journal) = &self.inner.journal {
-            let appended = journal.lock().expect("journal poisoned").accept(
-                id,
-                &spec,
-                JobOrigin::Client,
-                None,
-            );
-            match appended {
-                Ok(()) => self.inner.metrics.on_journal_accept(),
-                Err(err) => {
-                    self.inner.metrics.on_journal_error();
-                    eprintln!("# journal: failed to record accept of job {id}: {err}");
-                }
-            }
-        }
         table.jobs.insert(
             id,
             JobEntry {
                 spec,
                 state: JobState::Queued,
-                origin: JobOrigin::Client,
                 result: None,
                 error: None,
                 queued_at: Instant::now(),
@@ -407,7 +296,6 @@ impl Service {
             // non-queued entries when it pops them.
             entry.state = JobState::Cancelled;
             self.inner.metrics.on_cancelled();
-            self.inner.journal_terminal(id, "cancelled");
             self.inner.settled.notify_all();
         }
         Some(entry.state)
@@ -425,8 +313,6 @@ impl Service {
                 state: j.state,
                 workload: j.spec.workload.clone(),
                 policy: j.spec.policy.clone(),
-                key: j.spec.key.clone(),
-                origin: j.origin,
             })
             .collect();
         rows.sort_by_key(|r| r.id);
@@ -470,21 +356,6 @@ impl Service {
     /// and per-shard queue occupancy.
     #[must_use]
     pub fn info(&self) -> ServiceInfo {
-        let journal = self.inner.journal.as_ref().map(|journal| {
-            let pending = {
-                let table = self.inner.table.lock().expect("job table poisoned");
-                table
-                    .jobs
-                    .values()
-                    .filter(|j| !j.state.is_terminal())
-                    .count() as u64
-            };
-            JournalInfo {
-                records: journal.lock().expect("journal poisoned").appended(),
-                replayed: self.inner.replayed,
-                pending,
-            }
-        });
         ServiceInfo {
             paused: self.inner.paused.load(Ordering::SeqCst),
             workers: self.inner.shards.len(),
@@ -495,7 +366,6 @@ impl Service {
                 .iter()
                 .map(|s| s.queue.lock().expect("shard queue poisoned").len() as u64)
                 .collect(),
-            journal,
         }
     }
 
@@ -663,7 +533,6 @@ fn run_one(inner: &Inner, id: u64) {
         Ok(result) => inner.metrics.on_done(id, wall_ns, result),
         Err(_) => inner.metrics.on_failed(id, wall_ns),
     }
-    let op = if outcome.is_ok() { "done" } else { "failed" };
     let mut table = inner.table.lock().expect("job table poisoned");
     if let Some(entry) = table.jobs.get_mut(&id) {
         match outcome {
@@ -678,69 +547,7 @@ fn run_one(inner: &Inner, id: u64) {
         }
     }
     drop(table);
-    inner.journal_terminal(id, op);
     inner.settled.notify_all();
-}
-
-/// Re-admits one journal orphan under a fresh id. Runs before the
-/// worker pool exists, so it mutates `inner` directly: no admission
-/// bound (a pre-crash backlog must not be dropped), no stopping check.
-/// A spec that no longer validates is marked Failed immediately — its
-/// terminal mark keeps the journal from replaying it forever.
-fn admit_replayed(inner: &mut Inner, old_id: u64, spec: JobSpec) {
-    let table = inner.table.get_mut().expect("job table poisoned");
-    let id = table.next_id;
-    table.next_id += 1;
-    let valid = job::resolve(&spec).map(|_| ());
-    if let Some(journal) = &mut inner.journal {
-        let journal = journal.get_mut().expect("journal poisoned");
-        let appended = journal
-            .accept(id, &spec, JobOrigin::Journal, Some(old_id))
-            .and_then(|()| match &valid {
-                Ok(()) => Ok(()),
-                Err(_) => journal.terminal(id, "failed"),
-            });
-        match appended {
-            Ok(()) => {
-                inner.metrics.on_journal_accept();
-                if valid.is_err() {
-                    inner.metrics.on_journal_terminal();
-                }
-            }
-            Err(err) => {
-                inner.metrics.on_journal_error();
-                eprintln!("# journal: failed to record replay of job {old_id}: {err}");
-            }
-        }
-    }
-    let entry = match valid {
-        Ok(()) => {
-            let shard_idx = usize::try_from(id % inner.shards.len() as u64).expect("fits");
-            let queue = inner.shards[shard_idx]
-                .queue
-                .get_mut()
-                .expect("shard queue poisoned");
-            queue.push_back(id);
-            inner.metrics.on_accepted(shard_idx, queue.len());
-            JobEntry {
-                spec,
-                state: JobState::Queued,
-                origin: JobOrigin::Journal,
-                result: None,
-                error: None,
-                queued_at: Instant::now(),
-            }
-        }
-        Err(message) => JobEntry {
-            spec,
-            state: JobState::Failed,
-            origin: JobOrigin::Journal,
-            result: None,
-            error: Some(message),
-            queued_at: Instant::now(),
-        },
-    };
-    table.jobs.insert(id, entry);
 }
 
 #[cfg(test)]

@@ -87,7 +87,6 @@ fn dense_spec() -> JobSpec {
     spec.cell_index = Some(5);
     spec.fragment = true;
     spec.trace_out = Some("out,\"x\".jsonl".to_owned());
-    spec.key = Some("fig1/GUPS/Trident/5".to_owned());
     let mut tenant = TenantJob::new("Red:is");
     tenant.weight = 3;
     tenant.pins = vec![(0, 512)];
@@ -96,8 +95,8 @@ fn dense_spec() -> JobSpec {
 }
 
 /// Truncates `line` to at most `cut` bytes, backing up to a char
-/// boundary so the slice stays valid UTF-8 (what the transport's
-/// truncation fault does).
+/// boundary so the slice stays valid UTF-8 (a connection cut
+/// mid-line).
 fn cut_at_boundary(line: &str, cut: usize) -> &str {
     let mut cut = cut.min(line.len());
     while !line.is_char_boundary(cut) {
@@ -187,8 +186,7 @@ proptest! {
     }
 
     /// Single-character corruption anywhere in a valid line decodes to
-    /// Ok or a typed error, never a panic — the guarantee the wire
-    /// Corrupt/Truncate faults lean on.
+    /// Ok or a typed error, never a panic.
     #[test]
     fn mutated_requests_never_panic(pos in 0usize..600, replacement in any::<u32>()) {
         let replacement = char::from_u32(replacement % 0x11_0000).unwrap_or('\u{FFFD}');

@@ -6,9 +6,8 @@
 use proptest::prelude::*;
 use trident_core::{InjectSite, StatsSnapshot, SNAPSHOT_VERSION};
 use trident_serve::proto::{
-    ErrorCode, FaultSpec, JobOrigin, JobProgress, JobResult, JobSpec, JobState, JobSummary,
-    JournalInfo, ProtoError, Request, Response, RungRow, ServiceInfo, TenantJob, TenantRow,
-    PROTO_VERSION,
+    ErrorCode, FaultSpec, JobProgress, JobResult, JobSpec, JobState, JobSummary, ProtoError,
+    Request, Response, RungRow, ServiceInfo, TenantJob, TenantRow, PROTO_VERSION,
 };
 
 /// Characters chosen to stress the scanner: JSON structure, the escape
@@ -28,10 +27,6 @@ fn sites() -> impl Strategy<Value = InjectSite> {
 
 fn states() -> impl Strategy<Value = JobState> {
     (0usize..JobState::ALL.len()).prop_map(|i| JobState::ALL[i])
-}
-
-fn origins() -> impl Strategy<Value = JobOrigin> {
-    (0usize..JobOrigin::ALL.len()).prop_map(|i| JobOrigin::ALL[i])
 }
 
 fn error_codes() -> impl Strategy<Value = ErrorCode> {
@@ -103,7 +98,6 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
             options(wire_strings()),
             options(wire_strings()),
             options(wire_strings()),
-            options(wire_strings()),
         ),
         (any::<bool>(), prop::collection::vec(tenant_jobs(), 0..4)),
     )
@@ -112,7 +106,7 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
                 (workload, policy, scale, samples),
                 (seed, cell_index, fragment),
                 (trace_capacity, profile, fault),
-                (trace_out, profile_out, key, geometry),
+                (trace_out, profile_out, geometry),
                 (audit, tenants),
             )| JobSpec {
                 workload,
@@ -127,7 +121,6 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
                 fault,
                 trace_out,
                 profile_out,
-                key,
                 geometry,
                 audit,
                 tenants,
@@ -242,33 +235,19 @@ fn requests() -> impl Strategy<Value = Request> {
     ]
 }
 
-fn journal_infos() -> impl Strategy<Value = JournalInfo> {
-    (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(records, replayed, pending)| {
-        JournalInfo {
-            records,
-            replayed,
-            pending,
-        }
-    })
-}
-
 fn service_infos() -> impl Strategy<Value = ServiceInfo> {
     (
         any::<bool>(),
         1u64..64,
         1u64..(1 << 20),
         prop::collection::vec(any::<u64>(), 0..8),
-        options(journal_infos()),
     )
-        .prop_map(
-            |(paused, workers, queue_depth, queues, journal)| ServiceInfo {
-                paused,
-                workers: workers as usize,
-                queue_depth: queue_depth as usize,
-                queues,
-                journal,
-            },
-        )
+        .prop_map(|(paused, workers, queue_depth, queues)| ServiceInfo {
+            paused,
+            workers: workers as usize,
+            queue_depth: queue_depth as usize,
+            queues,
+        })
 }
 
 fn job_progresses() -> impl Strategy<Value = JobProgress> {
@@ -291,12 +270,7 @@ fn responses() -> impl Strategy<Value = Response> {
         any::<u64>().prop_map(|id| Response::Cancelled { id }),
         (
             prop::collection::vec(
-                (
-                    (any::<u64>(), states(), origins()),
-                    wire_strings(),
-                    wire_strings(),
-                    options(wire_strings())
-                ),
+                (any::<u64>(), states(), wire_strings(), wire_strings()),
                 0..5
             ),
             service_infos()
@@ -304,13 +278,11 @@ fn responses() -> impl Strategy<Value = Response> {
             .prop_map(|(rows, service)| Response::Jobs {
                 jobs: rows
                     .into_iter()
-                    .map(|((id, state, origin), workload, policy, key)| JobSummary {
+                    .map(|(id, state, workload, policy)| JobSummary {
                         id,
                         state,
                         workload,
                         policy,
-                        key,
-                        origin,
                     })
                     .collect(),
                 service,

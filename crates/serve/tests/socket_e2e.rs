@@ -1,14 +1,17 @@
 //! End-to-end tests over a real TCP socket: a cell submitted to a
 //! daemon must measure bit-identically to a direct `System` run, at any
-//! worker count, and the bounded admission queue must push back with a
-//! typed `queue_full` and then drain.
+//! worker count, the bounded admission queue must push back with a
+//! typed `queue_full` and then drain, and a read deadline must turn a
+//! silent daemon into a typed timeout.
 
+use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use trident_serve::proto::{
-    ErrorCode, FaultSpec, JobResult, JobSpec, Request, Response, RungRow, TenantJob,
+    ErrorCode, FaultSpec, JobResult, JobSpec, ProtoError, Request, Response, RungRow, TenantJob,
 };
-use trident_serve::{serve_tcp, Client, Service, ServiceConfig};
+use trident_serve::{serve_tcp, Client, ClientError, Service, ServiceConfig};
 use trident_sim::experiments::ExpOptions;
 use trident_sim::{derive_cell_seed, PolicyKind, System};
 use trident_workloads::WorkloadSpec;
@@ -321,7 +324,8 @@ fn socket_trace_drops_surface_end_to_end() {
 #[test]
 fn socket_rejects_what_resolve_rejects() {
     // Submit-time validation reaches the client as a typed bad_request:
-    // an impossible fault probability (> 1000 thousandths).
+    // an impossible fault probability (> 1000 thousandths), and scales
+    // the geometry cannot take. The connection keeps serving after each.
     let service = Arc::new(Service::start(ServiceConfig {
         workers: 1,
         queue_depth: 4,
@@ -335,10 +339,58 @@ fn socket_rejects_what_resolve_rejects() {
         seed: 9,
         rules: vec![(trident_core::InjectSite::Alloc, 5_000)],
     });
-    match client.request(&Request::Submit(bad)).unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
-        other => panic!("expected bad_request, got {other:?}"),
+    let mut bad_specs = vec![bad];
+    for scale in [3, 512] {
+        let mut bad = spec(None);
+        bad.scale = scale;
+        bad_specs.push(bad);
+    }
+    for bad in bad_specs {
+        match client.request(&Request::Submit(bad)).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+        match client.request(&Request::List).unwrap() {
+            Response::Jobs { jobs, .. } => assert!(jobs.is_empty(), "{jobs:?}"),
+            other => panic!("expected Jobs, got {other:?}"),
+        }
     }
 
     teardown(client, handle, service);
+}
+
+#[test]
+fn hung_daemon_yields_typed_timeout_not_a_hang() {
+    // A listener that accepts and then never answers: the read deadline
+    // must surface as ProtoError::Timeout within bounded time, and the
+    // connection must refuse reuse (a reply may still be in flight)
+    // until the caller reconnects.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let hold = std::thread::spawn(move || {
+        // Keep the accepted socket alive so the client sees silence,
+        // not a close. The thread dies with the test process.
+        let accepted = listener.accept();
+        std::thread::sleep(Duration::from_secs(10));
+        drop(accepted);
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    client.set_deadline(Duration::from_millis(200)).unwrap();
+    let started = Instant::now();
+    match client.request(&Request::Status { id: 1 }) {
+        Err(ClientError::Proto(ProtoError::Timeout { ms })) => assert_eq!(ms, 200),
+        other => panic!("expected a typed timeout, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "deadline did not bound the wait: {:?}",
+        started.elapsed()
+    );
+    match client.request(&Request::Status { id: 1 }) {
+        Err(ClientError::Poisoned) => {}
+        other => panic!("a timed-out connection must refuse reuse, got {other:?}"),
+    }
+    drop(client);
+    drop(hold); // detach; the test process exit reaps it
 }

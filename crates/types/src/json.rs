@@ -1,12 +1,12 @@
 //! The workspace's one JSON codec.
 //!
 //! Every line-JSON dialect the repository speaks goes through this
-//! module: trace events (`trident-obs`), the job protocol and its
-//! journal (`trident-serve`), and the bench records the regression gate
-//! reads. It is deliberately not a general JSON library: the writer
-//! emits integers, booleans, strings, arrays and objects only; strings
-//! escape exactly `"`, `\`, newline, tab and carriage return (no
-//! unicode escapes); and duplicate keys take the first occurrence.
+//! module: trace events (`trident-obs`) and the job protocol
+//! (`trident-serve`). It is deliberately not a general JSON library:
+//! the writer emits integers, booleans, strings, arrays and objects
+//! only; strings escape exactly `"`, `\`, newline, tab and carriage
+//! return (no unicode escapes); and duplicate keys take the first
+//! occurrence.
 //!
 //! - [`read_line_bounded`] frames newline-terminated lines under a byte
 //!   bound;

@@ -11,8 +11,8 @@
 //! ladder instead of matching on fixed sizes, and unit tests can run the
 //! same algorithms on a miniature geometry ([`PageGeometry::TINY`]).
 //!
-//! [`json`] is the workspace's one JSON codec: the trace, job-protocol and
-//! journal wire formats are all declared with it.
+//! [`json`] is the workspace's one JSON codec: the trace and job-protocol
+//! wire formats are both declared with it.
 //!
 //! # Examples
 //!

@@ -1,6 +1,5 @@
 //! Wire-byte golden net for every line-JSON dialect the workspace
-//! speaks: job-protocol requests and responses, trace events and
-//! journal records.
+//! speaks: job-protocol requests and responses, and trace events.
 //!
 //! Each value below is encoded and compared byte for byte against the
 //! committed fixture `tests/golden/wire.jsonl` (one line per value, in
@@ -9,14 +8,11 @@
 //! hand-written codecs that predate `trident_types::json`; a codec
 //! change that alters a single byte on the wire fails here.
 
-use std::path::PathBuf;
-
 use trident_core::{AllocSite, Event, InjectSite, SpanKind, StatsSnapshot, SNAPSHOT_VERSION};
 use trident_serve::proto::{
-    ErrorCode, FaultSpec, JobOrigin, JobProgress, JobResult, JobSpec, JobState, JobSummary,
-    JournalInfo, ProtoError, Request, Response, RungRow, ServiceInfo, TenantJob, TenantRow,
+    ErrorCode, FaultSpec, JobProgress, JobResult, JobSpec, JobState, JobSummary, ProtoError,
+    Request, Response, RungRow, ServiceInfo, TenantJob, TenantRow,
 };
-use trident_serve::Journal;
 use trident_types::{PageSize, TenantId};
 
 const FIXTURE: &str = include_str!("golden/wire.jsonl");
@@ -55,7 +51,6 @@ fn full_spec() -> JobSpec {
         trace_out: Some("out dir/run \"a\".jsonl".to_owned()),
         profile_out: Some("prof\\x.json".to_owned()),
         audit: true,
-        key: Some(format!("fig1/{NASTY}/3")),
         tenants: vec![tenant, opted],
     }
 }
@@ -85,17 +80,12 @@ fn rungs(bytes: &[u64]) -> Vec<RungRow> {
         .collect()
 }
 
-fn service(journal: bool) -> ServiceInfo {
+fn service(paused: bool) -> ServiceInfo {
     ServiceInfo {
-        paused: journal,
+        paused,
         workers: 2,
         queue_depth: 64,
         queues: vec![3, 0],
-        journal: journal.then_some(JournalInfo {
-            records: 12,
-            replayed: 2,
-            pending: 1,
-        }),
     }
 }
 
@@ -190,16 +180,12 @@ fn responses() -> Vec<Response> {
                     state: JobState::Done,
                     workload: "GUPS".to_owned(),
                     policy: "Trident".to_owned(),
-                    key: Some(NASTY.to_owned()),
-                    origin: JobOrigin::Client,
                 },
                 JobSummary {
                     id: 2,
                     state: JobState::Cancelled,
                     workload: "Redis".to_owned(),
                     policy: "4KB".to_owned(),
-                    key: None,
-                    origin: JobOrigin::Journal,
                 },
             ],
             service: service(false),
@@ -303,43 +289,11 @@ fn events() -> Vec<Event> {
     ]
 }
 
-fn temp_journal(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "trident-wire-golden-{tag}-{}.jsonl",
-        std::process::id()
-    ))
-}
-
-/// Writes the journal records through [`Journal`] and returns its lines:
-/// plain accepts, a requeue (`from`) and every terminal mark.
-fn journal_lines() -> Vec<String> {
-    let path = temp_journal("write");
-    let _ = std::fs::remove_file(&path);
-    let (mut journal, _) = Journal::open(&path).unwrap();
-    let plain = JobSpec::new("GUPS", "Trident");
-    journal.accept(3, &plain, JobOrigin::Client, None).unwrap();
-    journal
-        .accept(4, &full_spec(), JobOrigin::Client, None)
-        .unwrap();
-    journal.accept(5, &plain, JobOrigin::Client, None).unwrap();
-    journal
-        .accept(9, &plain, JobOrigin::Journal, Some(3))
-        .unwrap();
-    journal.terminal(5, "done").unwrap();
-    journal.terminal(7, "failed").unwrap();
-    journal.terminal(6, "cancelled").unwrap();
-    drop(journal);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    text.lines().map(str::to_owned).collect()
-}
-
 /// Every value's encoding, in fixture order.
 fn encoded() -> Vec<String> {
     let mut lines: Vec<String> = requests().iter().map(Request::to_jsonl).collect();
     lines.extend(responses().iter().map(Response::to_jsonl));
     lines.extend(events().iter().map(Event::to_jsonl));
-    lines.extend(journal_lines());
     lines
 }
 
@@ -368,21 +322,7 @@ fn fixture_lines_decode_back_to_their_values() {
         let line = lines.next().unwrap();
         assert_eq!(Event::parse_jsonl(line), Ok(ev), "line: {line}");
     }
-    // Journal lines decode through replay: 3 is superseded by its
-    // requeue as 9, and 5 reached a terminal mark.
-    let rest: Vec<&str> = lines.collect();
-    assert_eq!(rest.len(), 7, "journal records");
-    let path = temp_journal("replay");
-    std::fs::write(&path, rest.join("\n") + "\n").unwrap();
-    let (_, replay) = Journal::open(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(replay.records, 7);
-    assert_eq!(replay.corrupt, 0);
-    assert_eq!(replay.max_id, 9);
-    assert_eq!(
-        replay.pending,
-        vec![(4, full_spec()), (9, JobSpec::new("GUPS", "Trident"))]
-    );
+    assert_eq!(lines.next(), None, "fixture lines beyond the values");
 }
 
 #[test]
