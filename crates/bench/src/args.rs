@@ -22,6 +22,7 @@
 
 use std::fmt;
 
+use trident_sim::check_scale;
 use trident_sim::experiments::ExpOptions;
 
 /// What went wrong while parsing the command line.
@@ -171,6 +172,24 @@ impl Args {
             .and_then(Option::take)
     }
 
+    /// Takes `--scale N`, or `default` when absent, refusing a scale the
+    /// simulator cannot run at ([`check_scale`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::MissingValue`] or [`ArgError::InvalidValue`].
+    pub fn scale(&mut self, default: u64) -> Result<u64, ArgError> {
+        let scale = self.parsed_or("--scale", default)?;
+        match check_scale(scale) {
+            Ok(()) => Ok(scale),
+            Err(_) => Err(ArgError::InvalidValue {
+                flag: "--scale".to_owned(),
+                value: scale.to_string(),
+                expected: "a power of two from 1 to 256",
+            }),
+        }
+    }
+
     /// Takes the standard experiment flags (`--scale`, `--samples`,
     /// `--seed`, `--threads`, `--trace N`, `--profile`) into an
     /// [`ExpOptions`], starting from its defaults.
@@ -178,10 +197,11 @@ impl Args {
     /// # Errors
     ///
     /// [`ArgError::MissingValue`] or [`ArgError::InvalidValue`] for any
-    /// of the standard flags.
+    /// of the standard flags, a `--scale` that [`Args::scale`] refuses
+    /// among them.
     pub fn exp_options(&mut self) -> Result<ExpOptions, ArgError> {
         let mut opts = ExpOptions::default();
-        opts.scale = self.parsed_or("--scale", opts.scale)?;
+        opts.scale = self.scale(opts.scale)?;
         opts.samples = self.parsed_or("--samples", opts.samples)?;
         opts.seed = self.parsed_or("--seed", opts.seed)?;
         opts.threads = self.parsed_or("--threads", opts.threads)?;
@@ -278,6 +298,21 @@ mod tests {
         assert_eq!(opts.trace_capacity, Some(512));
         assert!(opts.profile);
         a.finish().unwrap();
+    }
+
+    #[test]
+    fn exp_options_refuses_scales_the_simulator_cannot_run() {
+        for scale in ["0", "3", "512"] {
+            let err = args(&["--scale", scale]).exp_options().unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::InvalidValue {
+                    flag: "--scale".to_owned(),
+                    value: scale.to_owned(),
+                    expected: "a power of two from 1 to 256",
+                }
+            );
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ const USAGE: &str = "usage: chaos [--prob N] [standard experiment flags]";
 fn parse_cli(args: &mut Args) -> Result<(trident_bench::ExpOptions, u16), ArgError> {
     // The chaos grid defaults to a smaller cell than the figures so the
     // whole grid (with audit on) stays fast.
-    let scale = args.parsed_or("--scale", 64)?;
+    let scale = args.scale(64)?;
     let samples = args.parsed_or("--samples", 20_000)?;
     let prob: u16 = args.parsed_or("--prob", 100)?;
     let mut opts = args.exp_options()?;

@@ -1,10 +1,10 @@
 //! The 4KB-only baseline.
 
-use trident_types::{PageSize, Vpn};
+use trident_types::Vpn;
 use trident_vm::AddressSpace;
 
-use crate::fault::populate_runs;
-use crate::{map_chunk, FaultOutcome, MmContext, PagePolicy, PolicyError};
+use crate::fault::{fault_base, populate_runs};
+use crate::{FaultOutcome, MmContext, PagePolicy, PolicyError};
 
 /// Maps everything with base (4KB) pages — the first bar of Figures 1
 /// and 2.
@@ -47,17 +47,7 @@ impl PagePolicy for BasePolicy {
         space: &mut AddressSpace,
         vpn: Vpn,
     ) -> Result<FaultOutcome, PolicyError> {
-        if space.vma_containing(vpn).is_none() {
-            return Err(PolicyError::BadAddress(vpn));
-        }
-        map_chunk(ctx, space, vpn, PageSize::BASE)?;
-        let latency = ctx.cost.fault_base_ns;
-        ctx.record_fault(PageSize::BASE, latency);
-        Ok(FaultOutcome {
-            size: PageSize::BASE,
-            latency_ns: latency,
-            prepared: false,
-        })
+        fault_base(ctx, space, vpn)
     }
 
     /// Every unmapped page is a 4KB fault, so each leaf table's share of
@@ -77,7 +67,7 @@ impl PagePolicy for BasePolicy {
 mod tests {
     use super::*;
     use trident_phys::PhysicalMemory;
-    use trident_types::{AsId, PageGeometry};
+    use trident_types::{AsId, PageGeometry, PageSize};
     use trident_vm::VmaKind;
 
     #[test]
@@ -105,6 +95,6 @@ mod tests {
             policy.on_fault(&mut ctx, &mut space, Vpn::new(64)),
             Err(PolicyError::OutOfContiguousMemory(_))
         ));
-        assert_eq!(ctx.stats.faults[PageSize::BASE.rung()], 64);
+        assert_eq!(ctx.snapshot().faults[PageSize::BASE.rung()], 64);
     }
 }

@@ -9,12 +9,13 @@
 //! for large-memory applications under fragmentation (§7).
 
 use trident_obs::Event;
-use trident_types::{PageSize, Vpn};
+use trident_types::Vpn;
 use trident_vm::AddressSpace;
 
+use crate::fault::fault_huge_or_base;
 use crate::{
-    map_chunk, recover_bloat, touched_chunk, CompactionKind, FaultOutcome, MmContext, PagePolicy,
-    PolicyError, PromotedChunk, Promoter, PromoterConfig, PromotionStyle, SpaceSet, TickOutcome,
+    recover_bloat, CompactionKind, FaultOutcome, MmContext, PagePolicy, PolicyError, PromotedChunk,
+    Promoter, PromoterConfig, PromotionStyle, SpaceSet, TickOutcome,
 };
 
 /// Free-memory fraction below which bloat recovery kicks in.
@@ -43,12 +44,6 @@ impl HawkEyePolicy {
             promoted: Vec::new(),
         }
     }
-
-    /// Chunks promoted so far and still registered for bloat recovery.
-    #[must_use]
-    pub fn tracked_chunks(&self) -> usize {
-        self.promoted.len()
-    }
 }
 
 impl Default for HawkEyePolicy {
@@ -69,33 +64,7 @@ impl PagePolicy for HawkEyePolicy {
         space: &mut AddressSpace,
         vpn: Vpn,
     ) -> Result<FaultOutcome, PolicyError> {
-        if space.vma_containing(vpn).is_none() {
-            return Err(PolicyError::BadAddress(vpn));
-        }
-        if let Some(head) = touched_chunk(space, vpn, PageSize::new(1)) {
-            // An injected allocation fault degrades to the 4KB path below;
-            // without injection the has_free check makes map_chunk
-            // infallible here.
-            if ctx.mem.has_free(PageSize::new(1))
-                && map_chunk(ctx, space, head, PageSize::new(1)).is_ok()
-            {
-                let latency = ctx.cost.fault_ns(&ctx.geometry(), PageSize::new(1), false);
-                ctx.record_fault(PageSize::new(1), latency);
-                return Ok(FaultOutcome {
-                    size: PageSize::new(1),
-                    latency_ns: latency,
-                    prepared: false,
-                });
-            }
-        }
-        map_chunk(ctx, space, vpn, PageSize::BASE)?;
-        let latency = ctx.cost.fault_base_ns;
-        ctx.record_fault(PageSize::BASE, latency);
-        Ok(FaultOutcome {
-            size: PageSize::BASE,
-            latency_ns: latency,
-            prepared: false,
-        })
+        fault_huge_or_base(ctx, space, vpn)
     }
 
     fn on_tick(&mut self, ctx: &mut MmContext, spaces: &mut SpaceSet) -> TickOutcome {
@@ -127,7 +96,7 @@ impl PagePolicy for HawkEyePolicy {
 mod tests {
     use super::*;
     use trident_phys::PhysicalMemory;
-    use trident_types::{AsId, PageGeometry};
+    use trident_types::{AsId, PageGeometry, PageSize};
     use trident_vm::VmaKind;
 
     fn setup() -> (MmContext, SpaceSet) {
@@ -171,7 +140,7 @@ mod tests {
         }
         let out = policy.on_tick(&mut ctx, &mut spaces);
         assert!(out.promotions >= 1);
-        assert!(policy.tracked_chunks() >= 1);
+        assert!(!policy.promoted.is_empty());
     }
 
     #[test]

@@ -5,7 +5,8 @@ use trident_phys::{FrameUse, MappingOwner, PhysMemError};
 use trident_types::{PageSize, Pfn, Vpn};
 use trident_vm::{AddressSpace, VmaKind};
 
-use crate::{map_chunk, touched_chunk_reserved, FaultOutcome, MmContext, PagePolicy, PolicyError};
+use crate::fault::fault_base;
+use crate::{touched_chunk_reserved, FaultOutcome, MmContext, PagePolicy, PolicyError};
 
 /// The `libHugetlbfs` baseline: a fixed number of large pages of one size
 /// is reserved up front; eligible segments are backed from the reservation,
@@ -87,10 +88,11 @@ impl PagePolicy for HugetlbfsPolicy {
         space: &mut AddressSpace,
         vpn: Vpn,
     ) -> Result<FaultOutcome, PolicyError> {
-        let Some(vma) = space.vma_containing(vpn) else {
-            return Err(PolicyError::BadAddress(vpn));
-        };
-        let eligible = vma.kind != VmaKind::Stack;
+        // Outside every VMA nothing is eligible, and `fault_base` reports
+        // the bad address.
+        let eligible = space
+            .vma_containing(vpn)
+            .is_some_and(|vma| vma.kind != VmaKind::Stack);
         if eligible && !self.pool.is_empty() {
             if let Some(head) = touched_chunk_reserved(space, vpn, self.size) {
                 let pfn = self.pool.pop().expect("checked non-empty");
@@ -115,14 +117,7 @@ impl PagePolicy for HugetlbfsPolicy {
                 });
             }
         }
-        map_chunk(ctx, space, vpn, PageSize::BASE)?;
-        let latency = ctx.cost.fault_base_ns;
-        ctx.record_fault(PageSize::BASE, latency);
-        Ok(FaultOutcome {
-            size: PageSize::BASE,
-            latency_ns: latency,
-            prepared: false,
-        })
+        fault_base(ctx, space, vpn)
     }
 }
 

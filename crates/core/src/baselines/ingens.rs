@@ -12,17 +12,19 @@ use trident_obs::Event;
 use trident_types::{PageSize, Vpn};
 use trident_vm::{promotion_candidates, AddressSpace};
 
+use crate::fault::fault_base;
 use crate::{
-    map_chunk, promote_chunk, CompactionKind, Compactor, FaultOutcome, MmContext, PagePolicy,
-    PolicyError, PromoteError, PromotionStyle, SpaceSet, TickOutcome,
+    promote_chunk, CompactionKind, Compactor, FaultOutcome, MmContext, PagePolicy, PolicyError,
+    PromoteError, PromotionStyle, SpaceSet, TickOutcome,
 };
+
+/// Fraction of a huge region that must be touched before promotion
+/// (Ingens' default corresponds to 90%).
+const UTILIZATION_THRESHOLD: f64 = 0.9;
 
 /// The Ingens policy: conservative, utilization-gated 2MB promotion.
 #[derive(Debug, Clone)]
 pub struct IngensPolicy {
-    /// Fraction of a huge region that must be touched before promotion
-    /// (Ingens' default corresponds to 90%).
-    utilization_threshold: f64,
     compactor: Compactor,
     next_space: usize,
     /// Chunks promoted per tick.
@@ -33,32 +35,11 @@ impl IngensPolicy {
     /// Creates the policy with the canonical 90% utilization threshold.
     #[must_use]
     pub fn new() -> IngensPolicy {
-        IngensPolicy::with_threshold(0.9)
-    }
-
-    /// Creates the policy with a custom utilization threshold in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threshold is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_threshold(utilization_threshold: f64) -> IngensPolicy {
-        assert!(
-            utilization_threshold > 0.0 && utilization_threshold <= 1.0,
-            "threshold must be in (0, 1]"
-        );
         IngensPolicy {
-            utilization_threshold,
             compactor: Compactor::new(CompactionKind::Normal),
             next_space: 0,
             chunk_budget: 16,
         }
-    }
-
-    /// The configured utilization threshold.
-    #[must_use]
-    pub fn utilization_threshold(&self) -> f64 {
-        self.utilization_threshold
     }
 }
 
@@ -81,17 +62,7 @@ impl PagePolicy for IngensPolicy {
         space: &mut AddressSpace,
         vpn: Vpn,
     ) -> Result<FaultOutcome, PolicyError> {
-        if space.vma_containing(vpn).is_none() {
-            return Err(PolicyError::BadAddress(vpn));
-        }
-        map_chunk(ctx, space, vpn, PageSize::BASE)?;
-        let latency = ctx.cost.fault_base_ns;
-        ctx.record_fault(PageSize::BASE, latency);
-        Ok(FaultOutcome {
-            size: PageSize::BASE,
-            latency_ns: latency,
-            prepared: false,
-        })
+        fault_base(ctx, space, vpn)
     }
 
     fn on_tick(&mut self, ctx: &mut MmContext, spaces: &mut SpaceSet) -> TickOutcome {
@@ -120,7 +91,7 @@ impl PagePolicy for IngensPolicy {
             promotion_candidates(space, PageSize::new(1))
                 .into_iter()
                 .filter(|(_, profile)| {
-                    profile.mapped_total() as f64 >= self.utilization_threshold * span as f64
+                    profile.mapped_total() as f64 >= UTILIZATION_THRESHOLD * span as f64
                 })
                 .map(|(head, _)| head)
                 .collect()
@@ -230,15 +201,10 @@ mod tests {
             policy.on_tick(&mut ctx, &mut spaces);
         }
         assert_eq!(
-            ctx.stats.bloat_pages, 0,
+            ctx.snapshot().bloat_pages,
+            0,
             "Ingens never promotes sparse chunks"
         );
-        assert_eq!(ctx.stats.promotions[1], 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be in")]
-    fn rejects_invalid_threshold() {
-        let _ = IngensPolicy::with_threshold(0.0);
+        assert_eq!(ctx.snapshot().promotions[1], 0);
     }
 }

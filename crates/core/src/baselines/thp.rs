@@ -4,10 +4,10 @@ use trident_obs::Event;
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
-use crate::fault::populate_runs;
+use crate::fault::{fault_huge_or_base, populate_runs};
 use crate::{
-    map_chunk, touched_chunk, FaultOutcome, MmContext, PagePolicy, PolicyError, Promoter,
-    PromoterConfig, SpaceSet, TickOutcome,
+    FaultOutcome, MmContext, PagePolicy, PolicyError, Promoter, PromoterConfig, SpaceSet,
+    TickOutcome,
 };
 
 /// Linux THP: aggressive 2MB allocation at fault time when the chunk is
@@ -62,33 +62,7 @@ impl PagePolicy for ThpPolicy {
         space: &mut AddressSpace,
         vpn: Vpn,
     ) -> Result<FaultOutcome, PolicyError> {
-        if space.vma_containing(vpn).is_none() {
-            return Err(PolicyError::BadAddress(vpn));
-        }
-        if let Some(head) = touched_chunk(space, vpn, PageSize::new(1)) {
-            // An injected allocation fault degrades to the 4KB path below;
-            // without injection the has_free check makes map_chunk
-            // infallible here.
-            if ctx.mem.has_free(PageSize::new(1))
-                && map_chunk(ctx, space, head, PageSize::new(1)).is_ok()
-            {
-                let latency = ctx.cost.fault_ns(&ctx.geometry(), PageSize::new(1), false);
-                ctx.record_fault(PageSize::new(1), latency);
-                return Ok(FaultOutcome {
-                    size: PageSize::new(1),
-                    latency_ns: latency,
-                    prepared: false,
-                });
-            }
-        }
-        map_chunk(ctx, space, vpn, PageSize::BASE)?;
-        let latency = ctx.cost.fault_base_ns;
-        ctx.record_fault(PageSize::BASE, latency);
-        Ok(FaultOutcome {
-            size: PageSize::BASE,
-            latency_ns: latency,
-            prepared: false,
-        })
+        fault_huge_or_base(ctx, space, vpn)
     }
 
     /// A huge chunk's first fault decides its size. When that lands at

@@ -8,7 +8,7 @@ use trident_phys::PhysicalMemory;
 use trident_types::{AsId, PageGeometry, PageSize, Pfn, TenantId};
 use trident_vm::AddressSpace;
 
-use crate::{CostModel, MmStats, TenantDirectory, ZeroFillPool};
+use crate::{CostModel, TenantDirectory, ZeroFillPool};
 
 /// System-wide memory-management state: the physical memory, the async
 /// zero-fill pool, the cost model, the event recorder and the statistics
@@ -19,12 +19,14 @@ pub struct MmContext {
     pub mem: PhysicalMemory,
     /// Pre-zeroed giant blocks maintained by the background thread.
     pub zero_pool: ZeroFillPool,
-    /// Accumulated statistics.
-    pub stats: MmStats,
+    /// The pooled counters. Private: [`record`](Self::record) and
+    /// `record_n` are their only writers, and
+    /// [`snapshot`](Self::snapshot) reads them by copy.
+    stats: StatsSnapshot,
     /// Latency constants.
     pub cost: CostModel,
     /// Event sink; [`ObsRecorder::Noop`] (free) unless tracing was
-    /// requested. Borrowable disjointly from `mem`/`stats`, so hot paths
+    /// requested. Borrowable disjointly from `mem`, so hot paths
     /// can pass `&mut ctx.recorder` into `ctx.mem.allocate(..)`.
     pub recorder: ObsRecorder,
     /// Deterministic fault injector; disabled (free) unless a fault plan
@@ -37,7 +39,7 @@ pub struct MmContext {
     /// event recorded while a scope is set folds into the pooled `stats`
     /// *and* the scoped tenant's row, so per-tenant rows always sum to the
     /// pooled totals.
-    tenant_stats: Vec<MmStats>,
+    tenant_stats: Vec<StatsSnapshot>,
     /// The tenant currently being worked for, if attribution is on.
     scope: Option<TenantId>,
     /// Frame buffer reused by every batched populate run, so a run
@@ -56,7 +58,7 @@ impl MmContext {
         MmContext {
             mem,
             zero_pool: ZeroFillPool::new(8),
-            stats: MmStats::default(),
+            stats: StatsSnapshot::default(),
             cost: CostModel::default(),
             recorder: ObsRecorder::default(),
             fault: FaultInjector::disabled(),
@@ -81,7 +83,8 @@ impl MmContext {
         if let Some(tenant) = scope {
             let idx = tenant.raw() as usize;
             if self.tenant_stats.len() <= idx {
-                self.tenant_stats.resize_with(idx + 1, MmStats::default);
+                self.tenant_stats
+                    .resize_with(idx + 1, StatsSnapshot::default);
             }
             self.recorder.record(Event::TenantScope { tenant });
         }
@@ -99,7 +102,8 @@ impl MmContext {
     pub fn tenant_snapshot(&self, tenant: TenantId) -> StatsSnapshot {
         self.tenant_stats
             .get(tenant.raw() as usize)
-            .map_or_else(StatsSnapshot::default, MmStats::snapshot)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// The page geometry of the underlying memory.
@@ -108,9 +112,10 @@ impl MmContext {
         self.mem.geometry()
     }
 
-    /// Reports one event: folds it into [`MmStats`] and forwards it to the
-    /// recorder. This is the single write path for every aggregate counter,
-    /// which is what makes a complete trace replay to the exact snapshot.
+    /// Reports one event: folds it into the counters and forwards it to
+    /// the recorder. This is the single write path for every aggregate
+    /// counter, which is what makes a complete trace replay to the exact
+    /// snapshot.
     ///
     /// Under a fault plan with an active
     /// [`TraceRing`](InjectSite::TraceRing) rule, an event can be lost to
@@ -189,7 +194,7 @@ impl MmContext {
     }
 
     /// Emits a span begin directly to the recorder (spans are trace-only;
-    /// they never touch [`MmStats`]).
+    /// they never touch the counters).
     pub fn span_begin(&mut self, kind: SpanKind) {
         self.recorder.record(Event::SpanBegin { kind });
     }
@@ -207,7 +212,7 @@ impl MmContext {
     /// The versioned aggregate snapshot of this context's counters.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.stats
     }
 }
 

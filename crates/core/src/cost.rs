@@ -7,9 +7,10 @@
 //! region takes ≈600ms; a hypercall costs ≈300ns; Trident_pv promotes the
 //! same region in <30ms unbatched and ≈500µs batched (§5.1.2, §6).
 
-use trident_types::{PageGeometry, PageSize, TridentError};
+use trident_types::{PageGeometry, PageSize};
 
-/// Nanosecond-denominated cost model shared by all policies.
+/// Nanosecond-denominated cost model shared by all policies: plain
+/// data, set by assigning fields on [`CostModel::default`].
 ///
 /// Large-page fault latencies are *derived* from the zeroing bandwidth and
 /// the page size ([`CostModel::fault_ns`]), so they stay correct when the
@@ -43,26 +44,6 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Starts building a cost model from the paper's defaults. Each knob
-    /// is validated at [`CostModelBuilder::build`] time.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use trident_core::CostModel;
-    ///
-    /// let m = CostModel::builder().fault_base_ns(500).build()?;
-    /// assert_eq!(m.fault_base_ns, 500);
-    /// assert!(CostModel::builder().copy_bytes_per_ns(0.0).build().is_err());
-    /// # Ok::<(), trident_types::TridentError>(())
-    /// ```
-    #[must_use]
-    pub fn builder() -> CostModelBuilder {
-        CostModelBuilder {
-            model: CostModel::default(),
-        }
-    }
-
     /// Fault latency for mapping a page of `size`. Synchronous large-page
     /// faults are dominated by zero-filling the page (zeroing is required
     /// so leftover data cannot leak, §5.1.2); `prepared` giant faults use
@@ -129,116 +110,6 @@ impl Default for CostModel {
             scan_page_ns: 15,
             cycles_per_ns: 2.3,
         }
-    }
-}
-
-/// Builder for [`CostModel`]: starts from the paper-matched defaults and
-/// rejects non-physical values (zero bandwidths, a zero divisor, a
-/// non-positive clock) at [`build`](CostModelBuilder::build) time.
-#[derive(Debug, Clone)]
-pub struct CostModelBuilder {
-    model: CostModel,
-}
-
-impl CostModelBuilder {
-    /// Sets the 4KB minor-fault latency.
-    #[must_use]
-    pub fn fault_base_ns(mut self, ns: u64) -> Self {
-        self.model.fault_base_ns = ns;
-        self
-    }
-
-    /// Sets the synchronous/prepared giant-fault latency ratio.
-    #[must_use]
-    pub fn prepared_fault_divisor(mut self, divisor: u64) -> Self {
-        self.model.prepared_fault_divisor = divisor;
-        self
-    }
-
-    /// Sets the migration/promotion copy bandwidth (bytes per ns).
-    #[must_use]
-    pub fn copy_bytes_per_ns(mut self, bw: f64) -> Self {
-        self.model.copy_bytes_per_ns = bw;
-        self
-    }
-
-    /// Sets the background zeroing bandwidth (bytes per ns).
-    #[must_use]
-    pub fn zero_bytes_per_ns(mut self, bw: f64) -> Self {
-        self.model.zero_bytes_per_ns = bw;
-        self
-    }
-
-    /// Sets the hypercall transition cost.
-    #[must_use]
-    pub fn hypercall_ns(mut self, ns: u64) -> Self {
-        self.model.hypercall_ns = ns;
-        self
-    }
-
-    /// Sets the per-pair pv mapping-exchange cost.
-    #[must_use]
-    pub fn pv_exchange_pair_ns(mut self, ns: u64) -> Self {
-        self.model.pv_exchange_pair_ns = ns;
-        self
-    }
-
-    /// Sets the per-exchange overhead of unbatched pv promotion.
-    #[must_use]
-    pub fn pv_unbatched_extra_ns(mut self, ns: u64) -> Self {
-        self.model.pv_unbatched_extra_ns = ns;
-        self
-    }
-
-    /// Sets the TLB-shootdown cost after a remapping batch.
-    #[must_use]
-    pub fn tlb_shootdown_ns(mut self, ns: u64) -> Self {
-        self.model.tlb_shootdown_ns = ns;
-        self
-    }
-
-    /// Sets the promotion-scan cost per base page.
-    #[must_use]
-    pub fn scan_page_ns(mut self, ns: u64) -> Self {
-        self.model.scan_page_ns = ns;
-        self
-    }
-
-    /// Sets the simulated core frequency (cycles per ns).
-    #[must_use]
-    pub fn cycles_per_ns(mut self, f: f64) -> Self {
-        self.model.cycles_per_ns = f;
-        self
-    }
-
-    /// Validates and returns the model.
-    ///
-    /// # Errors
-    ///
-    /// [`TridentError::InvalidConfig`] when a bandwidth or the clock is not
-    /// strictly positive or not finite, or the prepared-fault divisor is
-    /// zero (it divides).
-    pub fn build(self) -> Result<CostModel, TridentError> {
-        let m = self.model;
-        if m.prepared_fault_divisor == 0 {
-            return Err(TridentError::InvalidConfig {
-                field: "prepared_fault_divisor",
-                reason: "must be nonzero (divides the synchronous fault latency)",
-            });
-        }
-        for (field, value) in [
-            ("copy_bytes_per_ns", m.copy_bytes_per_ns),
-            ("zero_bytes_per_ns", m.zero_bytes_per_ns),
-            ("cycles_per_ns", m.cycles_per_ns),
-        ] {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(TridentError::InvalidConfig {
-                    field,
-                    reason: "must be finite and strictly positive",
-                });
-            }
-        }
-        Ok(m)
     }
 }
 
@@ -323,38 +194,5 @@ mod tests {
     fn zeroing_a_huge_page_is_sub_millisecond() {
         let m = CostModel::default();
         assert!(m.zero_ns(2 * MIB) < 1_000_000);
-    }
-
-    #[test]
-    fn builder_defaults_match_default_and_setters_stick() {
-        assert_eq!(CostModel::builder().build().unwrap(), CostModel::default());
-        let m = CostModel::builder()
-            .fault_base_ns(2_000)
-            .prepared_fault_divisor(100)
-            .copy_bytes_per_ns(2.0)
-            .zero_bytes_per_ns(3.0)
-            .hypercall_ns(250)
-            .pv_exchange_pair_ns(900)
-            .pv_unbatched_extra_ns(50_000)
-            .tlb_shootdown_ns(4_000)
-            .scan_page_ns(10)
-            .cycles_per_ns(3.0)
-            .build()
-            .unwrap();
-        assert_eq!(m.fault_base_ns, 2_000);
-        assert_eq!(m.cycles_per_ns, 3.0);
-    }
-
-    #[test]
-    fn builder_rejects_non_physical_values() {
-        for err in [
-            CostModel::builder().prepared_fault_divisor(0).build(),
-            CostModel::builder().copy_bytes_per_ns(0.0).build(),
-            CostModel::builder().zero_bytes_per_ns(-1.0).build(),
-            CostModel::builder().cycles_per_ns(f64::NAN).build(),
-            CostModel::builder().cycles_per_ns(f64::INFINITY).build(),
-        ] {
-            assert!(matches!(err, Err(TridentError::InvalidConfig { .. })));
-        }
     }
 }

@@ -118,6 +118,61 @@ pub fn map_chunk(
     Ok((pfn, prepared))
 }
 
+/// The 4KB fault that ends every policy's fallback chain: maps a base
+/// page at `vpn` and records the fault.
+///
+/// # Errors
+///
+/// [`PolicyError::BadAddress`] when no VMA holds `vpn`, or the allocation
+/// error when no base frame is free.
+pub(crate) fn fault_base(
+    ctx: &mut MmContext,
+    space: &mut AddressSpace,
+    vpn: Vpn,
+) -> Result<FaultOutcome, PolicyError> {
+    if space.vma_containing(vpn).is_none() {
+        return Err(PolicyError::BadAddress(vpn));
+    }
+    map_chunk(ctx, space, vpn, PageSize::BASE)?;
+    let latency = ctx.cost.fault_base_ns;
+    ctx.record_fault(PageSize::BASE, latency);
+    Ok(FaultOutcome {
+        size: PageSize::BASE,
+        latency_ns: latency,
+        prepared: false,
+    })
+}
+
+/// THP's fault, which HawkEye shares: a rung-1 page when the rung-1
+/// chunk around `vpn` lies inside its VMA, is wholly unmapped and a free
+/// block of its order is left, else [`fault_base`].
+///
+/// # Errors
+///
+/// As [`fault_base`].
+pub(crate) fn fault_huge_or_base(
+    ctx: &mut MmContext,
+    space: &mut AddressSpace,
+    vpn: Vpn,
+) -> Result<FaultOutcome, PolicyError> {
+    let huge = PageSize::new(1);
+    if let Some(head) = touched_chunk(space, vpn, huge) {
+        // An injected allocation fault degrades to the 4KB path below;
+        // without injection the has_free check makes map_chunk
+        // infallible here.
+        if ctx.mem.has_free(huge) && map_chunk(ctx, space, head, huge).is_ok() {
+            let latency = ctx.cost.fault_ns(&ctx.geometry(), huge, false);
+            ctx.record_fault(huge, latency);
+            return Ok(FaultOutcome {
+                size: huge,
+                latency_ns: latency,
+                prepared: false,
+            });
+        }
+    }
+    fault_base(ctx, space, vpn)
+}
+
 /// The batched populate shared by the 4KB baseline (`decide` = `None`)
 /// and THP and Trident (`decide` = rung 1, the smallest large page their
 /// fault handlers try).

@@ -34,7 +34,6 @@ mod fault;
 mod invariants;
 mod policy;
 mod promote;
-mod stats;
 mod tenant;
 mod trident;
 mod zerofill;
@@ -46,26 +45,28 @@ pub use baselines::ingens::IngensPolicy;
 pub use baselines::thp::ThpPolicy;
 pub use compaction::{CompactionKind, CompactionOutcome, Compactor};
 pub use context::{MmContext, SpaceSet};
-pub use cost::{CostModel, CostModelBuilder};
+pub use cost::CostModel;
 pub use fault::{map_chunk, touched_chunk, touched_chunk_reserved, FaultOutcome};
 pub use invariants::{assert_mm_consistent, check_mm_consistent};
 pub use policy::{PagePolicy, PolicyError, TickOutcome};
 pub use promote::{
     demote_chunk, promote_chunk, recover_bloat, PromoteError, PromoteOutcome, PromotedChunk,
-    Promoter, PromoterConfig, PromoterConfigBuilder, PromotionStyle,
+    Promoter, PromoterConfig, PromotionStyle,
 };
-pub use stats::{AllocSite, MmStats};
 pub use tenant::{
     violation_asid, violations_by_tenant, PinnedRange, PolicyHint, TenantDirectory, TenantPolicy,
 };
+pub use trident::{TridentConfig, TridentPolicy};
+pub use zerofill::ZeroFillPool;
+
 // Observability vocabulary, re-exported so policy consumers need not
 // depend on `trident-obs` directly.
-pub use trident::{TridentConfig, TridentPolicy};
+pub use trident_obs::{
+    AllocSite, Event, InjectSite, NoopRecorder, ObsRecorder, Recorder, RingTracer, SpanKind,
+    StatsSnapshot, SNAPSHOT_VERSION,
+};
+
 // Fault-injection vocabulary, re-exported for the same reason.
 pub use trident_fault::{FaultInjector, FaultPlan, FaultPlanBuilder, SiteRule};
-pub use trident_obs::{
-    Event, InjectSite, NoopRecorder, ObsRecorder, Recorder, RingTracer, SpanKind, StatsSnapshot,
-    SNAPSHOT_VERSION,
-};
+
 pub use trident_types::{violations_message, InvariantViolation};
-pub use zerofill::ZeroFillPool;

@@ -14,7 +14,7 @@ use std::error::Error;
 
 use trident_obs::{Event, InjectSite, SpanKind};
 use trident_phys::{FrameUse, MappingOwner};
-use trident_types::{AsId, DenseBitSet, PageSize, TridentError, Vpn, MAX_RUNGS};
+use trident_types::{AsId, DenseBitSet, PageSize, Vpn, MAX_RUNGS};
 use trident_vm::{promotion_candidates, AddressSpace};
 
 use crate::{CompactionKind, Compactor, MmContext, PolicyHint, SpaceSet, TickOutcome};
@@ -292,7 +292,9 @@ pub fn demote_chunk(ctx: &mut MmContext, spaces: &mut SpaceSet, chunk: &Promoted
     recovered
 }
 
-/// Configuration of the promotion daemon.
+/// Configuration of the promotion daemon: plain data, built from a
+/// preset ([`PromoterConfig::thp`], [`PromoterConfig::trident`]) or a
+/// struct literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PromoterConfig {
     /// Promote to 1GB pages (Trident).
@@ -336,103 +338,6 @@ impl PromoterConfig {
             chunk_budget: 16,
             order_by_access: false,
         }
-    }
-
-    /// A validating builder seeded from this configuration.
-    #[must_use]
-    pub fn builder(self) -> PromoterConfigBuilder {
-        PromoterConfigBuilder { config: self }
-    }
-}
-
-/// Validating builder for [`PromoterConfig`].
-///
-/// Seed it from one of the named presets and override what the experiment
-/// varies; [`build`](PromoterConfigBuilder::build) rejects configurations
-/// the daemon cannot run (zero chunk budget, no target page size at all).
-///
-/// # Examples
-///
-/// ```
-/// use trident_core::{PromoterConfig, PromotionStyle};
-///
-/// let config = PromoterConfig::trident()
-///     .builder()
-///     .style(PromotionStyle::PvBatched)
-///     .chunk_budget(8)
-///     .build()?;
-/// assert_eq!(config.chunk_budget, 8);
-/// assert!(PromoterConfig::trident().builder().chunk_budget(0).build().is_err());
-/// # Ok::<(), trident_types::TridentError>(())
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct PromoterConfigBuilder {
-    config: PromoterConfig,
-}
-
-impl PromoterConfigBuilder {
-    /// Enables or disables 1GB promotion.
-    #[must_use]
-    pub fn use_giant(mut self, on: bool) -> Self {
-        self.config.use_giant = on;
-        self
-    }
-
-    /// Enables or disables 2MB promotion.
-    #[must_use]
-    pub fn use_huge(mut self, on: bool) -> Self {
-        self.config.use_huge = on;
-        self
-    }
-
-    /// Sets the compaction algorithm.
-    #[must_use]
-    pub fn compaction(mut self, kind: CompactionKind) -> Self {
-        self.config.compaction = kind;
-        self
-    }
-
-    /// Sets how promoted data reaches the new page.
-    #[must_use]
-    pub fn style(mut self, style: PromotionStyle) -> Self {
-        self.config.style = style;
-        self
-    }
-
-    /// Sets the per-tick promotion budget.
-    #[must_use]
-    pub fn chunk_budget(mut self, budget: usize) -> Self {
-        self.config.chunk_budget = budget;
-        self
-    }
-
-    /// Orders candidates by accessed-bit density (HawkEye).
-    #[must_use]
-    pub fn order_by_access(mut self, on: bool) -> Self {
-        self.config.order_by_access = on;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`TridentError::InvalidConfig`] when the chunk budget is zero or no
-    /// target page size is enabled.
-    pub fn build(self) -> Result<PromoterConfig, TridentError> {
-        if self.config.chunk_budget == 0 {
-            return Err(TridentError::InvalidConfig {
-                field: "chunk_budget",
-                reason: "must be nonzero (the daemon would never promote)",
-            });
-        }
-        if !self.config.use_giant && !self.config.use_huge {
-            return Err(TridentError::InvalidConfig {
-                field: "use_giant/use_huge",
-                reason: "at least one target page size must be enabled",
-            });
-        }
-        Ok(self.config)
     }
 }
 
@@ -1008,7 +913,7 @@ mod tests {
         let space = spaces.get(AsId::new(1)).unwrap();
         let t = space.page_table().translate(Vpn::new(10)).unwrap();
         assert_eq!(t.size, PageSize::new(2));
-        assert_eq!(ctx.stats.promotions[2], 1);
+        assert_eq!(ctx.snapshot().promotions[2], 1);
         ctx.mem.assert_consistent();
     }
 
@@ -1031,7 +936,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.bloat_pages, 54);
-        assert_eq!(ctx.stats.bloat_pages, 54);
+        assert_eq!(ctx.snapshot().bloat_pages, 54);
     }
 
     #[test]
@@ -1280,7 +1185,7 @@ mod tests {
         let space = spaces.get(AsId::new(1)).unwrap();
         assert!(space.page_table().translate(Vpn::new(7)).is_some());
         assert!(space.page_table().translate(Vpn::new(8)).is_none());
-        assert_eq!(ctx.stats.bloat_recovered_pages, 56);
+        assert_eq!(ctx.snapshot().bloat_recovered_pages, 56);
     }
 
     #[test]
@@ -1459,7 +1364,8 @@ mod tests {
         // Doubling backoff: retries at ticks 1, 2, 4 and 8 only.
         assert_eq!(compaction_runs, 4, "backoff must suppress hopeless runs");
         assert_eq!(
-            ctx.stats.promotions_deferred, 8,
+            ctx.snapshot().promotions_deferred,
+            8,
             "sat-out ticks surface as deferrals"
         );
         // Contiguity returns mid-window (skip_ticks > 0 at this point).

@@ -98,12 +98,6 @@ impl PolicyHint {
     pub fn pins(&self, head: Vpn, span: u64) -> bool {
         self.pinned.iter().any(|r| r.covers(head, span))
     }
-
-    /// Whether this hint changes anything at all.
-    #[must_use]
-    pub fn is_neutral(&self) -> bool {
-        self.pinned.is_empty() && self.preferred_size.is_none() && !self.promotion_opt_out
-    }
 }
 
 /// One tenant's registration with the shared memory-management engine.
@@ -167,7 +161,7 @@ impl TenantPolicy {
 ///
 /// let mut dir = TenantDirectory::new();
 /// dir.register(AsId::new(1), TenantPolicy::new(TenantId::new(0)).weight(2));
-/// assert_eq!(dir.tenant_of(AsId::new(1)), Some(TenantId::new(0)));
+/// assert_eq!(dir.policy(AsId::new(1)).unwrap().tenant, TenantId::new(0));
 /// assert_eq!(dir.weight(AsId::new(1)), 2);
 /// assert_eq!(dir.weight(AsId::new(9)), 1);
 /// ```
@@ -192,12 +186,6 @@ impl TenantDirectory {
     #[must_use]
     pub fn policy(&self, asid: AsId) -> Option<&TenantPolicy> {
         self.map.get(&asid)
-    }
-
-    /// The tenant owning `asid`, if registered.
-    #[must_use]
-    pub fn tenant_of(&self, asid: AsId) -> Option<TenantId> {
-        self.map.get(&asid).map(|p| p.tenant)
     }
 
     /// The fairness weight for `asid` (1 for unregistered spaces).
@@ -243,7 +231,9 @@ pub fn violations_by_tenant(
 ) -> Vec<(Option<TenantId>, u64)> {
     let mut counts: BTreeMap<Option<TenantId>, u64> = BTreeMap::new();
     for v in violations {
-        let tenant = violation_asid(v).and_then(|asid| dir.tenant_of(asid));
+        let tenant = violation_asid(v)
+            .and_then(|asid| dir.policy(asid))
+            .map(|p| p.tenant);
         *counts.entry(tenant).or_default() += 1;
     }
     counts.into_iter().collect()
@@ -274,8 +264,10 @@ mod tests {
         assert!(hint.pins(Vpn::new(96), 8), "straddles the start");
         assert!(!hint.pins(Vpn::new(150), 8), "half-open end");
         assert!(!hint.pins(Vpn::new(0), 100), "half-open start");
-        assert!(PolicyHint::new().is_neutral());
-        assert!(!hint.is_neutral());
+        let neutral = PolicyHint::new();
+        assert!(neutral.pinned.is_empty() && neutral.preferred_size.is_none());
+        assert!(!neutral.promotion_opt_out);
+        assert!(!hint.pinned.is_empty());
     }
 
     #[test]
@@ -283,7 +275,7 @@ mod tests {
         let dir = TenantDirectory::new();
         assert!(dir.is_empty());
         assert_eq!(dir.weight(AsId::new(1)), 1);
-        assert_eq!(dir.tenant_of(AsId::new(1)), None);
+        assert!(dir.policy(AsId::new(1)).is_none());
         assert!(dir.tenants().is_empty());
     }
 

@@ -5,7 +5,7 @@ use trident_obs::{Event, SpanKind};
 use trident_types::{PageSize, Vpn};
 use trident_vm::AddressSpace;
 
-use crate::fault::populate_runs;
+use crate::fault::{fault_base, populate_runs};
 use crate::{
     map_chunk, recover_bloat, touched_chunk, AllocSite, CompactionKind, FaultOutcome, MmContext,
     PagePolicy, PolicyError, PromotedChunk, Promoter, PromoterConfig, PromotionStyle, SpaceSet,
@@ -173,9 +173,8 @@ impl PagePolicy for TridentPolicy {
         space: &mut AddressSpace,
         vpn: Vpn,
     ) -> Result<FaultOutcome, PolicyError> {
-        if space.vma_containing(vpn).is_none() {
-            return Err(PolicyError::BadAddress(vpn));
-        }
+        // Outside every VMA no chunk test passes, and `fault_base`
+        // reports the bad address.
         if let Some(head) = touched_chunk(space, vpn, PageSize::new(2)) {
             match map_chunk(ctx, space, head, PageSize::new(2)) {
                 Ok((_, prepared)) => {
@@ -208,14 +207,7 @@ impl PagePolicy for TridentPolicy {
                 }
             }
         }
-        map_chunk(ctx, space, vpn, PageSize::BASE)?;
-        let latency = ctx.cost.fault_base_ns;
-        ctx.record_fault(PageSize::BASE, latency);
-        Ok(FaultOutcome {
-            size: PageSize::BASE,
-            latency_ns: latency,
-            prepared: false,
-        })
+        fault_base(ctx, space, vpn)
     }
 
     /// The first fault in each rung-1 chunk decides its size. When that
@@ -340,7 +332,7 @@ mod tests {
         space.mmap_at(Vpn::new(0), 64, VmaKind::Anon).unwrap();
         let out = policy.on_fault(&mut ctx, space, Vpn::new(9)).unwrap();
         assert_eq!(out.size, PageSize::new(1));
-        assert_eq!(ctx.stats.giant_failures_fault, 1);
+        assert_eq!(ctx.snapshot().giant_failures_fault, 1);
         // Now exhaust huge chunks too; remaining faults are 4KB.
         while ctx.mem.has_free(PageSize::new(1)) {
             ctx.mem
@@ -386,7 +378,7 @@ mod tests {
         }
         let out = policy.on_tick(&mut ctx, &mut spaces);
         assert!(out.promotions >= 1);
-        assert!(ctx.stats.giant_blocks_prezeroed >= 1);
+        assert!(ctx.snapshot().giant_blocks_prezeroed >= 1);
         let space = spaces.get(AsId::new(1)).unwrap();
         assert!(space.page_table().mapped_pages(PageSize::new(2)) >= 1);
     }
@@ -420,7 +412,7 @@ mod tests {
             space.mmap_at(Vpn::new(4), 60, VmaKind::Anon).unwrap();
         }
         policy.on_tick(&mut ctx, &mut spaces);
-        assert!(ctx.stats.bloat_pages > 0);
+        assert!(ctx.snapshot().bloat_pages > 0);
         // Create memory pressure by grabbing almost everything free.
         while ctx.mem.free_fraction() > 0.05 {
             if ctx
@@ -432,6 +424,6 @@ mod tests {
             }
         }
         policy.on_tick(&mut ctx, &mut spaces);
-        assert!(ctx.stats.bloat_recovered_pages > 0);
+        assert!(ctx.snapshot().bloat_recovered_pages > 0);
     }
 }

@@ -37,13 +37,6 @@ impl ZeroFillPool {
         }
     }
 
-    /// Number of blocks currently believed prepared (may include stale
-    /// handles that will be discarded on take).
-    #[must_use]
-    pub fn prepared_blocks(&self) -> usize {
-        self.prepared.len()
-    }
-
     /// One background-thread pass: zero-fill up to `budget` free giant
     /// blocks that are not yet prepared. Returns the thread's CPU time in
     /// nanoseconds and the number of blocks zeroed.
@@ -113,7 +106,7 @@ mod tests {
         let (ns, zeroed) = pool.tick(&mem, &cost, 10);
         assert_eq!(zeroed, 2); // capped by max_prepared
         assert!(ns > 0);
-        assert_eq!(pool.prepared_blocks(), 2);
+        assert_eq!(pool.prepared.len(), 2);
         // A second tick has nothing to do.
         let (_, again) = pool.tick(&mem, &cost, 10);
         assert_eq!(again, 0);
@@ -127,7 +120,7 @@ mod tests {
             .take_prepared(&mut mem, FrameUse::User, None, &mut NoopRecorder)
             .expect("one block prepared");
         assert!(mem.is_unit_head(head));
-        assert_eq!(pool.prepared_blocks(), 0);
+        assert_eq!(pool.prepared.len(), 0);
     }
 
     #[test]

@@ -49,7 +49,10 @@ fn alloc_injection_surfaces_as_out_of_contiguous_memory() {
     let space = spaces.get_mut(AsId::new(1)).unwrap();
     assert!(map_chunk(&mut ctx, space, Vpn::new(0), PageSize::BASE).is_ok());
     assert_eq!(ctx.fault.injected(InjectSite::Alloc), 2);
-    assert_eq!(ctx.stats.injected_faults[InjectSite::Alloc as usize], 2);
+    assert_eq!(
+        ctx.snapshot().injected_faults[InjectSite::Alloc as usize],
+        2
+    );
 }
 
 #[test]
@@ -68,7 +71,7 @@ fn compaction_injection_aborts_the_run_and_is_traced() {
     let mut compactor = Compactor::new(CompactionKind::Smart);
     let out = compactor.compact(&mut ctx, &mut spaces, PageSize::new(2));
     assert!(!out.success, "injected abort must fail the run");
-    let snap = ctx.stats.snapshot();
+    let snap = ctx.snapshot();
     assert_eq!(snap.injected_at(InjectSite::Compaction), 1);
     assert_eq!(snap.compaction_attempts, 1);
     assert_eq!(snap.compaction_successes, 0);
@@ -88,7 +91,7 @@ fn promotion_injection_defers_instead_of_promoting() {
     let (out, promoted) = promoter.tick(&mut ctx, &mut spaces);
     assert_eq!(out.promotions, 0);
     assert!(promoted.is_empty());
-    let snap = ctx.stats.snapshot();
+    let snap = ctx.snapshot();
     assert!(snap.promotions_deferred > 0);
     assert!(snap.injected_at(InjectSite::Promotion) > 0);
     assert!(check_mm_consistent(&ctx, &spaces).is_ok());
@@ -107,8 +110,11 @@ fn trace_ring_injection_drops_the_event_but_keeps_stats() {
     ctx.record(Event::ZeroFill { blocks: 3 });
     // Stats saw the real event; the trace holds only the injection marker
     // and the ring accounts one dropped event.
-    assert_eq!(ctx.stats.giant_blocks_prezeroed, 3);
-    assert_eq!(ctx.stats.injected_faults[InjectSite::TraceRing as usize], 1);
+    assert_eq!(ctx.snapshot().giant_blocks_prezeroed, 3);
+    assert_eq!(
+        ctx.snapshot().injected_faults[InjectSite::TraceRing as usize],
+        1
+    );
     let tracer = ctx.recorder.tracer_mut().unwrap();
     assert_eq!(tracer.dropped(), 1);
     let events = tracer.drain();

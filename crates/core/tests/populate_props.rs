@@ -1,6 +1,6 @@
 //! Property tests for batched populate: every override of
 //! `PagePolicy::populate` must leave exactly what the default per-page
-//! loop leaves from the same state — the same `MmStats`, tenant rows,
+//! loop leaves from the same state — the same pooled counters, tenant rows,
 //! buddy state, frame table, region counters and page table, the same
 //! trace under a recorder, and the same error at the same page when
 //! memory runs out. The scenarios produce
@@ -188,7 +188,7 @@ fn packed_state(pt: &PageTable) -> String {
 }
 
 fn assert_same_state(a: &MmContext, sa: &SpaceSet, b: &MmContext, sb: &SpaceSet) {
-    assert_eq!(a.stats, b.stats, "pooled MmStats");
+    assert_eq!(a.snapshot(), b.snapshot(), "pooled counters");
     for tenant in [TenantId::new(0), TenantId::new(1)] {
         assert_eq!(a.tenant_snapshot(tenant), b.tenant_snapshot(tenant));
     }
@@ -274,9 +274,9 @@ fn rung_1_runs<P: PagePolicy>(s: &Scenario, mut policy: P) -> u64 {
     let mut runs = 0;
     for &(salt, pages, tick) in &s.calls {
         let start = call_start(&spaces, salt);
-        let before = ctx.stats.faults[1];
+        let before = ctx.snapshot().faults[1];
         let _ = policy.populate(&mut ctx, spaces.get_mut(ASID).unwrap(), start, pages);
-        runs += u64::from(ctx.stats.faults[1] - before >= 2);
+        runs += u64::from(ctx.snapshot().faults[1] - before >= 2);
         if tick {
             policy.on_tick(&mut ctx, &mut spaces);
         }

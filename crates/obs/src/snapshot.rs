@@ -14,10 +14,10 @@ pub const SNAPSHOT_VERSION: u32 = 5;
 ///
 /// This is the single consumption surface for experiments, reports and
 /// governors: the raw material for the paper's Tables 3–5 and Figure 7.
-/// A snapshot is obtained either from the live counters
-/// (`MmStats::snapshot()` in `trident-core`) or by replaying a recorded
-/// trace with [`StatsSnapshot::from_events`]; the two agree whenever the
-/// trace lost no events.
+/// The live counters of `trident-core`'s `MmContext` are themselves a
+/// snapshot, folded event by event through [`StatsSnapshot::apply`];
+/// replaying a recorded trace with [`StatsSnapshot::from_events`] runs
+/// the same fold, so the two agree whenever the trace lost no events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Schema version; always [`SNAPSHOT_VERSION`] for values built by
@@ -190,6 +190,18 @@ impl StatsSnapshot {
         }
     }
 
+    /// Folds `count` copies of one event: equal to `count` calls of
+    /// [`apply`](Self::apply), in one step for faults.
+    pub fn apply_n(&mut self, event: &Event, count: u64) {
+        match *event {
+            Event::Fault { size, ns, .. } => {
+                self.faults[size.rung()] += count;
+                self.fault_ns[size.rung()] += ns * count;
+            }
+            _ => (0..count).for_each(|_| self.apply(event)),
+        }
+    }
+
     /// Rebuilds a snapshot by replaying a trace.
     #[must_use]
     pub fn from_events<'a, I: IntoIterator<Item = &'a Event>>(events: I) -> StatsSnapshot {
@@ -264,13 +276,6 @@ impl StatsSnapshot {
         (n > 0).then(|| self.fault_ns[size.rung()] / n)
     }
 
-    /// Fraction of compaction attempts that succeeded, if any ran.
-    #[must_use]
-    pub fn compaction_success_rate(&self) -> Option<f64> {
-        (self.compaction_attempts > 0)
-            .then(|| self.compaction_successes as f64 / self.compaction_attempts as f64)
-    }
-
     /// Total faults injected by a fault plan, across all sites.
     #[must_use]
     pub fn total_injected_faults(&self) -> u64 {
@@ -301,6 +306,11 @@ mod tests {
                 site: AllocSite::PageFault,
                 ns: 200,
             },
+            Event::Fault {
+                size: PageSize::BASE,
+                site: AllocSite::PageFault,
+                ns: 1,
+            },
             Event::GiantAttempt {
                 site: AllocSite::PageFault,
                 failed: true,
@@ -318,8 +328,9 @@ mod tests {
                 walk_cycles: 35,
             },
         ];
-        let snap = StatsSnapshot::from_events(events.iter());
-        assert_eq!(snap.total_faults(), 2);
+        let mut snap = StatsSnapshot::from_events(events.iter());
+        assert_eq!(snap.total_faults(), 3);
+        assert_eq!(snap.total_fault_ns(), 601);
         assert_eq!(snap.mean_fault_ns(PageSize::new(2)), Some(300));
         assert_eq!(
             snap.giant_failure_rate(AllocSite::PageFault),
@@ -327,7 +338,32 @@ mod tests {
             "one of two attempts failed"
         );
         assert_eq!(snap.giant_failure_rate(AllocSite::Promotion), None);
-        assert_eq!(snap.compaction_success_rate(), Some(1.0));
+        assert_eq!(
+            (snap.compaction_attempts, snap.compaction_successes),
+            (1, 1)
+        );
+        snap.apply(&Event::GiantAttempt {
+            site: AllocSite::Promotion,
+            failed: true,
+        });
+        assert_eq!(snap.giant_failure_rate(AllocSite::Promotion), Some(1.0));
+    }
+
+    #[test]
+    fn apply_n_equals_repeated_apply() {
+        for event in [
+            Event::Fault {
+                size: PageSize::new(1),
+                site: AllocSite::PageFault,
+                ns: 40,
+            },
+            Event::PvFallback { bytes: 2048 },
+        ] {
+            let mut batched = StatsSnapshot::default();
+            batched.apply_n(&event, 3);
+            let repeated = StatsSnapshot::from_events([event; 3].iter());
+            assert_eq!(batched, repeated);
+        }
     }
 
     #[test]

@@ -40,16 +40,6 @@ impl FragmentProfile {
             max_chunk_order: 2,
         }
     }
-
-    /// A milder profile: larger holes, fewer poisoned regions.
-    #[must_use]
-    pub fn moderate() -> FragmentProfile {
-        FragmentProfile {
-            target_free_fraction: 0.4,
-            unmovable_region_fraction: 0.05,
-            max_chunk_order: 4,
-        }
-    }
 }
 
 impl Default for FragmentProfile {
@@ -227,12 +217,6 @@ impl Fragmenter {
         freed
     }
 
-    /// Number of page-cache chunks still resident.
-    #[must_use]
-    pub fn resident_chunks(&self) -> usize {
-        self.resident.len()
-    }
-
     fn report(&self, mem: &PhysicalMemory) -> FragmentReport {
         let geo = mem.geometry();
         let mut fmfi = [0.0; MAX_RUNGS];
@@ -311,7 +295,14 @@ mod tests {
             let geo = PageGeometry::TINY;
             let mut mem = PhysicalMemory::new(geo, 16 * geo.base_pages(geo.largest()));
             let mut rng = SmallRng::seed_from_u64(7);
-            Fragmenter::new(FragmentProfile::moderate()).run(&mut mem, &mut rng)
+            // Larger holes and fewer poisoned regions than the heavy
+            // profile.
+            let mild = FragmentProfile {
+                target_free_fraction: 0.4,
+                unmovable_region_fraction: 0.05,
+                max_chunk_order: 4,
+            };
+            Fragmenter::new(mild).run(&mut mem, &mut rng)
         };
         assert_eq!(run(), run());
     }

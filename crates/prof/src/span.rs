@@ -147,11 +147,6 @@ impl<R: Recorder> SpanRecorder<R> {
     pub fn inner(&self) -> &R {
         &self.inner
     }
-
-    /// Unwraps into `(stats, inner)`.
-    pub fn into_parts(self) -> (SpanStats, R) {
-        (self.stats, self.inner)
-    }
 }
 
 impl<R: Recorder> Recorder for SpanRecorder<R> {
@@ -222,7 +217,6 @@ mod tests {
             ns: 7,
         });
         assert_eq!(r.stats().completed(SpanKind::ZeroFill), 1);
-        let (stats, _inner) = r.into_parts();
-        assert_eq!(stats.histogram(SpanKind::ZeroFill).max(), Some(7));
+        assert_eq!(r.stats().histogram(SpanKind::ZeroFill).max(), Some(7));
     }
 }

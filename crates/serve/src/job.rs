@@ -14,8 +14,8 @@ use trident_prof::report::render_json;
 use trident_prof::JsonlWriter;
 use trident_sim::experiments::ExpOptions;
 use trident_sim::{
-    derive_cell_seed, scaled_geometry_for, PolicyHint, PolicyKind, RunProgress, SimConfig, System,
-    TenantSpec,
+    check_scale, derive_cell_seed, scaled_geometry_for, PolicyHint, PolicyKind, RunProgress,
+    SimConfig, System, TenantSpec,
 };
 use trident_types::{PageGeometry, PageSize, Vpn};
 use trident_workloads::WorkloadSpec;
@@ -51,12 +51,7 @@ pub fn resolve(spec: &JobSpec) -> Result<(SimConfig, PolicyKind, Vec<TenantSpec>
     };
     // `scaled_geometry_for` and `ExpOptions::config` below assert
     // this; a request must get a typed refusal, not a panic.
-    if !spec.scale.is_power_of_two() || spec.scale > 256 {
-        return Err(format!(
-            "scale must be a power of two from 1 to 256, got {}",
-            spec.scale
-        ));
-    }
+    check_scale(spec.scale).map_err(|e| format!("{e}, got {}", spec.scale))?;
     // The run's ladder: the architecture, rescaled with the job. Prefer
     // labels resolve against this, so a rung the scale squeezes out is
     // an error at admission, not a silently re-aimed hint.

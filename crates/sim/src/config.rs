@@ -6,6 +6,11 @@ use trident_types::{PageGeometry, TridentError, GIB};
 use trident_workloads::MemoryScale;
 
 /// Configuration of one simulated system run.
+///
+/// Plain data: start from [`SimConfig::at_scale`] (or a preset such as
+/// [`SimConfig::fragmented`]) and assign the fields a run varies. Values
+/// from outside the program are checked where they enter: command-line
+/// flags by the binaries' parser, job specs by the job service.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Page geometry (the real x86-64 layout for experiments).
@@ -67,12 +72,12 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `scale` is not a power of two or exceeds 256.
+    /// Panics if [`check_scale`] refuses `scale`.
     #[must_use]
     pub fn at_scale(scale: u64) -> SimConfig {
         SimConfig {
-            scale: MemoryScale::new(scale),
             geo: scaled_geometry(scale),
+            scale: MemoryScale::new(scale),
             ..SimConfig::default()
         }
     }
@@ -90,199 +95,6 @@ impl SimConfig {
         self.fragment = Some(FragmentProfile::heavy());
         self
     }
-
-    /// Returns a copy with event tracing enabled at the given ring
-    /// capacity.
-    #[must_use]
-    pub fn traced(mut self, capacity: usize) -> SimConfig {
-        self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Returns a copy with live profiling enabled.
-    #[must_use]
-    pub fn profiled(mut self) -> SimConfig {
-        self.profile = true;
-        self
-    }
-
-    /// Starts building a configuration at a given memory scale, with
-    /// every knob validated at [`SimConfigBuilder::build`] time.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use trident_sim::{SimConfig, SimConfigBuilder};
-    ///
-    /// let builder: SimConfigBuilder = SimConfig::builder(256);
-    /// let c = builder.measure_samples(5_000).build()?;
-    /// assert_eq!(c.measure_samples, 5_000);
-    /// assert!(SimConfig::builder(256).measure_samples(0).build().is_err());
-    /// # Ok::<(), trident_types::TridentError>(())
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not a power of two or exceeds 256 (same
-    /// contract as [`SimConfig::at_scale`]).
-    #[must_use]
-    pub fn builder(scale: u64) -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig::at_scale(scale),
-        }
-    }
-}
-
-/// Builder for [`SimConfig`]: starts from [`SimConfig::at_scale`] defaults
-/// and rejects degenerate values (zero sample counts or intervals, a
-/// daemon cap outside `(0, 1]`) at [`build`](SimConfigBuilder::build)
-/// time.
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Sets the host physical memory in (unscaled) bytes.
-    #[must_use]
-    pub fn host_mem_bytes(mut self, bytes: u64) -> Self {
-        self.config.host_mem_bytes = bytes;
-        self
-    }
-
-    /// Enables pre-run fragmentation with the given profile.
-    #[must_use]
-    pub fn fragment(mut self, profile: FragmentProfile) -> Self {
-        self.config.fragment = Some(profile);
-        self
-    }
-
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the touched pages between daemon ticks during load.
-    #[must_use]
-    pub fn tick_interval_pages(mut self, pages: u64) -> Self {
-        self.config.tick_interval_pages = pages;
-        self
-    }
-
-    /// Sets the measurement-phase sample count.
-    #[must_use]
-    pub fn measure_samples(mut self, samples: usize) -> Self {
-        self.config.measure_samples = samples;
-        self
-    }
-
-    /// Sets the samples between daemon ticks during measurement.
-    #[must_use]
-    pub fn measure_tick_every(mut self, samples: usize) -> Self {
-        self.config.measure_tick_every = samples;
-        self
-    }
-
-    /// Sets the maximum settling ticks after load.
-    #[must_use]
-    pub fn settle_ticks(mut self, ticks: usize) -> Self {
-        self.config.settle_ticks = ticks;
-        self
-    }
-
-    /// Caps background daemons to a fraction of one CPU.
-    #[must_use]
-    pub fn daemon_cap(mut self, cap: f64) -> Self {
-        self.config.daemon_cap = Some(cap);
-        self
-    }
-
-    /// Sets the app nanoseconds represented by one tick interval.
-    #[must_use]
-    pub fn tick_interval_app_ns(mut self, ns: u64) -> Self {
-        self.config.tick_interval_app_ns = ns;
-        self
-    }
-
-    /// Enables event tracing with a ring of the given capacity.
-    #[must_use]
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.config.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Enables or disables live profiling.
-    #[must_use]
-    pub fn profile(mut self, on: bool) -> Self {
-        self.config.profile = on;
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan.
-    #[must_use]
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.config.fault = Some(plan);
-        self
-    }
-
-    /// Enables or disables the per-tick consistency audit.
-    #[must_use]
-    pub fn audit(mut self, on: bool) -> Self {
-        self.config.audit = on;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`TridentError::InvalidConfig`] when a sample count or interval is
-    /// zero, host memory is smaller than one giant page, the daemon cap is
-    /// outside `(0, 1]`, or the trace capacity is zero.
-    pub fn build(self) -> Result<SimConfig, TridentError> {
-        let c = self.config;
-        if c.measure_samples == 0 {
-            return Err(TridentError::InvalidConfig {
-                field: "measure_samples",
-                reason: "must be nonzero",
-            });
-        }
-        if c.measure_tick_every == 0 {
-            return Err(TridentError::InvalidConfig {
-                field: "measure_tick_every",
-                reason: "must be nonzero",
-            });
-        }
-        if c.tick_interval_pages == 0 {
-            return Err(TridentError::InvalidConfig {
-                field: "tick_interval_pages",
-                reason: "must be nonzero",
-            });
-        }
-        if c.scale.apply(c.host_mem_bytes) < c.geo.bytes(c.geo.largest()) {
-            return Err(TridentError::InvalidConfig {
-                field: "host_mem_bytes",
-                reason: "scaled host memory must hold at least one top-rung page",
-            });
-        }
-        if let Some(cap) = c.daemon_cap {
-            if !(cap.is_finite() && cap > 0.0 && cap <= 1.0) {
-                return Err(TridentError::InvalidConfig {
-                    field: "daemon_cap",
-                    reason: "must be in (0, 1]",
-                });
-            }
-        }
-        if c.trace_capacity == Some(0) {
-            return Err(TridentError::InvalidConfig {
-                field: "trace_capacity",
-                reason: "must be nonzero when tracing is enabled",
-            });
-        }
-        Ok(c)
-    }
 }
 
 /// The x86-64 geometry with huge/giant orders reduced by log2(`scale`):
@@ -291,7 +103,7 @@ impl SimConfigBuilder {
 ///
 /// # Panics
 ///
-/// Panics if `scale` is not a power of two in `1..=256`.
+/// Panics if [`check_scale`] refuses `scale`.
 #[must_use]
 pub fn scaled_geometry(scale: u64) -> PageGeometry {
     scaled_geometry_for(&PageGeometry::X86_64, scale)
@@ -305,14 +117,31 @@ pub fn scaled_geometry(scale: u64) -> PageGeometry {
 ///
 /// # Panics
 ///
-/// Panics if `scale` is not a power of two in `1..=256`.
+/// Panics if [`check_scale`] refuses `scale`.
 #[must_use]
 pub fn scaled_geometry_for(arch: &PageGeometry, scale: u64) -> PageGeometry {
-    assert!(
-        scale.is_power_of_two() && scale <= 256,
-        "scale must be a power of two <= 256"
-    );
+    if let Err(e) = check_scale(scale) {
+        panic!("{e}");
+    }
     arch.scaled(scale.trailing_zeros() as u8)
+}
+
+/// The simulator's scale contract: a memory-scale divisor must be a
+/// power of two from 1 to 256. Every entry point that takes a scale from
+/// outside the program checks it here before building a configuration.
+///
+/// # Errors
+///
+/// [`TridentError::InvalidConfig`] naming `scale` for any other value.
+pub fn check_scale(scale: u64) -> Result<(), TridentError> {
+    if scale.is_power_of_two() && scale <= 256 {
+        Ok(())
+    } else {
+        Err(TridentError::InvalidConfig {
+            field: "scale",
+            reason: "must be a power of two from 1 to 256",
+        })
+    }
 }
 
 impl Default for SimConfig {
@@ -362,58 +191,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_at_scale() {
-        assert_eq!(
-            SimConfig::builder(64).build().unwrap(),
-            SimConfig::at_scale(64)
-        );
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_configs() {
-        for err in [
-            SimConfig::builder(64).measure_samples(0).build(),
-            SimConfig::builder(64).measure_tick_every(0).build(),
-            SimConfig::builder(64).tick_interval_pages(0).build(),
-            SimConfig::builder(64).daemon_cap(0.0).build(),
-            SimConfig::builder(64).daemon_cap(1.5).build(),
-            SimConfig::builder(64).daemon_cap(f64::NAN).build(),
-            SimConfig::builder(64).trace_capacity(0).build(),
-            SimConfig::builder(64).host_mem_bytes(0).build(),
-        ] {
-            assert!(matches!(err, Err(TridentError::InvalidConfig { .. })));
+    fn check_scale_takes_powers_of_two_up_to_256() {
+        for scale in [1, 2, 32, 256] {
+            assert_eq!(check_scale(scale), Ok(()));
         }
-    }
-
-    #[test]
-    fn builder_accepts_tracing_and_fragmentation() {
-        let c = SimConfig::builder(256)
-            .seed(7)
-            .trace_capacity(1 << 16)
-            .fragment(FragmentProfile::heavy())
-            .daemon_cap(0.1)
-            .build()
-            .unwrap();
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.trace_capacity, Some(1 << 16));
-        assert!(c.fragment.is_some());
-    }
-
-    #[test]
-    fn traced_toggle_sets_capacity() {
-        assert_eq!(SimConfig::default().traced(512).trace_capacity, Some(512));
-    }
-
-    #[test]
-    fn profile_toggles() {
-        assert!(!SimConfig::default().profile);
-        assert!(SimConfig::default().profiled().profile);
-        assert!(
-            SimConfig::builder(64)
-                .profile(true)
-                .build()
-                .unwrap()
-                .profile
-        );
+        for scale in [0, 3, 48, 512] {
+            assert!(matches!(
+                check_scale(scale),
+                Err(TridentError::InvalidConfig { field: "scale", .. })
+            ));
+        }
     }
 }

@@ -92,15 +92,6 @@ impl PerfModel {
         Self::raw_walk(m) * (1.0 - spec.overlap)
     }
 
-    /// The compute-cycles-per-access anchor for `spec`, measured by
-    /// running the 4KB configuration on unfragmented memory (cached).
-    /// The anchor uses *raw* walk cycles: `walk_fraction_4k` is the
-    /// hardware-counter fraction (`DTLB_*.WALK_ACTIVE` over cycles),
-    /// which counts walk activity whether or not it stalls retirement.
-    pub fn compute_anchor(&mut self, spec: &WorkloadSpec, config: &SimConfig) -> f64 {
-        self.anchor_for(spec, config, false)
-    }
-
     /// Seeds the anchor cache from an already-measured 4KB run, so
     /// drivers that schedule the anchor run as an explicit cell (the
     /// parallel [`runner`](crate::runner)) never trigger the hidden —
@@ -131,6 +122,11 @@ impl PerfModel {
             .or_insert_with(|| (e4k * (1.0 - f) / f).max(1.0));
     }
 
+    /// The compute-cycles-per-access anchor for `spec`, measured by
+    /// running the 4KB configuration on unfragmented memory (cached).
+    /// The anchor uses *raw* walk cycles: `walk_fraction_4k` is the
+    /// hardware-counter fraction (`DTLB_*.WALK_ACTIVE` over cycles),
+    /// which counts walk activity whether or not it stalls retirement.
     fn anchor_for(&mut self, spec: &WorkloadSpec, config: &SimConfig, virt: bool) -> f64 {
         let key = (
             spec.name.to_owned(),
@@ -268,8 +264,8 @@ mod tests {
             c
         };
         let mut model = PerfModel::new();
-        let a = model.compute_anchor(&spec, &config);
-        let b = model.compute_anchor(&spec, &config);
+        let a = model.anchor_for(&spec, &config, false);
+        let b = model.anchor_for(&spec, &config, false);
         assert_eq!(a, b);
         assert_eq!(model.anchors.len(), 1);
     }
@@ -284,7 +280,7 @@ mod tests {
             c
         };
         let mut lazy = PerfModel::new();
-        let hidden = lazy.compute_anchor(&spec, &config);
+        let hidden = lazy.anchor_for(&spec, &config, false);
         // Run the same Base cell explicitly, as the parallel runner does.
         let mut system = System::builder(config)
             .policy(PolicyKind::Base)
@@ -295,7 +291,7 @@ mod tests {
         let m = system.measure();
         let mut primed = PerfModel::new();
         primed.prime_anchor(&spec, &config, &m, false);
-        assert_eq!(primed.compute_anchor(&spec, &config), hidden);
+        assert_eq!(primed.anchor_for(&spec, &config, false), hidden);
     }
 
     #[test]

@@ -518,12 +518,6 @@ impl System {
         &self.tenants[0].workload.spec
     }
 
-    /// Number of co-located tenants.
-    #[must_use]
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Executes every tenant's allocation plan with first-touch faults
     /// interleaved — both within a tenant (how real applications populate
     /// memory) and *across* tenants (how co-located processes interleave
@@ -1000,13 +994,6 @@ impl System {
     pub fn space(&self) -> &AddressSpace {
         self.spaces.get(self.tenants[0].asid).expect("tenant space")
     }
-
-    /// One tenant's address space, or `None` for an unknown tenant.
-    #[must_use]
-    pub fn tenant_space(&self, tenant: TenantId) -> Option<&AddressSpace> {
-        let t = self.tenants.get(tenant.raw() as usize)?;
-        self.spaces.get(t.asid)
-    }
 }
 
 #[cfg(test)]
@@ -1159,7 +1146,7 @@ mod tests {
             .tenant(TenantSpec::new(WorkloadSpec::by_name("XSBench").unwrap()))
             .build()
             .unwrap();
-        assert_eq!(sys.tenant_count(), 3);
+        assert_eq!(sys.tenants.len(), 3);
         sys.settle();
         let m = sys.measure();
         assert_eq!(m.tenants.len(), 3);
@@ -1188,8 +1175,7 @@ mod tests {
             assert!(t.mapped_bytes.iter().sum::<u64>() > 0);
             assert!((0.0..=1.0).contains(&t.fmfi_giant));
         }
-        assert!(sys.tenant_space(TenantId::new(2)).is_some());
-        assert!(sys.tenant_space(TenantId::new(9)).is_none());
+        assert!(sys.spaces.get(sys.tenants[2].asid).is_some());
     }
 
     #[test]

@@ -335,18 +335,6 @@ impl VirtSystem {
             &mut self.vm.kernel.ctx.recorder,
         );
     }
-
-    /// Bytes mapped at `size` in the guest workload's page table.
-    #[must_use]
-    pub fn guest_mapped_bytes(&self, size: PageSize) -> u64 {
-        self.vm
-            .kernel
-            .spaces
-            .get(self.asid)
-            .expect("workload space")
-            .page_table()
-            .mapped_bytes(size)
-    }
 }
 
 #[cfg(test)]
@@ -373,8 +361,8 @@ mod tests {
         )
         .unwrap();
         vs.settle();
-        let large =
-            vs.guest_mapped_bytes(PageSize::new(1)) + vs.guest_mapped_bytes(PageSize::new(2));
+        let guest = vs.vm.kernel.spaces.get(vs.asid).unwrap().page_table();
+        let large = guest.mapped_bytes(PageSize::new(1)) + guest.mapped_bytes(PageSize::new(2));
         assert!(large > 0);
     }
 

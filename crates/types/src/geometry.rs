@@ -68,13 +68,6 @@ impl SizeClass {
         }
     }
 
-    /// Whether the rung is a pure TLB hint (contiguous bit) rather than
-    /// an architectural table encoding.
-    #[must_use]
-    pub const fn is_hint(&self) -> bool {
-        self.contiguous_span.is_some()
-    }
-
     const ZERO: SizeClass = SizeClass::leaf(0, 0);
 }
 
@@ -342,13 +335,6 @@ impl PageGeometry {
     #[inline]
     pub fn rungs(&self) -> impl DoubleEndedIterator<Item = PageSize> {
         (0..self.rungs as usize).map(PageSize::new)
-    }
-
-    /// The ladder's rungs, largest first — the order in which Trident
-    /// attempts to satisfy a fault or promotion.
-    #[inline]
-    pub fn rungs_desc(&self) -> impl Iterator<Item = PageSize> {
-        self.rungs().rev()
     }
 
     /// The largest rung.
@@ -661,7 +647,6 @@ mod tests {
         let contig_pte = PageSize::new(1);
         let contig_pmd = PageSize::new(3);
         assert_eq!(arm.class(contig_pte).contiguous_span, Some(16));
-        assert!(arm.class(contig_pte).is_hint());
         assert_eq!(arm.bytes(contig_pmd), 32 * MIB);
         assert_eq!(arm.level(contig_pmd), 2);
         assert_eq!(arm.group_span(contig_pmd), 16);

@@ -81,14 +81,6 @@ impl PageSize {
     pub const fn is_base(self) -> bool {
         self.0 == 0
     }
-
-    /// Whether this is a large rung, i.e. anything bigger than the base
-    /// page size.
-    #[inline]
-    #[must_use]
-    pub const fn is_large(self) -> bool {
-        self.0 != 0
-    }
 }
 
 #[cfg(test)]
@@ -117,10 +109,9 @@ mod tests {
 
     #[test]
     fn only_base_is_not_large() {
-        assert!(!PageSize::BASE.is_large());
         assert!(PageSize::BASE.is_base());
-        assert!(PageSize::new(1).is_large());
-        assert!(PageSize::new(2).is_large());
+        assert!(!PageSize::new(1).is_base());
+        assert!(!PageSize::new(2).is_base());
     }
 
     #[test]

@@ -517,7 +517,7 @@ mod tests {
         // The two 2MB pairs (8 base pages each, TINY geometry) that the
         // exchange would have moved are exactly what got copied.
         assert_eq!(report.bytes_copied, 2 * 8 * 4096);
-        let guest = vm.kernel.ctx.stats.snapshot();
+        let guest = vm.kernel.ctx.snapshot();
         assert_eq!(guest.pv_fallbacks, 1);
         assert_eq!(guest.pv_fallback_bytes, report.bytes_copied);
         assert_eq!(guest.pv_bytes_exchanged, 0, "nothing was exchanged");
@@ -565,8 +565,8 @@ mod tests {
             exchanged_pairs += report.pairs_exchanged;
         }
         assert_eq!(fallbacks, 1, "seed 3 fails exactly one of two hypercalls");
-        let guest = vm.kernel.ctx.stats.snapshot();
-        let host = hyp.ctx.stats.snapshot();
+        let guest = vm.kernel.ctx.snapshot();
+        let host = hyp.ctx.snapshot();
         // One-to-one: guest fallbacks == host injected PvExchange faults.
         assert_eq!(guest.pv_fallbacks, fallbacks);
         assert_eq!(host.injected_at(InjectSite::PvExchange), fallbacks);

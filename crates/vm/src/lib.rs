@@ -4,9 +4,8 @@
 //! memory areas ([`Vma`]), multi-level page tables with leaves at every
 //! rung of the geometry's page-size ladder ([`PageTable`]) — including
 //! multi-entry *group* leaves for RISC-V SVNAPOT and ARM contiguous-bit
-//! rungs — and the analyses the paper performs on them: which parts of an
-//! address space are large-page-*mappable* (Figure 3) and where TLB misses
-//! concentrate, measured through PTE accessed bits (Figure 4).
+//! rungs — and the analysis the paper performs on them: which parts of an
+//! address space are large-page-*mappable* (Figure 3).
 //!
 //! # Examples
 //!
@@ -27,7 +26,6 @@
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
-mod access_bits;
 mod address_space;
 mod error;
 mod mappable;
@@ -35,7 +33,6 @@ mod page_table;
 mod pte;
 mod vma;
 
-pub use access_bits::{chunk_of, AccessBitSampler};
 pub use address_space::AddressSpace;
 pub use error::MapError;
 pub use mappable::{mappable_bytes, mappable_bytes_scan, mappable_ranges, promotion_candidates};

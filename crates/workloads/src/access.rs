@@ -311,11 +311,6 @@ impl AccessSampler {
             write,
         }
     }
-
-    /// Draws `n` accesses.
-    pub fn sample_many<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) -> Vec<Access> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -334,6 +329,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let layout = spec.build_layout(&mut space, MemoryScale::new(64), &mut rng);
         (AccessSampler::new(spec, layout), rng)
+    }
+
+    fn draw(s: &mut AccessSampler, rng: &mut SmallRng, n: usize) -> Vec<Access> {
+        (0..n).map(|_| s.sample(rng)).collect()
     }
 
     #[test]
@@ -380,7 +379,7 @@ mod tests {
         let (mut s, mut rng) = sampler("XSBench");
         let hot_pages = (s.layout().heap_pages as f64 * 0.30) as u64;
         let hot_end = s.layout().heap_page(hot_pages - 1);
-        let samples = s.sample_many(&mut rng, 5_000);
+        let samples = draw(&mut s, &mut rng, 5_000);
         let hot_hits = samples.iter().filter(|a| a.vpn <= hot_end).count();
         // ~90% should land in the hot region.
         assert!(hot_hits > 4_000, "only {hot_hits} hot hits");
@@ -389,7 +388,7 @@ mod tests {
     #[test]
     fn gups_spreads_uniformly() {
         let (mut s, mut rng) = sampler("GUPS");
-        let samples = s.sample_many(&mut rng, 8_000);
+        let samples = draw(&mut s, &mut rng, 8_000);
         // Split heap indices into quarters and check rough uniformity of
         // heap (non-stack) accesses.
         let q = s.layout().heap_pages / 4;
@@ -413,7 +412,7 @@ mod tests {
     #[test]
     fn stack_fraction_is_respected() {
         let (mut s, mut rng) = sampler("GUPS"); // 10% stack accesses
-        let samples = s.sample_many(&mut rng, 10_000);
+        let samples = draw(&mut s, &mut rng, 10_000);
         let stack_start = s.layout().stack.start;
         let stack_hits = samples.iter().filter(|a| a.vpn >= stack_start).count();
         assert!((700..1300).contains(&stack_hits), "{stack_hits}");
@@ -437,7 +436,7 @@ mod tests {
     #[test]
     fn writes_follow_the_write_fraction() {
         let (mut s, mut rng) = sampler("GUPS"); // 50% writes
-        let samples = s.sample_many(&mut rng, 10_000);
+        let samples = draw(&mut s, &mut rng, 10_000);
         let writes = samples.iter().filter(|a| a.write).count();
         assert!((4_500..5_500).contains(&writes), "{writes}");
     }

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("right after load: {}", mix(&system));
     println!(
         "  (1GB allocations attempted at fault time: {} — incremental VMAs are never 1GB-mappable when touched)",
-        system.ctx.stats.giant_attempts_fault
+        system.ctx.snapshot().giant_attempts_fault
     );
 
     for round in 1..=6 {
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|s| {
             format!(
                 "{} to {}",
-                system.ctx.stats.promotions[s.rung()],
+                system.ctx.snapshot().promotions[s.rung()],
                 geo.label(s)
             )
         })
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\npromotions: {}; {} MB copied by promotion",
         promoted.join(", "),
-        system.ctx.stats.promotion_bytes_copied >> 20,
+        system.ctx.snapshot().promotion_bytes_copied >> 20,
     );
     println!("This is Table 3's Redis row: 0 GB of 1GB pages from the fault");
     println!("handler, tens of GB after background promotion.");
