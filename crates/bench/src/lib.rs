@@ -1,11 +1,15 @@
-//! Shared plumbing for the experiment binaries.
+//! Shared plumbing for the binaries.
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! DESIGN.md's experiment index) and prints it as CSV on stdout with a
-//! short header on stderr. Common flags: `--scale N` (memory-scale
-//! divisor, default 32), `--samples N`, `--seed N`, `--threads N`
-//! (worker threads for the parallel runner; 0 = one per core; the
-//! output is bit-identical for every value).
+//! The `experiments` binary runs any table or figure of the paper by its
+//! registry name (`trident_sim::experiments::ALL`; DESIGN.md's
+//! experiment index) and prints it as CSV on stdout with a short header
+//! on stderr, or writes one CSV per entry with `--out DIR`. Common
+//! flags: `--scale N` (memory-scale divisor, default 32), `--samples N`,
+//! `--seed N`, `--threads N` (worker threads for the parallel runner;
+//! 0 = one per core; the output is bit-identical for every value). The
+//! other binaries are the `tridentd` job service and its `tridentctl`
+//! client, the `chaos` harness, and the trace tools `dump_trace` and
+//! `trace_analyze`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,22 +18,6 @@
 pub mod args;
 
 pub use trident_sim::experiments::ExpOptions;
-
-/// Usage line shared by the figure/table binaries, which take only the
-/// standard experiment flags.
-const STANDARD_USAGE: &str =
-    "usage: [--scale N] [--samples N] [--seed N] [--threads N] [--trace N] [--profile]";
-
-/// Parses the standard experiment flags from `std::env::args`, exiting
-/// with a usage message on any unknown flag or bad value.
-#[must_use]
-pub fn options_from_env() -> ExpOptions {
-    let mut a = args::Args::from_env();
-    match a.exp_options().and_then(|opts| a.finish().map(|()| opts)) {
-        Ok(opts) => opts,
-        Err(err) => err.exit(STANDARD_USAGE),
-    }
-}
 
 /// Prints the experiment banner on stderr so stdout stays pure CSV.
 pub fn banner(what: &str, opts: &ExpOptions) {

@@ -7,6 +7,13 @@
 //! deduplicating zero-filled pages. It manages 2MB pages only. The paper
 //! notes its `kbinmanager` CPU overhead can make it *lose* to plain THP
 //! for large-memory applications under fragmentation (§7).
+//!
+//! This model ranks promotion candidates by how many of their leaf
+//! entries have the accessed bit set ([`PromoterConfig::order_by_access`]).
+//! No production path clears those bits, so the rank counts the leaves
+//! touched at any time since they were mapped, not the recent accesses
+//! that kbinmanager's bins measure. EXPERIMENTS.md lists this under its
+//! known modeling deviations.
 
 use trident_obs::Event;
 use trident_types::Vpn;

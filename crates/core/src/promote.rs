@@ -308,8 +308,10 @@ pub struct PromoterConfig {
     pub style: PromotionStyle,
     /// Maximum promotions attempted per tick.
     pub chunk_budget: usize,
-    /// Order candidates by accessed-bit density (HawkEye) instead of
-    /// address order (Linux).
+    /// Order candidates by their number of leaves with the accessed bit
+    /// set, most first (HawkEye), instead of by address (Linux). No
+    /// production path clears accessed bits, so this counts the leaves
+    /// touched at any time since they were mapped, not recent accesses.
     pub order_by_access: bool,
 }
 

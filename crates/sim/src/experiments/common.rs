@@ -1,6 +1,8 @@
 //! Shared experiment plumbing.
 
-use crate::SimConfig;
+use trident_workloads::WorkloadSpec;
+
+use crate::{Cell, PolicyKind, SimConfig, VirtCell};
 
 /// Command-line-tunable options shared by every experiment binary.
 /// (Flag parsing lives downstream in `trident_bench::args`; this crate
@@ -77,6 +79,37 @@ pub(crate) fn row_config(opts: &ExpOptions, row: u64) -> SimConfig {
     let mut c = opts.config();
     c.seed = crate::runner::derive_cell_seed(opts.seed, row);
     c
+}
+
+/// `config` with fragmentation and the daemon cap cleared: the
+/// conditions of an application's 4KB anchor run.
+fn anchor_config(mut config: SimConfig) -> SimConfig {
+    config.fragment = None;
+    config.daemon_cap = None;
+    config
+}
+
+/// The native anchor cell of a row run under `config`: 4KB on
+/// unfragmented memory with no daemon cap, the run
+/// [`PerfPoint::evaluate`](crate::PerfPoint::evaluate) takes as `anchor`.
+pub(crate) fn anchor_cell(spec: &WorkloadSpec, config: SimConfig) -> Cell {
+    Cell {
+        kind: PolicyKind::Base,
+        spec: *spec,
+        config: anchor_config(config),
+    }
+}
+
+/// The virtualized anchor cell of a row run under `config`: 4KB+4KB on
+/// unfragmented guest- and host-physical memory with no daemon cap.
+pub(crate) fn virt_anchor_cell(spec: &WorkloadSpec, config: SimConfig) -> VirtCell {
+    VirtCell {
+        host: PolicyKind::Base,
+        guest: PolicyKind::Base,
+        spec: *spec,
+        config: anchor_config(config),
+        fragment_guest: false,
+    }
 }
 
 /// Formats a float with 3 decimals for CSV output.

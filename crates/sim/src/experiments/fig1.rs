@@ -7,7 +7,7 @@
 use trident_workloads::WorkloadSpec;
 
 use crate::experiments::common::{f3, row_config, ExpOptions};
-use crate::{Cell, PerfModel, PolicyKind, Runner};
+use crate::{Cell, PerfPoint, PolicyKind, Runner};
 
 /// One bar of Figure 1.
 #[derive(Debug, Clone)]
@@ -104,23 +104,21 @@ pub fn run(opts: &ExpOptions) -> Result {
     }
     let measured = Runner::new(opts.threads).map(&cells, |_, cell| cell.measure());
 
-    // Merge in plan order: the 4KB cell primes the row's anchor and acts
-    // as the normalization baseline, exactly as a serial loop would.
-    let mut model = PerfModel::new();
+    // Merge in plan order: the 4KB cell is the row's anchor and its
+    // normalization baseline, exactly as a serial loop would use it.
     let mut rows = Vec::new();
     for (row, spec) in specs.iter().enumerate() {
         let first = row * KINDS.len();
         let config = cells[first].config;
-        let Some(base_m) = &measured[first] else {
+        let Some(anchor) = &measured[first] else {
             continue;
         };
-        model.prime_anchor(spec, &config, base_m, false);
-        let base = model.evaluate(spec, &config, base_m);
+        let base = PerfPoint::evaluate(spec, &config, anchor, anchor);
         for (k, kind) in KINDS.iter().enumerate() {
             let Some(m) = &measured[first + k] else {
                 continue;
             };
-            let point = model.evaluate(spec, &config, m);
+            let point = PerfPoint::evaluate(spec, &config, anchor, m);
             rows.push(Row {
                 workload: spec.name.to_owned(),
                 config: kind.label(),

@@ -7,8 +7,8 @@
 
 use trident_workloads::WorkloadSpec;
 
-use crate::experiments::common::{f3, row_config, ExpOptions};
-use crate::{Cell, PerfModel, PolicyKind, Runner};
+use crate::experiments::common::{anchor_cell, f3, row_config, ExpOptions};
+use crate::{Cell, PerfPoint, PolicyKind, Runner};
 
 /// One bar.
 #[derive(Debug, Clone)]
@@ -65,7 +65,8 @@ const KINDS: [PolicyKind; 4] = [
 ];
 
 /// Runs one sub-figure on the parallel runner; each row's plan is
-/// `[4KB anchor, THP, Trident-1Gonly, Trident-NC, Trident]`.
+/// `[4KB anchor, THP, Trident-1Gonly, Trident-NC, Trident]`, and a row
+/// whose anchor cannot run is skipped.
 pub fn run(opts: &ExpOptions, fragmented: bool) -> Result {
     let specs = WorkloadSpec::shaded();
     let per_row = 1 + KINDS.len();
@@ -75,14 +76,7 @@ pub fn run(opts: &ExpOptions, fragmented: bool) -> Result {
         if fragmented {
             config = config.fragmented();
         }
-        let mut anchor_config = config;
-        anchor_config.fragment = None;
-        anchor_config.daemon_cap = None;
-        cells.push(Cell {
-            kind: PolicyKind::Base,
-            spec: *spec,
-            config: anchor_config,
-        });
+        cells.push(anchor_cell(spec, config));
         for kind in KINDS {
             cells.push(Cell {
                 kind,
@@ -93,23 +87,19 @@ pub fn run(opts: &ExpOptions, fragmented: bool) -> Result {
     }
     let measured = Runner::new(opts.threads).map(&cells, |_, cell| cell.measure());
 
-    let mut model = PerfModel::new();
     let mut rows = Vec::new();
     for (row, spec) in specs.iter().enumerate() {
         let first = row * per_row;
         let config = cells[first + 1].config;
-        if let Some(anchor_m) = &measured[first] {
-            model.prime_anchor(spec, &cells[first].config, anchor_m, false);
-        }
-        let Some(thp_m) = &measured[first + 1] else {
+        let (Some(anchor), Some(thp_m)) = (&measured[first], &measured[first + 1]) else {
             continue;
         };
-        let thp = model.evaluate(spec, &config, thp_m);
+        let thp = PerfPoint::evaluate(spec, &config, anchor, thp_m);
         for (k, kind) in KINDS.iter().enumerate() {
             let Some(m) = &measured[first + 1 + k] else {
                 continue;
             };
-            let point = model.evaluate(spec, &config, m);
+            let point = PerfPoint::evaluate(spec, &config, anchor, m);
             rows.push(Row {
                 workload: spec.name.to_owned(),
                 config: kind.label(),

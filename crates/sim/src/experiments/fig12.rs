@@ -3,9 +3,8 @@
 
 use trident_workloads::WorkloadSpec;
 
-use crate::experiments::common::{f3, ExpOptions};
-use crate::experiments::fig2::run_virt_point;
-use crate::{PerfModel, PolicyKind};
+use crate::experiments::common::{f3, virt_anchor_cell, ExpOptions};
+use crate::{PerfPoint, PolicyKind, Runner, VirtCell};
 
 /// One bar.
 #[derive(Debug, Clone)]
@@ -42,34 +41,49 @@ impl Result {
     }
 }
 
-/// Runs the experiment.
+/// The same policy at both levels, THP+THP first (the normalization
+/// baseline).
+const COMBOS: [(&str, PolicyKind); 3] = [
+    ("2MB+2MB-THP", PolicyKind::Thp),
+    ("HawkEye+HawkEye", PolicyKind::HawkEye),
+    ("Trident+Trident", PolicyKind::Trident),
+];
+
+/// Runs the experiment on the parallel runner; each row's plan is
+/// `[4KB+4KB anchor, THP+THP, HawkEye+HawkEye, Trident+Trident]`. Every
+/// cell uses the options' seed, and a row whose anchor or THP+THP cell
+/// cannot run is skipped.
 pub fn run(opts: &ExpOptions) -> Result {
     let config = opts.config();
-    let mut model = PerfModel::new();
-    let combos: [(&'static str, PolicyKind); 3] = [
-        ("2MB+2MB-THP", PolicyKind::Thp),
-        ("HawkEye+HawkEye", PolicyKind::HawkEye),
-        ("Trident+Trident", PolicyKind::Trident),
-    ];
+    let specs = WorkloadSpec::shaded();
+    let per_row = 1 + COMBOS.len();
+    let mut cells = Vec::new();
+    for spec in &specs {
+        cells.push(virt_anchor_cell(spec, config));
+        for (_, kind) in COMBOS {
+            cells.push(VirtCell {
+                host: kind,
+                guest: kind,
+                spec: *spec,
+                config,
+                fragment_guest: false,
+            });
+        }
+    }
+    let measured = Runner::new(opts.threads).map(&cells, |_, cell| cell.measure());
+
     let mut rows = Vec::new();
-    for spec in WorkloadSpec::shaded() {
-        let Some(thp) = run_virt_point(
-            &mut model,
-            &config,
-            PolicyKind::Thp,
-            PolicyKind::Thp,
-            &spec,
-            false,
-        ) else {
+    for (row, spec) in specs.iter().enumerate() {
+        let first = row * per_row;
+        let (Some(anchor), Some(thp_m)) = (&measured[first], &measured[first + 1]) else {
             continue;
         };
-        for (label, kind) in combos {
-            let point = if kind == PolicyKind::Thp {
-                Some(thp)
-            } else {
-                run_virt_point(&mut model, &config, kind, kind, &spec, false)
+        let thp = PerfPoint::evaluate(spec, &config, anchor, thp_m);
+        for (k, (label, _)) in COMBOS.iter().enumerate() {
+            let Some(m) = &measured[first + 1 + k] else {
+                continue;
             };
-            let Some(point) = point else { continue };
+            let point = PerfPoint::evaluate(spec, &config, anchor, m);
             rows.push(Row {
                 workload: spec.name.to_owned(),
                 config: label,

@@ -8,9 +8,8 @@
 
 use trident_workloads::WorkloadSpec;
 
-use crate::experiments::common::{f3, ExpOptions};
-use crate::experiments::fig2::run_virt_point;
-use crate::{PerfModel, PolicyKind};
+use crate::experiments::common::{f3, virt_anchor_cell, ExpOptions};
+use crate::{PerfPoint, PolicyKind, Runner, VirtCell};
 
 /// One bar.
 #[derive(Debug, Clone)]
@@ -56,7 +55,22 @@ impl Result {
     }
 }
 
-/// Runs the experiment.
+/// (label, host policy, guest policy), THP+THP first (the normalization
+/// baseline); guest-physical memory is fragmented in every run.
+const COMBOS: [(&str, PolicyKind, PolicyKind); 3] = [
+    ("2MB+2MB-THP", PolicyKind::Thp, PolicyKind::Thp),
+    ("Trident+Trident", PolicyKind::Trident, PolicyKind::Trident),
+    (
+        "Trident-pv+Trident-pv",
+        PolicyKind::Trident,
+        PolicyKind::TridentPv,
+    ),
+];
+
+/// Runs the experiment on the parallel runner; each row's plan is
+/// `[4KB+4KB anchor, then each combination]`. Every cell uses the
+/// options' seed, and a row whose anchor or THP+THP cell cannot run is
+/// skipped. The anchor runs on unfragmented memory without the cap.
 pub fn run(opts: &ExpOptions) -> Result {
     let mut config = opts.config();
     config.daemon_cap = Some(0.10);
@@ -64,30 +78,35 @@ pub fn run(opts: &ExpOptions) -> Result {
     // the run length, as on the paper's testbed where copy-based
     // promotion work (≈600ms per 1GB region) outruns the allowance.
     config.tick_interval_app_ns = 20_000_000;
-    let mut model = PerfModel::new();
-    // (label, host policy, guest policy); gPA fragmented in all runs.
-    let combos: [(&'static str, PolicyKind, PolicyKind); 3] = [
-        ("2MB+2MB-THP", PolicyKind::Thp, PolicyKind::Thp),
-        ("Trident+Trident", PolicyKind::Trident, PolicyKind::Trident),
-        (
-            "Trident-pv+Trident-pv",
-            PolicyKind::Trident,
-            PolicyKind::TridentPv,
-        ),
-    ];
+    let specs = WorkloadSpec::shaded();
+    let per_row = 1 + COMBOS.len();
+    let mut cells = Vec::new();
+    for spec in &specs {
+        cells.push(virt_anchor_cell(spec, config));
+        for (_, host, guest) in COMBOS {
+            cells.push(VirtCell {
+                host,
+                guest,
+                spec: *spec,
+                config,
+                fragment_guest: true,
+            });
+        }
+    }
+    let measured = Runner::new(opts.threads).map(&cells, |_, cell| cell.measure());
+
     let mut rows = Vec::new();
-    for spec in WorkloadSpec::shaded() {
-        let Some(thp) = run_virt_point(&mut model, &config, combos[0].1, combos[0].2, &spec, true)
-        else {
+    for (row, spec) in specs.iter().enumerate() {
+        let first = row * per_row;
+        let (Some(anchor), Some(thp_m)) = (&measured[first], &measured[first + 1]) else {
             continue;
         };
-        for (label, host, guest) in combos {
-            let point = if label == "2MB+2MB-THP" {
-                Some(thp)
-            } else {
-                run_virt_point(&mut model, &config, host, guest, &spec, true)
+        let thp = PerfPoint::evaluate(spec, &config, anchor, thp_m);
+        for (k, (label, _, _)) in COMBOS.iter().enumerate() {
+            let Some(m) = &measured[first + 1 + k] else {
+                continue;
             };
-            let Some(point) = point else { continue };
+            let point = PerfPoint::evaluate(spec, &config, anchor, m);
             rows.push(Row {
                 workload: spec.name.to_owned(),
                 config: label,

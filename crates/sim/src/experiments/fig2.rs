@@ -7,7 +7,7 @@
 use trident_workloads::WorkloadSpec;
 
 use crate::experiments::common::{f3, row_config, ExpOptions};
-use crate::{PerfModel, PerfPoint, PolicyKind, Runner, VirtCell, VirtSystem};
+use crate::{PerfPoint, PolicyKind, Runner, VirtCell};
 
 /// One bar of Figure 2.
 #[derive(Debug, Clone)]
@@ -50,100 +50,60 @@ impl Result {
     }
 }
 
-pub(crate) fn run_virt_point(
-    model: &mut PerfModel,
-    config: &crate::SimConfig,
-    host: PolicyKind,
-    guest: PolicyKind,
-    spec: &WorkloadSpec,
-    fragment_guest: bool,
-) -> Option<PerfPoint> {
-    let mut vs = VirtSystem::launch(*config, host, guest, *spec, fragment_guest).ok()?;
-    vs.settle();
-    let m = vs.measure();
-    Some(model.evaluate_virt(spec, config, &m))
-}
+/// One guest+host combination: (label, host policy, guest policy).
+type Combo = (&'static str, PolicyKind, PolicyKind);
+
+/// The three combinations the paper discusses, 4KB+4KB first.
+const COMBOS: [Combo; 3] = [
+    ("4KB+4KB", PolicyKind::Base, PolicyKind::Base),
+    ("2MB+2MB", PolicyKind::Thp, PolicyKind::Thp),
+    (
+        "1GB+1GB",
+        PolicyKind::HugetlbfsGiant,
+        PolicyKind::HugetlbfsGiant,
+    ),
+];
+
+/// All nine combinations, labeled `guest+host`, guest-major with
+/// 4KB+4KB first.
+const ALL_COMBOS: [Combo; 9] = [
+    ("4KB+4KB", PolicyKind::Base, PolicyKind::Base),
+    ("4KB+2MB", PolicyKind::Thp, PolicyKind::Base),
+    ("4KB+1GB", PolicyKind::HugetlbfsGiant, PolicyKind::Base),
+    ("2MB+4KB", PolicyKind::Base, PolicyKind::Thp),
+    ("2MB+2MB", PolicyKind::Thp, PolicyKind::Thp),
+    ("2MB+1GB", PolicyKind::HugetlbfsGiant, PolicyKind::Thp),
+    ("1GB+4KB", PolicyKind::Base, PolicyKind::HugetlbfsGiant),
+    ("1GB+2MB", PolicyKind::Thp, PolicyKind::HugetlbfsGiant),
+    (
+        "1GB+1GB",
+        PolicyKind::HugetlbfsGiant,
+        PolicyKind::HugetlbfsGiant,
+    ),
+];
 
 /// Runs the full nine-combination matrix the paper mentions exploring
 /// ("nine combinations of page sizes are possible. While we explored all,
 /// we discuss only 4KB-4KB, 2MB-2MB, and 1GB-1GB"), for the shaded
 /// applications. Labels are `guest+host`.
 pub fn run_all_combos(opts: &ExpOptions) -> Result {
-    let sizes: [(&'static str, PolicyKind); 3] = [
-        ("4KB", PolicyKind::Base),
-        ("2MB", PolicyKind::Thp),
-        ("1GB", PolicyKind::HugetlbfsGiant),
-    ];
-    let specs = WorkloadSpec::shaded();
-    // The 4KB+4KB combo is the first cell of each row: it is both the
-    // normalization baseline and the row's virtualized anchor.
-    let mut cells = Vec::new();
-    let mut labels = Vec::new();
-    for (row, spec) in specs.iter().enumerate() {
-        let config = row_config(opts, row as u64);
-        for (guest_label, guest) in sizes {
-            for (host_label, host) in sizes {
-                cells.push(VirtCell {
-                    host,
-                    guest,
-                    spec: *spec,
-                    config,
-                    fragment_guest: false,
-                });
-                // Leak the combo label; there are only nine.
-                let label: &'static str =
-                    Box::leak(format!("{guest_label}+{host_label}").into_boxed_str());
-                labels.push(label);
-            }
-        }
-    }
-    let measured = Runner::new(opts.threads).map(&cells, |_, cell| cell.measure());
-
-    let per_row = sizes.len() * sizes.len();
-    let mut model = PerfModel::new();
-    let mut rows = Vec::new();
-    for (row, spec) in specs.iter().enumerate() {
-        let first = row * per_row;
-        let config = cells[first].config;
-        let Some(base_m) = &measured[first] else {
-            continue;
-        };
-        model.prime_anchor(spec, &config, base_m, true);
-        let base = model.evaluate_virt(spec, &config, base_m);
-        for k in 0..per_row {
-            let Some(m) = &measured[first + k] else {
-                continue;
-            };
-            let point = model.evaluate_virt(spec, &config, m);
-            rows.push(Row {
-                workload: spec.name.to_owned(),
-                config: labels[first + k],
-                shaded: spec.giant_sensitive,
-                walk_fraction_norm: point.walk_fraction_ratio(&base),
-                perf_norm: point.speedup_over(&base),
-            });
-        }
-    }
-    Result { rows }
+    run_grid(opts, &WorkloadSpec::shaded(), &ALL_COMBOS)
 }
 
 /// Runs the experiment on the parallel runner: one cell per bar, with
 /// each row's 4KB+4KB cell doubling as its virtualized anchor.
 pub fn run(opts: &ExpOptions) -> Result {
-    let combos: [(&'static str, PolicyKind, PolicyKind); 3] = [
-        ("4KB+4KB", PolicyKind::Base, PolicyKind::Base),
-        ("2MB+2MB", PolicyKind::Thp, PolicyKind::Thp),
-        (
-            "1GB+1GB",
-            PolicyKind::HugetlbfsGiant,
-            PolicyKind::HugetlbfsGiant,
-        ),
-    ];
-    let specs = WorkloadSpec::all();
+    run_grid(opts, &WorkloadSpec::all(), &COMBOS)
+}
+
+/// One row per application and one cell per combination. The 4KB+4KB
+/// combination comes first in each row: it is both the normalization
+/// baseline and the row's anchor.
+fn run_grid(opts: &ExpOptions, specs: &[WorkloadSpec], combos: &[Combo]) -> Result {
     let mut cells = Vec::new();
     for (row, spec) in specs.iter().enumerate() {
         let config = row_config(opts, row as u64);
-        for (_, host, guest) in combos {
+        for &(_, host, guest) in combos {
             cells.push(VirtCell {
                 host,
                 guest,
@@ -155,21 +115,19 @@ pub fn run(opts: &ExpOptions) -> Result {
     }
     let measured = Runner::new(opts.threads).map(&cells, |_, cell| cell.measure());
 
-    let mut model = PerfModel::new();
     let mut rows = Vec::new();
     for (row, spec) in specs.iter().enumerate() {
         let first = row * combos.len();
         let config = cells[first].config;
-        let Some(base_m) = &measured[first] else {
+        let Some(anchor) = &measured[first] else {
             continue;
         };
-        model.prime_anchor(spec, &config, base_m, true);
-        let base = model.evaluate_virt(spec, &config, base_m);
+        let base = PerfPoint::evaluate(spec, &config, anchor, anchor);
         for (k, &(label, _, _)) in combos.iter().enumerate() {
             let Some(m) = &measured[first + k] else {
                 continue;
             };
-            let point = model.evaluate_virt(spec, &config, m);
+            let point = PerfPoint::evaluate(spec, &config, anchor, m);
             rows.push(Row {
                 workload: spec.name.to_owned(),
                 config: label,

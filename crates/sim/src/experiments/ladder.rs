@@ -8,8 +8,8 @@
 //! 16 PTEs or PMDs into one TLB entry without any page-table reshaping.
 //! This experiment runs the identical workload, machine and seed under
 //! each ladder and reports translation behaviour (walks, walk cycles)
-//! and the top-rung fragmentation experience (FMFI), plus the
-//! architectural worst-case walk accesses for every rung.
+//! and the top-rung fragmentation experience (FMFI). [`walk_csv`] adds
+//! the architectural worst-case walk accesses for every rung.
 
 use trident_tlb::{walk_accesses_at, PageTableDepth};
 use trident_types::PageGeometry;
@@ -55,17 +55,17 @@ pub struct Row {
 
 /// One architectural rung: its worst-case walk cost and semantics.
 #[derive(Debug, Clone)]
-pub struct WalkRow {
+struct WalkRow {
     /// Architecture id.
-    pub geometry: &'static str,
+    geometry: &'static str,
     /// Size-class label.
-    pub label: String,
+    label: String,
     /// `leaf`, `napot`, or `contig` — how the rung is encoded.
-    pub kind: &'static str,
+    kind: &'static str,
     /// Worst-case walk accesses, four-level tables. Group rungs walk at
     /// their backing level: SVNAPOT and contiguous hints buy TLB reach,
     /// never a shorter walk.
-    pub walk_accesses_4l: u64,
+    walk_accesses_4l: u64,
 }
 
 /// The study result.
@@ -73,8 +73,6 @@ pub struct WalkRow {
 pub struct Result {
     /// One measured row per (geometry, workload).
     pub rows: Vec<Row>,
-    /// One architectural row per (geometry, rung), at full scale.
-    pub walk_rows: Vec<WalkRow>,
 }
 
 impl Result {
@@ -99,19 +97,36 @@ impl Result {
         }
         out
     }
+}
 
-    /// CSV rendering of the per-rung walk-cost table.
-    #[must_use]
-    pub fn to_walk_csv(&self) -> String {
-        let mut out = String::from("geometry,size,kind,walk_accesses_4level\n");
-        for r in &self.walk_rows {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                r.geometry, r.label, r.kind, r.walk_accesses_4l
-            ));
-        }
-        out
+/// The per-rung walk-cost table as CSV: one row per (geometry, rung).
+/// It describes the architectures, not a run, so it takes no options.
+#[must_use]
+pub fn walk_csv() -> String {
+    let mut out = String::from("geometry,size,kind,walk_accesses_4level\n");
+    for r in walk_rows() {
+        out.push_str(&format!(
+            "{},{},{},{}\n",
+            r.geometry, r.label, r.kind, r.walk_accesses_4l
+        ));
     }
+    out
+}
+
+/// The full-scale ladders' rungs: the walk table describes the
+/// architecture, not the scaled machine.
+fn walk_rows() -> Vec<WalkRow> {
+    ARCHES
+        .iter()
+        .flat_map(|arch| {
+            arch.rungs().map(|size| WalkRow {
+                geometry: arch.name(),
+                label: arch.label(size),
+                kind: rung_kind(arch, size),
+                walk_accesses_4l: walk_accesses_at(arch, size, PageTableDepth::FourLevel),
+            })
+        })
+        .collect()
 }
 
 fn rung_kind(geo: &PageGeometry, size: trident_types::PageSize) -> &'static str {
@@ -173,21 +188,7 @@ pub fn run(opts: &ExpOptions) -> Result {
             top_mapped_mb: m.mapped_bytes[top.rung()] >> 20,
         });
     }
-
-    // The walk table describes the architecture, not the scaled machine:
-    // report the full-scale ladders.
-    let walk_rows = ARCHES
-        .iter()
-        .flat_map(|arch| {
-            arch.rungs().map(|size| WalkRow {
-                geometry: arch.name(),
-                label: arch.label(size),
-                kind: rung_kind(arch, size),
-                walk_accesses_4l: walk_accesses_at(arch, size, PageTableDepth::FourLevel),
-            })
-        })
-        .collect();
-    Result { rows, walk_rows }
+    Result { rows }
 }
 
 #[cfg(test)]
@@ -223,8 +224,9 @@ mod tests {
         // Group rungs walk at their backing level: the sv48 64KB NAPOT
         // rung costs exactly a PTE-level walk, and AArch64's contiguous
         // rungs cost their level's walk.
+        let walk_rows = walk_rows();
         let walk = |geometry: &str, label: &str| {
-            r.walk_rows
+            walk_rows
                 .iter()
                 .find(|w| w.geometry == geometry && w.label == label)
                 .unwrap_or_else(|| panic!("{geometry}/{label} missing"))
@@ -248,6 +250,5 @@ mod tests {
         let serial = run(&opts(1));
         let parallel = run(&opts(4));
         assert_eq!(serial.to_csv(), parallel.to_csv());
-        assert_eq!(serial.to_walk_csv(), parallel.to_walk_csv());
     }
 }

@@ -13,14 +13,15 @@
 //! * [`VirtSystem`] — the same under virtualization: a guest kernel with
 //!   its own policy over guest-physical memory, a hypervisor with its own
 //!   policy over host memory, nested walk costs.
-//! * [`PerfModel`] — converts measured walk cycles and MM overheads into
-//!   the normalized performance numbers the paper plots, anchored on each
-//!   application's measured 4KB walk-cycle fraction (Figure 1a).
+//! * [`PerfPoint::evaluate`] — the performance model, a pure function
+//!   that converts measured walk cycles and MM overheads into the
+//!   normalized performance numbers the paper plots, anchored on each
+//!   application's 4KB run and its walk-cycle fraction (Figure 1a).
 //! * [`runner`] — the parallel experiment engine: experiments decompose
 //!   into independent cells executed across scoped threads, with per-cell
 //!   seeds derived so parallel results are bit-identical to serial ones.
 //! * [`experiments`] — one routine per table and figure of the paper's
-//!   evaluation; see DESIGN.md for the index.
+//!   evaluation, listed once in the registry [`experiments::ALL`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +41,7 @@ mod virt_system;
 pub use config::{check_scale, scaled_geometry, scaled_geometry_for, SimConfig};
 pub use governor::DaemonGovernor;
 pub use latency::{request_p99_ms, LatencyModel};
-pub use model::{PerfModel, PerfPoint};
+pub use model::PerfPoint;
 pub use policy::PolicyKind;
 pub use report::RunReport;
 pub use runner::{derive_cell_seed, Cell, Runner, VirtCell};

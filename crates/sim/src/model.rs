@@ -16,13 +16,15 @@
 //! * Memory-management overhead is folded in on the same time base:
 //!   fault latency sits on the critical path; daemon CPU time contends
 //!   for cores in proportion to how many the application itself uses.
-
-use std::collections::HashMap;
+//!
+//! [`PerfPoint::evaluate`] is a pure function of one measurement and its
+//! application's 4KB anchor measurement: it holds no state and launches
+//! no run. Experiments schedule the anchor as a cell of their grid.
 
 use trident_core::CostModel;
 use trident_workloads::WorkloadSpec;
 
-use crate::{Measurement, PolicyKind, SimConfig, System};
+use crate::{Measurement, SimConfig};
 
 /// Modeled accesses per (scaled) heap page over a full application run;
 /// sets the ratio between translation time and one-off MM overheads.
@@ -44,159 +46,38 @@ pub struct PerfPoint {
     pub walk_cycles_per_access: f64,
 }
 
+/// Raw walk cycles per access for a measurement.
+fn raw_walk(m: &Measurement) -> f64 {
+    m.walk_cycles as f64 / m.samples as f64
+}
+
 impl PerfPoint {
-    /// Normalized performance of `self` relative to `baseline` (higher is
-    /// better).
-    #[must_use]
-    pub fn speedup_over(&self, baseline: &PerfPoint) -> f64 {
-        baseline.total_cycles / self.total_cycles
-    }
-
-    /// Walk-cycle fraction of `self` normalized to `baseline`'s.
-    #[must_use]
-    pub fn walk_fraction_ratio(&self, baseline: &PerfPoint) -> f64 {
-        if baseline.walk_fraction == 0.0 {
-            0.0
-        } else {
-            self.walk_fraction / baseline.walk_fraction
-        }
-    }
-}
-
-/// Evaluates measurements into [`PerfPoint`]s, caching each application's
-/// 4KB anchor run.
-#[derive(Debug, Default)]
-pub struct PerfModel {
-    /// compute cycles per access, keyed by (workload, scale, seed,
-    /// virtualized).
-    anchors: HashMap<(String, u64, u64, bool), f64>,
-}
-
-impl PerfModel {
-    /// Creates an empty model.
-    #[must_use]
-    pub fn new() -> PerfModel {
-        PerfModel::default()
-    }
-
-    /// Raw walk cycles per access for a measurement.
-    fn raw_walk(m: &Measurement) -> f64 {
-        m.walk_cycles as f64 / m.samples as f64
-    }
-
-    /// Exposed (critical-path) walk cycles per access: the out-of-order
-    /// core hides an application-specific fraction of walk latency, which
-    /// is why walk-cycle reductions do not translate 1:1 into speedup
-    /// (§4.1).
-    fn exposed_walk(spec: &WorkloadSpec, m: &Measurement) -> f64 {
-        Self::raw_walk(m) * (1.0 - spec.overlap)
-    }
-
-    /// Seeds the anchor cache from an already-measured 4KB run, so
-    /// drivers that schedule the anchor run as an explicit cell (the
-    /// parallel [`runner`](crate::runner)) never trigger the hidden —
-    /// and serial — anchor launch inside [`PerfModel::evaluate`].
+    /// Evaluates measurement `m` of `spec` under `config` into a
+    /// [`PerfPoint`].
     ///
-    /// `m` must come from a [`PolicyKind::Base`] run (4KB+4KB under
-    /// virtualization when `virt`) on unfragmented memory with no daemon
-    /// cap, at the same scale and seed as `config` — the same conditions
-    /// the lazy anchor run uses. A previously cached anchor wins, so
-    /// priming after an evaluation is a no-op rather than a rebase.
-    pub fn prime_anchor(
-        &mut self,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        m: &Measurement,
-        virt: bool,
-    ) {
-        let key = (
-            spec.name.to_owned(),
-            config.scale.divisor(),
-            config.seed,
-            virt,
-        );
-        let e4k = Self::raw_walk(m);
-        let f = spec.walk_fraction_4k;
-        self.anchors
-            .entry(key)
-            .or_insert_with(|| (e4k * (1.0 - f) / f).max(1.0));
-    }
-
-    /// The compute-cycles-per-access anchor for `spec`, measured by
-    /// running the 4KB configuration on unfragmented memory (cached).
-    /// The anchor uses *raw* walk cycles: `walk_fraction_4k` is the
+    /// `anchor` is the application's 4KB run: a [`PolicyKind::Base`]
+    /// run (4KB+4KB under virtualization) on unfragmented memory with no
+    /// daemon cap, at the same scale and seed as `m`. Experiments plan it
+    /// as a cell of their own grid. It sets the compute cycles per
+    /// access from *raw* walk cycles: `walk_fraction_4k` is the
     /// hardware-counter fraction (`DTLB_*.WALK_ACTIVE` over cycles),
     /// which counts walk activity whether or not it stalls retirement.
-    fn anchor_for(&mut self, spec: &WorkloadSpec, config: &SimConfig, virt: bool) -> f64 {
-        let key = (
-            spec.name.to_owned(),
-            config.scale.divisor(),
-            config.seed,
-            virt,
-        );
-        if let Some(&anchor) = self.anchors.get(&key) {
-            return anchor;
-        }
-        let mut base_config = *config;
-        base_config.fragment = None;
-        base_config.daemon_cap = None;
-        let m = if virt {
-            let mut vs = crate::VirtSystem::launch(
-                base_config,
-                PolicyKind::Base,
-                PolicyKind::Base,
-                *spec,
-                false,
-            )
-            .expect("4KB+4KB anchor run cannot fail");
-            vs.settle();
-            vs.measure()
-        } else {
-            let mut system = System::builder(base_config)
-                .policy(PolicyKind::Base)
-                .workload(*spec)
-                .build()
-                .expect("4KB anchor run cannot fail");
-            system.settle();
-            system.measure()
-        };
-        let e4k = Self::raw_walk(&m);
-        let f = spec.walk_fraction_4k;
-        let anchor = (e4k * (1.0 - f) / f).max(1.0);
-        self.anchors.insert(key, anchor);
-        anchor
-    }
-
-    /// Evaluates one native measurement into a [`PerfPoint`].
+    /// `m` contributes *exposed* walk cycles: the out-of-order core hides
+    /// an application-specific fraction of walk latency, which is why
+    /// walk-cycle reductions do not translate 1:1 into speedup (§4.1).
+    ///
+    /// [`PolicyKind::Base`]: crate::PolicyKind::Base
+    #[must_use]
     pub fn evaluate(
-        &mut self,
         spec: &WorkloadSpec,
         config: &SimConfig,
+        anchor: &Measurement,
         m: &Measurement,
-    ) -> PerfPoint {
-        self.evaluate_with(spec, config, m, false)
-    }
-
-    /// Evaluates one virtualized measurement (uses the 4KB+4KB anchor).
-    pub fn evaluate_virt(
-        &mut self,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        m: &Measurement,
-    ) -> PerfPoint {
-        self.evaluate_with(spec, config, m, true)
-    }
-
-    fn evaluate_with(
-        &mut self,
-        spec: &WorkloadSpec,
-        config: &SimConfig,
-        m: &Measurement,
-        virt: bool,
     ) -> PerfPoint {
         let cost = CostModel::default();
-        let compute = self.anchor_for(spec, config, virt);
-        let walk = Self::exposed_walk(spec, m);
+        let f = spec.walk_fraction_4k;
+        let compute = (raw_walk(anchor) * (1.0 - f) / f).max(1.0);
+        let walk = raw_walk(m) * (1.0 - spec.overlap);
         let per_access = compute + walk;
         let heap_pages = config
             .geo
@@ -213,6 +94,23 @@ impl PerfModel {
             walk_fraction: walk / per_access,
             total_cycles: app_cycles + fault_cycles + daemon_cycles,
             walk_cycles_per_access: walk,
+        }
+    }
+
+    /// Normalized performance of `self` relative to `baseline` (higher is
+    /// better).
+    #[must_use]
+    pub fn speedup_over(&self, baseline: &PerfPoint) -> f64 {
+        baseline.total_cycles / self.total_cycles
+    }
+
+    /// Walk-cycle fraction of `self` normalized to `baseline`'s.
+    #[must_use]
+    pub fn walk_fraction_ratio(&self, baseline: &PerfPoint) -> f64 {
+        if baseline.walk_fraction == 0.0 {
+            0.0
+        } else {
+            self.walk_fraction / baseline.walk_fraction
         }
     }
 }
@@ -247,51 +145,11 @@ mod tests {
             c.measure_samples = 4_000;
             c
         };
-        let mut model = PerfModel::new();
-        let slow = model.evaluate(&spec, &config, &fake_measurement(4_000, 800_000));
-        let fast = model.evaluate(&spec, &config, &fake_measurement(4_000, 200_000));
+        let anchor = fake_measurement(4_000, 800_000);
+        let slow = PerfPoint::evaluate(&spec, &config, &anchor, &fake_measurement(4_000, 800_000));
+        let fast = PerfPoint::evaluate(&spec, &config, &anchor, &fake_measurement(4_000, 200_000));
         assert!(fast.speedup_over(&slow) > 1.0);
         assert!(fast.walk_fraction < slow.walk_fraction);
-    }
-
-    #[test]
-    fn anchor_is_cached_across_evaluations() {
-        let spec = WorkloadSpec::by_name("Btree").unwrap();
-        let config = {
-            let mut c = SimConfig::at_scale(256);
-            c.measure_samples = 3_000;
-            c.measure_tick_every = 1_500;
-            c
-        };
-        let mut model = PerfModel::new();
-        let a = model.anchor_for(&spec, &config, false);
-        let b = model.anchor_for(&spec, &config, false);
-        assert_eq!(a, b);
-        assert_eq!(model.anchors.len(), 1);
-    }
-
-    #[test]
-    fn primed_anchor_matches_lazy_anchor_run() {
-        let spec = WorkloadSpec::by_name("GUPS").unwrap();
-        let config = {
-            let mut c = SimConfig::at_scale(256);
-            c.measure_samples = 3_000;
-            c.measure_tick_every = 1_500;
-            c
-        };
-        let mut lazy = PerfModel::new();
-        let hidden = lazy.anchor_for(&spec, &config, false);
-        // Run the same Base cell explicitly, as the parallel runner does.
-        let mut system = System::builder(config)
-            .policy(PolicyKind::Base)
-            .workload(spec)
-            .build()
-            .unwrap();
-        system.settle();
-        let m = system.measure();
-        let mut primed = PerfModel::new();
-        primed.prime_anchor(&spec, &config, &m, false);
-        assert_eq!(primed.anchor_for(&spec, &config, false), hidden);
     }
 
     #[test]
@@ -303,11 +161,11 @@ mod tests {
             c.measure_tick_every = 1_500;
             c
         };
-        let mut model = PerfModel::new();
-        let clean = model.evaluate(&spec, &config, &fake_measurement(3_000, 300_000));
+        let anchor = fake_measurement(3_000, 600_000);
+        let clean = PerfPoint::evaluate(&spec, &config, &anchor, &fake_measurement(3_000, 300_000));
         let mut costly = fake_measurement(3_000, 300_000);
         costly.snapshot.fault_ns = [0, 0, 4_000_000_000, 0, 0, 0]; // 4s of 1GB faults
-        let burdened = model.evaluate(&spec, &config, &costly);
+        let burdened = PerfPoint::evaluate(&spec, &config, &anchor, &costly);
         assert!(clean.speedup_over(&burdened) > 1.0);
     }
 }

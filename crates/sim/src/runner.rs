@@ -15,10 +15,10 @@
 //!    indexed exactly like its input), so downstream evaluation sees the
 //!    same sequence a serial loop would produce.
 //!
-//! The [`PerfModel`](crate::PerfModel) anchor runs that `evaluate` used to
-//! launch lazily (and serially) are instead scheduled as explicit cells
-//! and fed back via [`PerfModel::prime_anchor`](crate::PerfModel::prime_anchor),
-//! so nothing hides a serial bottleneck behind the parallel grid.
+//! Every experiment that reports modeled performance plans each row's 4KB
+//! anchor run as a cell of its own grid and passes the measurement to
+//! [`PerfPoint::evaluate`](crate::PerfPoint::evaluate). The model is a
+//! pure function and launches nothing, so no run hides behind the grid.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

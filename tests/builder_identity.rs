@@ -7,8 +7,9 @@
 //! under the default x86-64 geometry must reproduce them bit for bit:
 //! the builder and the rung ladder are re-plumbings of the launch
 //! path, not behavioural changes. The committed CSVs under
-//! `tests/golden/` pin the same outputs as reviewable text
-//! (regenerate with `cargo run -p trident-sim --example golden_dump`).
+//! `tests/golden/` pin the same outputs as reviewable text; each run is
+//! looked up by name in the experiment registry, as `golden_families.rs`
+//! does for the other entries.
 
 use trident_repro::sim::experiments::{self, ExpOptions};
 
@@ -22,16 +23,19 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-fn opts(threads: usize) -> ExpOptions {
-    let mut o = ExpOptions::quick();
-    o.threads = threads;
-    o
+/// Runs the registry entry `name` at quick options on `threads` threads.
+fn run(name: &str, threads: usize) -> String {
+    let exp = experiments::find(name).unwrap_or_else(|| panic!("{name} is not in the registry"));
+    (exp.run)(&ExpOptions {
+        threads,
+        ..ExpOptions::quick()
+    })
 }
 
 #[test]
 fn fig1_matches_pre_refactor_golden_at_1_and_4_threads() {
-    let csv = experiments::fig1::run(&opts(1)).to_csv();
-    let h4 = fnv1a(&experiments::fig1::run(&opts(4)).to_csv());
+    let csv = run("fig1", 1);
+    let h4 = fnv1a(&run("fig1", 4));
     assert_eq!(fnv1a(&csv), h4, "fig1 must be thread-count invariant");
     assert_eq!(
         fnv1a(&csv),
@@ -43,8 +47,8 @@ fn fig1_matches_pre_refactor_golden_at_1_and_4_threads() {
 
 #[test]
 fn table4_matches_pre_refactor_golden_at_1_and_4_threads() {
-    let csv = experiments::table4::run(&opts(1)).to_csv();
-    let h4 = fnv1a(&experiments::table4::run(&opts(4)).to_csv());
+    let csv = run("table4", 1);
+    let h4 = fnv1a(&run("table4", 4));
     assert_eq!(fnv1a(&csv), h4, "table4 must be thread-count invariant");
     assert_eq!(
         fnv1a(&csv),
@@ -56,8 +60,8 @@ fn table4_matches_pre_refactor_golden_at_1_and_4_threads() {
 
 #[test]
 fn table5_matches_pre_refactor_golden_at_1_and_4_threads() {
-    let csv = experiments::table5::run(&opts(1)).to_csv();
-    let h4 = fnv1a(&experiments::table5::run(&opts(4)).to_csv());
+    let csv = run("table5", 1);
+    let h4 = fnv1a(&run("table5", 4));
     assert_eq!(fnv1a(&csv), h4, "table5 must be thread-count invariant");
     assert_eq!(
         fnv1a(&csv),

@@ -1,15 +1,20 @@
-//! Golden net over every experiment family that `builder_identity.rs`
-//! does not already pin: each run at quick scale, seed 42, must print
-//! exactly the committed CSV under `tests/golden/` (regenerate with
-//! `cargo run --release -p trident-sim --example golden_dump`). These
-//! families reach the fragmented, co-located, virtualized and non-x86
-//! ladder paths, so a drift anywhere in the MM engine shows up here as
-//! the first line that changed.
+//! Golden net over every registry experiment that `builder_identity.rs`
+//! does not already pin: each entry of `experiments::ALL`, run by name
+//! at quick scale, seed 42, must print exactly the committed CSV under
+//! `tests/golden/` (regenerate with `cargo run --release -p
+//! trident-bench --bin experiments -- --out tests/golden --scale 256
+//! --samples 8000 --seed 42`). These families reach the fragmented,
+//! co-located, virtualized and non-x86 ladder paths, so a drift anywhere
+//! in the MM engine shows up here as the first line that changed. A
+//! completeness test keeps the registry, the golden files and the pinned
+//! names equal, so no experiment lands unpinned.
 //!
 //! Each family also runs in a determinism matrix of three observed
 //! modes, and must print the same CSV in each: tracing at 1 thread,
 //! profiling at 3 threads, and both at 2 threads. A recorder may change
 //! which code path runs, never what it computes.
+
+use std::collections::BTreeSet;
 
 use trident_repro::sim::experiments::{self, ExpOptions};
 
@@ -51,43 +56,95 @@ fn modes() -> impl Iterator<Item = ExpOptions> {
     ))
 }
 
+/// Runs the registry entry `name`.
+fn run(name: &str, opts: &ExpOptions) -> String {
+    let exp = experiments::find(name).unwrap_or_else(|| panic!("{name} is not in the registry"));
+    (exp.run)(opts)
+}
+
 macro_rules! golden {
-    ($($test:ident: $file:literal => |$o:ident| $run:expr;)*) => {$(
-        #[test]
-        fn $test() {
-            for $o in modes() {
-                let csv = $run.to_csv();
-                let name = format!(
-                    "{}.csv (threads {}, trace {:?}, profile {})",
-                    $file, $o.threads, $o.trace_capacity, $o.profile
-                );
-                assert_same_text(
-                    &name,
-                    &csv,
-                    include_str!(concat!("golden/", $file, ".csv")),
-                );
+    ($($test:ident: $name:literal;)*) => {
+        $(
+            #[test]
+            fn $test() {
+                for o in modes() {
+                    let label = format!(
+                        "{}.csv (threads {}, trace {:?}, profile {})",
+                        $name, o.threads, o.trace_capacity, o.profile
+                    );
+                    assert_same_text(
+                        &label,
+                        &run($name, &o),
+                        include_str!(concat!("golden/", $name, ".csv")),
+                    );
+                }
             }
-        }
-    )*};
+        )*
+
+        /// The registry entries this file pins.
+        const PINNED_HERE: &[&str] = &[$($name),*];
+    };
 }
 
 golden! {
-    fig2_matches_golden: "fig2" => |o| experiments::fig2::run(&o);
-    fig3_matches_golden: "fig3" => |o| experiments::fig3::run(&o);
-    fig4_matches_golden: "fig4" => |o| experiments::fig4::run(&o);
-    fig7_matches_golden: "fig7" => |o| experiments::fig7::run(&o);
-    fig9_clean_matches_golden: "fig9_clean" => |o| experiments::fig9::run(&o, false);
-    fig9_fragmented_matches_golden: "fig9_fragmented" => |o| experiments::fig9::run(&o, true);
-    fig11_clean_matches_golden: "fig11_clean" => |o| experiments::fig11::run(&o, false);
-    fig11_fragmented_matches_golden: "fig11_fragmented" => |o| experiments::fig11::run(&o, true);
-    fig12_matches_golden: "fig12" => |o| experiments::fig12::run(&o);
-    fig13_matches_golden: "fig13" => |o| experiments::fig13::run(&o);
-    table3_matches_golden: "table3" => |o| experiments::table3::run(&o);
-    bloat_matches_golden: "bloat" => |o| experiments::bloat::run(&o);
-    extension_matches_golden: "extension" => |o| experiments::extension::run(&o);
-    kernel_map_matches_golden: "kernel_map" => |o| experiments::kernel_map::run(&o);
-    coloc_matches_golden: "coloc" => |o| experiments::coloc::run(&o);
-    ladder_matches_golden: "ladder" => |o| experiments::ladder::run(&o);
+    fig2_matches_golden: "fig2";
+    fig2_all_combos_matches_golden: "fig2_all_combos";
+    fig3_matches_golden: "fig3";
+    fig4_matches_golden: "fig4";
+    fig7_matches_golden: "fig7";
+    fig9_clean_matches_golden: "fig9_clean";
+    fig9_fragmented_matches_golden: "fig9_fragmented";
+    fig11_clean_matches_golden: "fig11_clean";
+    fig11_fragmented_matches_golden: "fig11_fragmented";
+    fig12_matches_golden: "fig12";
+    fig13_matches_golden: "fig13";
+    table3_matches_golden: "table3";
+    bloat_matches_golden: "bloat";
+    extension_matches_golden: "extension";
+    kernel_map_matches_golden: "kernel_map";
+    coloc_matches_golden: "coloc";
+    ladder_matches_golden: "ladder";
+    ladder_walk_matches_golden: "ladder_walk";
+}
+
+/// The registry entries `builder_identity.rs` pins, by hash at 1 and 4
+/// threads and by text.
+const PINNED_BY_BUILDER_IDENTITY: [&str; 3] = ["fig1", "table4", "table5"];
+
+#[test]
+fn registry_golden_files_and_pinned_names_agree() {
+    let registry: BTreeSet<&str> = experiments::ALL.iter().map(|e| e.name).collect();
+    assert_eq!(registry.len(), experiments::ALL.len(), "duplicate names");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let golden: BTreeSet<String> = std::fs::read_dir(dir)
+        .expect("tests/golden exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "csv"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    let pinned: BTreeSet<&str> = PINNED_HERE
+        .iter()
+        .chain(&PINNED_BY_BUILDER_IDENTITY)
+        .copied()
+        .collect();
+    assert_eq!(
+        pinned.len(),
+        PINNED_HERE.len() + PINNED_BY_BUILDER_IDENTITY.len(),
+        "a name is pinned twice"
+    );
+    assert_eq!(
+        golden.iter().map(String::as_str).collect::<BTreeSet<_>>(),
+        registry,
+        "tests/golden/*.csv vs the registry"
+    );
+    assert_eq!(pinned, registry, "pinned names vs the registry");
+    let builder_identity = include_str!("builder_identity.rs");
+    for name in PINNED_BY_BUILDER_IDENTITY {
+        assert!(
+            builder_identity.contains(&format!("run(\"{name}\"")),
+            "builder_identity.rs does not run {name}"
+        );
+    }
 }
 
 #[test]
