@@ -191,8 +191,10 @@ impl Args {
     }
 
     /// Takes the standard experiment flags (`--scale`, `--samples`,
-    /// `--seed`, `--threads`, `--trace N`, `--profile`) into an
-    /// [`ExpOptions`], starting from its defaults.
+    /// `--seed`, `--threads`) into an [`ExpOptions`], starting from its
+    /// defaults. Tracing and profiling stay off: an experiment prints
+    /// only its CSV, and `tridentctl run --trace-out` / `--profile-out`
+    /// observe one cell.
     ///
     /// # Errors
     ///
@@ -205,8 +207,6 @@ impl Args {
         opts.samples = self.parsed_or("--samples", opts.samples)?;
         opts.seed = self.parsed_or("--seed", opts.seed)?;
         opts.threads = self.parsed_or("--threads", opts.threads)?;
-        opts.trace_capacity = self.parsed("--trace")?;
-        opts.profile = self.flag("--profile");
         Ok(opts)
     }
 
@@ -286,17 +286,12 @@ mod tests {
             "7",
             "--threads",
             "3",
-            "--trace",
-            "512",
-            "--profile",
         ]);
         let opts = a.exp_options().unwrap();
         assert_eq!(opts.scale, 64);
         assert_eq!(opts.samples, 9000);
         assert_eq!(opts.seed, 7);
         assert_eq!(opts.threads, 3);
-        assert_eq!(opts.trace_capacity, Some(512));
-        assert!(opts.profile);
         a.finish().unwrap();
     }
 

@@ -47,7 +47,7 @@ fn usage() -> String {
     format!(
         "usage: experiments NAME [standard flags]\n       \
          experiments --out DIR [NAME...] [standard flags]\n\
-         standard flags: [--scale N] [--samples N] [--seed N] [--threads N] [--trace N] [--profile]\n\
+         standard flags: [--scale N] [--samples N] [--seed N] [--threads N]\n\
          names: {}",
         names.join(" ")
     )

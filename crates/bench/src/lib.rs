@@ -8,8 +8,9 @@
 //! `--seed N`, `--threads N` (worker threads for the parallel runner;
 //! 0 = one per core; the output is bit-identical for every value). The
 //! other binaries are the `tridentd` job service and its `tridentctl`
-//! client, the `chaos` harness, and the trace tools `dump_trace` and
-//! `trace_analyze`.
+//! client (`tridentctl run --trace-out FILE` writes a run's trace), the
+//! `chaos` harness, and `trace_analyze`, which profiles a trace or lints
+//! a Prometheus scrape.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

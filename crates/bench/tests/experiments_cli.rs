@@ -42,6 +42,15 @@ fn an_unknown_name_is_refused_with_the_usage_message() {
         stderr.contains("unrecognized argument \"--bogus\""),
         "{stderr}"
     );
+    // Tracing and profiling are tridentctl's: an experiment prints its
+    // CSV only.
+    for flags in [&["fig1", "--trace", "8"][..], &["fig1", "--profile"]] {
+        let stderr = assert_refused_with_usage(&experiments(flags));
+        assert!(
+            stderr.contains(&format!("unrecognized argument {:?}", flags[1])),
+            "{stderr}"
+        );
+    }
     // Without --out, exactly one name is needed.
     assert_refused_with_usage(&experiments(&[]));
     assert_refused_with_usage(&experiments(&["fig1", "fig2"]));

@@ -173,9 +173,11 @@ pub enum Event {
     },
     /// The ring tracer evicted events before this point (trace-only).
     ///
-    /// Emitted by trace *writers* (e.g. `dump_trace`) ahead of a lossy
-    /// dump so streaming readers can annotate the gap; never produced by
-    /// live instrumentation.
+    /// A trace writer puts one ahead of a lossy dump so streaming readers
+    /// can annotate the gap; never produced by live instrumentation. No
+    /// writer in the workspace emits it today (`tridentctl run
+    /// --trace-out` streams every event), but dumps that carry it still
+    /// parse and replay.
     TraceGap {
         /// Number of events lost to eviction.
         dropped: u64,

@@ -9,8 +9,8 @@
 //! - [`NoopRecorder`]: the default. Its `record` is an empty inlined
 //!   function, so instrumented hot paths cost nothing when tracing is off.
 //! - [`RingTracer`]: a bounded ring buffer that retains the most recent
-//!   events and exports them as JSONL (one event per line) for offline
-//!   analysis; see [`Event::to_jsonl`] / [`Event::parse_jsonl`].
+//!   events. Each event is one JSONL line for offline analysis; see
+//!   [`Event::to_jsonl`] / [`Event::parse_jsonl`].
 //!
 //! Aggregate counters live in the versioned [`StatsSnapshot`], which can
 //! be produced two ways that are guaranteed to agree: from the live
@@ -32,10 +32,9 @@
 //!     site: trident_obs::AllocSite::PageFault,
 //!     ns: 1800,
 //! });
-//! let jsonl = tracer.to_jsonl();
-//! let replayed: Vec<Event> = jsonl
-//!     .lines()
-//!     .map(|l| Event::parse_jsonl(l).unwrap())
+//! let replayed: Vec<Event> = tracer
+//!     .events()
+//!     .map(|ev| Event::parse_jsonl(&ev.to_jsonl()).unwrap())
 //!     .collect();
 //! let snap = StatsSnapshot::from_events(replayed.iter());
 //! assert_eq!(snap.faults[huge.rung()], 1);

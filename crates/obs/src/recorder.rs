@@ -107,17 +107,6 @@ impl RingTracer {
     pub fn drain(&mut self) -> Vec<Event> {
         self.events.drain(..).collect()
     }
-
-    /// Serializes the retained events as JSONL, one event per line.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_jsonl());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl Recorder for RingTracer {
@@ -329,7 +318,8 @@ mod tests {
         let mut t = RingTracer::new(16);
         t.record(fault(3));
         t.record(Event::ZeroFill { blocks: 1 });
-        let parsed: Result<Vec<Event>, _> = t.to_jsonl().lines().map(Event::parse_jsonl).collect();
+        let lines: Vec<String> = t.events().map(Event::to_jsonl).collect();
+        let parsed: Result<Vec<Event>, _> = lines.iter().map(|l| Event::parse_jsonl(l)).collect();
         assert_eq!(parsed.unwrap(), t.drain());
     }
 }

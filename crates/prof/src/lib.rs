@@ -55,4 +55,4 @@ pub use profile::Profile;
 pub use reader::{TraceReadError, TraceReadErrorKind, TraceReader};
 pub use recorder::{JsonlWriter, Profiler};
 pub use series::{TimeSeries, Window};
-pub use span::{SpanRecorder, SpanStats};
+pub use span::SpanStats;

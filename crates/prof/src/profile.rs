@@ -9,8 +9,8 @@ use crate::{SpanStats, TimeSeries};
 /// A profile is a pure fold over events: feeding the same stream — live
 /// through a [`Profiler`](crate::Profiler), or replayed from a JSONL
 /// trace through a [`TraceReader`](crate::TraceReader) — produces equal
-/// profiles. That is the subsystem's central invariant and what
-/// `trace_analyze --check` asserts.
+/// profiles. That is the subsystem's central invariant, asserted on a
+/// real run by the root suite's `tests/observability.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Per-kind span duration statistics.

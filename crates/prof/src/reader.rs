@@ -51,8 +51,9 @@ impl fmt::Display for TraceReadError {
 
 impl Error for TraceReadError {}
 
-/// Streams [`Event`]s out of JSONL trace output (e.g. from `dump_trace`)
-/// one line at a time, without loading the trace into memory.
+/// Streams [`Event`]s out of JSONL trace output (e.g. from `tridentctl
+/// run --trace-out`) one line at a time, without loading the trace into
+/// memory.
 ///
 /// Blank lines and `#`-prefixed comment lines are skipped, so dumps with
 /// human-readable banners parse unmodified. Schema-version skew is
@@ -73,12 +74,6 @@ impl<R: BufRead> TraceReader<R> {
             line_no: 0,
             line: String::new(),
         }
-    }
-
-    /// 1-based number of the last line read.
-    #[must_use]
-    pub fn line_no(&self) -> u64 {
-        self.line_no
     }
 }
 

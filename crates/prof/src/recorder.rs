@@ -31,12 +31,6 @@ impl Profiler {
         }
     }
 
-    /// The profile gathered so far (trailing window not yet flushed).
-    #[must_use]
-    pub fn profile(&self) -> &Profile {
-        &self.profile
-    }
-
     /// Flushes the trailing window and returns the finished profile.
     pub fn finish_profile(&mut self) -> Profile {
         self.profile.finish();
@@ -108,12 +102,6 @@ impl JsonlWriter {
         }
     }
 
-    /// Lines written so far, across all clones.
-    #[must_use]
-    pub fn written(&self) -> u64 {
-        self.state.lock().map(|s| s.written).unwrap_or(0)
-    }
-
     /// Flushes the sink and reports the line count, or the first write
     /// error if any occurred during the run.
     pub fn finish(&self) -> std::io::Result<u64> {
@@ -131,8 +119,9 @@ impl JsonlWriter {
 
 impl fmt::Debug for JsonlWriter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let written = self.state.lock().map(|s| s.written).unwrap_or(0);
         f.debug_struct("JsonlWriter")
-            .field("written", &self.written())
+            .field("written", &written)
             .finish_non_exhaustive()
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! Every renderer is a pure function of the [`Profile`] with fixed field
 //! order and fixed-precision number formatting, so equal profiles render
-//! to byte-identical reports — the property `trace_analyze --check`
-//! leans on.
+//! to byte-identical reports, live or replayed.
 
 use std::fmt::Write as _;
 

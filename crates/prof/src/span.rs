@@ -1,7 +1,7 @@
 //! Span pairing: folds `SpanBegin`/`SpanEnd` events into per-kind
 //! duration statistics.
 
-use trident_obs::{Event, Recorder, SpanKind};
+use trident_obs::{Event, SpanKind};
 
 use crate::LatencyHistogram;
 
@@ -119,51 +119,9 @@ impl SpanStats {
     }
 }
 
-/// A [`Recorder`] adapter that aggregates span statistics, then forwards
-/// every event unchanged to the wrapped recorder.
-#[derive(Debug, Clone, Default)]
-pub struct SpanRecorder<R: Recorder> {
-    stats: SpanStats,
-    inner: R,
-}
-
-impl<R: Recorder> SpanRecorder<R> {
-    /// Wraps `inner`.
-    pub fn new(inner: R) -> SpanRecorder<R> {
-        SpanRecorder {
-            stats: SpanStats::new(),
-            inner,
-        }
-    }
-
-    /// The statistics gathered so far.
-    #[must_use]
-    pub fn stats(&self) -> &SpanStats {
-        &self.stats
-    }
-
-    /// The wrapped recorder.
-    #[must_use]
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-}
-
-impl<R: Recorder> Recorder for SpanRecorder<R> {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: Event) {
-        self.stats.observe(&event);
-        self.inner.record(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trident_obs::NoopRecorder;
 
     #[test]
     fn pairs_begin_end_into_histogram() {
@@ -204,19 +162,5 @@ mod tests {
         assert_eq!(s.unmatched_ends(), 1);
         assert_eq!(s.completed(SpanKind::PromoScan), 1, "duration still kept");
         assert_eq!(s.gaps(), 1);
-    }
-
-    #[test]
-    fn span_recorder_forwards_to_inner() {
-        let mut r = SpanRecorder::new(NoopRecorder);
-        r.record(Event::SpanBegin {
-            kind: SpanKind::ZeroFill,
-        });
-        r.record(Event::SpanEnd {
-            kind: SpanKind::ZeroFill,
-            ns: 7,
-        });
-        assert_eq!(r.stats().completed(SpanKind::ZeroFill), 1);
-        assert_eq!(r.stats().histogram(SpanKind::ZeroFill).max(), Some(7));
     }
 }

@@ -4,7 +4,7 @@ use trident_workloads::WorkloadSpec;
 
 use crate::{Cell, PolicyKind, SimConfig, VirtCell};
 
-/// Command-line-tunable options shared by every experiment binary.
+/// The options shared by every experiment and job.
 /// (Flag parsing lives downstream in `trident_bench::args`; this crate
 /// only defines the option set and its mapping to [`SimConfig`].)
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,11 +19,13 @@ pub struct ExpOptions {
     /// Results are bit-identical for every value — see DESIGN.md's
     /// determinism contract.
     pub threads: usize,
-    /// Ring-tracer capacity, in events (`None` = tracing off). Tracing
-    /// never changes results — see DESIGN.md §8.
+    /// Ring-tracer capacity, in events (`None` = tracing off). Jobs and
+    /// the golden determinism matrix set it; the `experiments` binary
+    /// does not. Tracing never changes results — see DESIGN.md §7.
     pub trace_capacity: Option<usize>,
     /// Fold a live [`trident_prof::Profile`] during measurement
-    /// (DESIGN.md §9). Profiling never changes results.
+    /// (DESIGN.md §9). Set like `trace_capacity`; profiling never
+    /// changes results.
     pub profile: bool,
 }
 

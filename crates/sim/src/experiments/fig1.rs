@@ -54,22 +54,21 @@ impl Result {
     }
 
     /// Mean 1GB-hugetlbfs speedup over THP across the shaded set — the
-    /// paper reports 12.5%.
+    /// paper reports 12.5%. Each shaded application counts once, through
+    /// its THP bar.
     #[must_use]
     pub fn shaded_giant_gain_over_thp(&self) -> f64 {
-        let mut gains = Vec::new();
-        for w in self.rows.iter().filter(|r| r.shaded).map(|r| &r.workload) {
-            let find = |cfg: &str| {
+        let gains: Vec<f64> = self
+            .rows
+            .iter()
+            .filter(|thp| thp.shaded && thp.config == "2MB-THP")
+            .filter_map(|thp| {
                 self.rows
                     .iter()
-                    .find(|r| &r.workload == w && r.config == cfg)
-                    .map(|r| r.perf_norm)
-            };
-            if let (Some(thp), Some(giant)) = (find("2MB-THP"), find("1GB-Hugetlbfs")) {
-                gains.push(giant / thp);
-            }
-        }
-        gains.dedup();
+                    .find(|r| r.workload == thp.workload && r.config == "1GB-Hugetlbfs")
+                    .map(|giant| giant.perf_norm / thp.perf_norm)
+            })
+            .collect();
         if gains.is_empty() {
             1.0
         } else {
@@ -130,4 +129,37 @@ pub fn run(opts: &ExpOptions) -> Result {
         }
     }
     Result { rows }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bar(workload: &str, config: &'static str, perf_norm: f64) -> Row {
+        Row {
+            workload: workload.to_owned(),
+            config,
+            shaded: true,
+            walk_fraction_norm: 1.0,
+            perf_norm,
+            walk_fraction: 0.1,
+        }
+    }
+
+    /// Two neighbouring applications with bit-equal gains both count.
+    #[test]
+    fn every_shaded_application_counts_once_even_when_gains_tie() {
+        let mut rows = Vec::new();
+        for (workload, thp, giant) in [("A", 1.0, 1.2), ("B", 1.0, 1.2), ("C", 1.0, 1.5)] {
+            rows.push(bar(workload, "4KB", 1.0));
+            rows.push(bar(workload, "2MB-THP", thp));
+            rows.push(bar(workload, "2MB-Hugetlbfs", thp));
+            rows.push(bar(workload, "1GB-Hugetlbfs", giant));
+        }
+        let gain = Result { rows }.shaded_giant_gain_over_thp();
+        assert!(
+            (gain - 1.3).abs() < 1e-12,
+            "mean of 1.2, 1.2 and 1.5 is 1.3, got {gain}"
+        );
+    }
 }

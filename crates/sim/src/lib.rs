@@ -33,7 +33,6 @@ mod governor;
 mod latency;
 mod model;
 mod policy;
-mod report;
 pub mod runner;
 mod system;
 mod virt_system;
@@ -43,7 +42,6 @@ pub use governor::DaemonGovernor;
 pub use latency::{request_p99_ms, LatencyModel};
 pub use model::PerfPoint;
 pub use policy::PolicyKind;
-pub use report::RunReport;
 pub use runner::{derive_cell_seed, Cell, Runner, VirtCell};
 pub use system::{Measurement, RunProgress, System, SystemBuilder, TenantMeasurement, TenantSpec};
 // Tenant vocabulary, re-exported so experiment authors need not depend on

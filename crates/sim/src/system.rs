@@ -512,12 +512,6 @@ impl System {
         self.policy.name()
     }
 
-    /// Tenant 0's workload.
-    #[must_use]
-    pub fn workload(&self) -> &WorkloadSpec {
-        &self.tenants[0].workload.spec
-    }
-
     /// Executes every tenant's allocation plan with first-touch faults
     /// interleaved — both within a tenant (how real applications populate
     /// memory) and *across* tenants (how co-located processes interleave
