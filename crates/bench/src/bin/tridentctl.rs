@@ -29,7 +29,7 @@ use trident_workloads::WorkloadSpec;
 const USAGE: &str = "\
 usage: tridentctl list
        tridentctl run --workload <name> --policy <name> [--scale N] [--samples N]
-                      [--seed N] [--cell N] [--fragment] [--trace N] [--profile]
+                      [--seed N] [--cell N] [--fragment] [--trace N]
                       [--geometry x86_64|sv48|aarch64]
                       [--trace-out FILE] [--profile-out FILE]
                       [--fault-seed N] [--fault SITE:PROB]...
@@ -126,7 +126,6 @@ fn spec_from_args(args: &mut Args) -> Result<JobSpec, ArgError> {
     spec.cell_index = args.parsed("--cell")?;
     spec.fragment = args.flag("--fragment");
     spec.trace_capacity = args.parsed("--trace")?;
-    spec.profile = args.flag("--profile");
     spec.trace_out = args.value("--trace-out")?;
     spec.profile_out = args.value("--profile-out")?;
     spec.geometry = args.value("--geometry")?;

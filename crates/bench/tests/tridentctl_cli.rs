@@ -1,0 +1,33 @@
+//! `tridentctl`'s option parser refuses what it does not take.
+
+use std::process::Command;
+
+/// `run --profile` folded a live profile that the report never showed;
+/// `--profile-out FILE` is the way to profile a run from the CLI. The
+/// parser refuses the bare flag before anything runs.
+#[test]
+fn run_refuses_the_bare_profile_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tridentctl"))
+        .args([
+            "run",
+            "--workload",
+            "GUPS",
+            "--policy",
+            "Trident",
+            "--scale",
+            "256",
+            "--samples",
+            "8000",
+            "--profile",
+        ])
+        .output()
+        .expect("the tridentctl binary starts");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("unrecognized argument \"--profile\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("[--profile-out FILE]"), "{stderr}");
+}

@@ -2,8 +2,9 @@
 //!
 //! Linux's buddy allocator tracks free chunks only up to `MAX_ORDER` = 4MB;
 //! the paper extends it with separate lists for every order up to 1GB
-//! (§5.1.1). Each order's free list is a packed bitmap over block start
-//! frames ([`OrderList`]): allocation pops the lowest-addressed block by
+//! (§5.1.1). Each order's free list is a packed bitmap over that order's
+//! block numbers ([`OrderList`]), so all of them together hold about two
+//! bits per frame: allocation pops the lowest-addressed block by
 //! word-scanning from a floor cursor instead of walking a tree, and ranged
 //! scans let compaction allocate *within* a specific 1GB region via
 //! [`BuddyAllocator::alloc_in_range`].
@@ -15,33 +16,47 @@ use trident_types::{DenseBitSet, InvariantViolation};
 
 use crate::AllocError;
 
-/// One order's free list: a bitmap over block start frames plus a floor
-/// cursor below which no block of this order starts. Insert and remove are
-/// single word operations; popping the minimum scans words upward from the
-/// floor, and since the floor only moves down when a block is inserted
-/// there, the scan cost is bounded by cursor churn rather than list size.
+/// One order's free list: a bitmap indexed by block number (`start >>
+/// order`), so order `o` holds `total_pages >> o` bits and a misaligned
+/// block cannot be stored, plus a floor cursor below which no block of
+/// this order starts. Insert and remove are single word operations;
+/// popping the minimum scans words upward from the floor, and since the
+/// floor only moves down when a block is inserted there, the scan cost is
+/// bounded by cursor churn rather than list size.
 #[derive(Debug, Clone)]
 struct OrderList {
+    /// Block `i` of this order, frames `i << order ..`, is free.
     blocks: DenseBitSet,
-    /// No free block of this order starts below `floor`.
+    order: u8,
+    /// No free block of this order has a number below `floor`.
     floor: u64,
 }
 
 impl OrderList {
-    fn new(total_pages: u64) -> OrderList {
+    fn new(total_pages: u64, order: u8) -> OrderList {
         OrderList {
-            blocks: DenseBitSet::with_capacity(total_pages),
+            blocks: DenseBitSet::with_capacity(total_pages >> order),
+            order,
             floor: 0,
         }
     }
 
+    /// Inserts the block starting at frame `start`, which is aligned to
+    /// this order.
     fn insert(&mut self, start: u64) {
-        self.blocks.insert(start);
-        self.floor = self.floor.min(start);
+        let block = start >> self.order;
+        self.blocks.insert(block);
+        self.floor = self.floor.min(block);
     }
 
+    /// Removes the block starting at frame `start`, which is aligned to
+    /// this order. Returns whether it was free.
     fn remove(&mut self, start: u64) -> bool {
-        self.blocks.remove(start)
+        self.blocks.remove(start >> self.order)
+    }
+
+    fn contains(&self, start: u64) -> bool {
+        start.is_multiple_of(1 << self.order) && self.blocks.contains(start >> self.order)
     }
 
     fn is_empty(&self) -> bool {
@@ -53,10 +68,23 @@ impl OrderList {
     }
 
     /// The lowest block start, advancing the floor to it.
-    fn first(&mut self, total_pages: u64) -> Option<u64> {
-        let first = self.blocks.iter_range(self.floor, total_pages).next()?;
+    fn first(&mut self) -> Option<u64> {
+        let first = self.blocks.iter_range(self.floor, u64::MAX).next()?;
         self.floor = first;
-        Some(first)
+        Some(first << self.order)
+    }
+
+    /// Block starts in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.blocks.iter().map(|block| block << self.order)
+    }
+
+    /// Starts of the blocks that lie wholly inside `range`, ascending.
+    fn iter_within(&self, range: Range<u64>) -> impl Iterator<Item = u64> + '_ {
+        let len = 1u64 << self.order;
+        self.blocks
+            .iter_range(range.start.div_ceil(len), range.end / len)
+            .map(|block| block << self.order)
     }
 }
 
@@ -108,7 +136,7 @@ impl BuddyAllocator {
             total_pages,
             max_order,
             free_lists: (0..=max_order)
-                .map(|_| OrderList::new(total_pages))
+                .map(|order| OrderList::new(total_pages, order))
                 .collect(),
             free_pages: 0,
         };
@@ -192,7 +220,7 @@ impl BuddyAllocator {
             .find(|o| !self.free_lists[usize::from(*o)].is_empty())
             .ok_or(AllocError { order })?;
         let start = self.free_lists[usize::from(found)]
-            .first(self.total_pages)
+            .first()
             .expect("non-empty list");
         self.free_lists[usize::from(found)].remove(start);
         self.split_down(start, found, order);
@@ -247,7 +275,7 @@ impl BuddyAllocator {
                 .find(|o| !self.free_lists[usize::from(*o)].is_empty())
                 .expect("free capacity remains");
             let list = &mut self.free_lists[usize::from(found)];
-            let start = list.first(self.total_pages).expect("non-empty list");
+            let start = list.first().expect("non-empty list");
             list.remove(start);
             let blocks = left.min(1 << (found - order));
             let len = blocks << order;
@@ -293,9 +321,8 @@ impl BuddyAllocator {
         assert!(order <= self.max_order, "order exceeds max_order");
         for o in order..=self.max_order {
             let candidate = self.free_lists[usize::from(o)]
-                .blocks
-                .iter_range(range.start, range.end)
-                .find(|&start| start + (1u64 << o) <= range.end);
+                .iter_within(range.clone())
+                .next();
             if let Some(start) = candidate {
                 self.free_lists[usize::from(o)].remove(start);
                 self.split_down(start, o, order);
@@ -381,19 +408,20 @@ impl BuddyAllocator {
 
     /// Iterates over the start frames of free blocks of exactly `order`.
     pub fn free_blocks_iter(&self, order: u8) -> impl Iterator<Item = u64> + '_ {
-        self.free_lists[usize::from(order)].blocks.iter()
+        self.free_lists[usize::from(order)].iter()
     }
 
     /// Whether a free block of exactly `order` starts at `start` — used to
     /// validate pre-zeroed block handles lazily.
     #[must_use]
     pub fn is_block_free(&self, start: u64, order: u8) -> bool {
-        order <= self.max_order && self.free_lists[usize::from(order)].blocks.contains(start)
+        order <= self.max_order && self.free_lists[usize::from(order)].contains(start)
     }
 
-    /// Non-panicking consistency audit: free lists must be aligned, in
-    /// bounds, non-overlapping, and sum to `free_pages`. Returns every
-    /// violation found rather than stopping at the first.
+    /// Non-panicking consistency audit: free lists must be in bounds,
+    /// non-overlapping, and sum to `free_pages` (a block number cannot
+    /// name a misaligned block). Returns every violation found rather than
+    /// stopping at the first.
     ///
     /// # Errors
     ///
@@ -403,11 +431,8 @@ impl BuddyAllocator {
         let mut counted = 0u64;
         let mut spans: Vec<(u64, u64)> = Vec::new();
         for (order, list) in self.free_lists.iter().enumerate() {
-            for start in list.blocks.iter() {
+            for start in list.iter() {
                 let len = 1u64 << order;
-                if start % len != 0 {
-                    violations.push(InvariantViolation::BuddyBlockMisaligned { start, pages: len });
-                }
                 if start + len > self.total_pages {
                     violations.push(InvariantViolation::BuddyBlockOutOfBounds {
                         start,

@@ -7,7 +7,10 @@
 //! frame; the frame's *use* is packed into the record's flag bits, the set
 //! of unit heads is a packed bitmap (so ranged unit enumeration skips free
 //! space a word at a time), and reverse-map owners live in per-region
-//! slabs allocated lazily — no hash maps on the allocation hot path.
+//! slabs of eight-byte slots allocated lazily — no hash maps on the
+//! allocation hot path. A slot holds an asid up to 65,535 and a vpn below
+//! 2^48; every id the program makes fits (system and hypervisor builders
+//! refuse more address spaces).
 
 use trident_types::{AsId, DenseBitSet, Pfn, Vpn};
 
@@ -129,12 +132,37 @@ impl FrameInfo {
     }
 }
 
-/// One reverse-map slab slot; valid only when the head frame carries
-/// `FLAG_HAS_OWNER`.
+/// One reverse-map slab slot, packed into eight bytes: the owner's asid in
+/// the top 16 bits and its vpn in the low 48. Valid only when the head
+/// frame carries `FLAG_HAS_OWNER`.
 #[derive(Debug, Clone, Copy, Default)]
-struct OwnerSlot {
-    asid: u32,
-    vpn: u64,
+struct OwnerSlot(u64);
+
+/// Bits of an [`OwnerSlot`] that hold the vpn.
+const OWNER_VPN_BITS: u32 = 48;
+
+impl OwnerSlot {
+    /// Packs `owner`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the asid is past 65,535 or the vpn is 2^48 or more.
+    fn new(owner: MappingOwner) -> OwnerSlot {
+        let (asid, vpn) = (owner.asid.raw(), owner.vpn.raw());
+        assert!(
+            asid <= u32::from(u16::MAX) && vpn >> OWNER_VPN_BITS == 0,
+            "owner {}/{vpn:#x} does not fit a reverse-map slot",
+            owner.asid
+        );
+        OwnerSlot(u64::from(asid) << OWNER_VPN_BITS | vpn)
+    }
+
+    fn owner(self) -> MappingOwner {
+        MappingOwner {
+            asid: AsId::new((self.0 >> OWNER_VPN_BITS) as u32),
+            vpn: Vpn::new(self.0 & ((1 << OWNER_VPN_BITS) - 1)),
+        }
+    }
 }
 
 /// Metadata for every physical frame, with unit-granularity bookkeeping.
@@ -201,7 +229,9 @@ impl FrameTable {
     ///
     /// # Panics
     ///
-    /// Panics if any frame in the unit is already used or out of bounds.
+    /// Panics if any frame in the unit is already used or out of bounds,
+    /// or if `owner` does not fit a reverse-map slot (asid past 65,535 or
+    /// vpn of 2^48 or more).
     pub fn mark_allocated(
         &mut self,
         head: Pfn,
@@ -212,6 +242,7 @@ impl FrameTable {
         let start = self.idx(head);
         let len = 1usize << order;
         assert!(start + len <= self.frames.len(), "unit out of bounds");
+        let slot = owner.map(OwnerSlot::new);
         let flags = use_.unit_flags();
         for (i, frame) in self.frames[start..start + len].iter_mut().enumerate() {
             assert!(!frame.is_used(), "frame {} double-allocated", start + i);
@@ -220,12 +251,9 @@ impl FrameTable {
         }
         self.frames[start].flags |= FLAG_HEAD;
         self.heads.insert(head.raw());
-        if let Some(owner) = owner {
+        if let Some(slot) = slot {
             self.frames[start].flags |= FLAG_HAS_OWNER;
-            *self.owner_slot_mut(start) = OwnerSlot {
-                asid: owner.asid.raw(),
-                vpn: owner.vpn.raw(),
-            };
+            *self.owner_slot_mut(start) = slot;
         }
     }
 
@@ -238,7 +266,8 @@ impl FrameTable {
     ///
     /// # Panics
     ///
-    /// Panics if any frame in the span is already used or out of bounds.
+    /// Panics if any frame in the span is already used or out of bounds,
+    /// or if a unit's owner does not fit a reverse-map slot.
     pub(crate) fn mark_units(
         &mut self,
         start: Pfn,
@@ -252,6 +281,15 @@ impl FrameTable {
         let unit = 1usize << order;
         debug_assert!(start.is_multiple_of(unit) && (end - start).is_multiple_of(unit));
         assert!(end <= self.frames.len(), "unit out of bounds");
+        // The last unit's vpn is the largest. Once it fits, every unit's
+        // slot is the first one's plus the unit's page offset.
+        let first = owner.map(|owner| {
+            OwnerSlot::new(MappingOwner {
+                vpn: owner.vpn + pages.saturating_sub(unit as u64),
+                ..owner
+            });
+            OwnerSlot::new(owner)
+        });
         let flags = use_.unit_flags();
         let mut head_flags = flags | FLAG_HEAD;
         if owner.is_some() {
@@ -269,10 +307,9 @@ impl FrameTable {
         for head in (start..end).step_by(unit) {
             self.heads.insert(head as u64);
         }
-        let Some(owner) = owner else {
+        let Some(first) = first else {
             return;
         };
-        let asid = owner.asid.raw();
         let mut head = start;
         while head < end {
             let region = head / OWNER_REGION;
@@ -280,10 +317,7 @@ impl FrameTable {
             let slab = self.owners[region]
                 .get_or_insert_with(|| vec![OwnerSlot::default(); OWNER_REGION].into_boxed_slice());
             while head < slab_end {
-                slab[head % OWNER_REGION] = OwnerSlot {
-                    asid,
-                    vpn: owner.vpn.raw() + (head - start) as u64,
-                };
+                slab[head % OWNER_REGION] = OwnerSlot(first.0 + (head - start) as u64);
                 head += unit;
             }
         }
@@ -345,10 +379,7 @@ impl FrameTable {
             return None;
         }
         let slot = self.owner_slot(idx).expect("owner flag implies slab");
-        Some(MappingOwner {
-            asid: AsId::new(slot.asid),
-            vpn: Vpn::new(slot.vpn),
-        })
+        Some(slot.owner())
     }
 
     /// The head frame of the unit containing `pfn`, if used.
@@ -368,17 +399,15 @@ impl FrameTable {
     ///
     /// # Panics
     ///
-    /// Panics if `head` is not a unit head.
+    /// Panics if `head` is not a unit head, or if `owner` does not fit a
+    /// reverse-map slot.
     pub fn set_owner(&mut self, head: Pfn, owner: Option<MappingOwner>) {
         assert!(self.is_unit_head(head), "set_owner requires a unit head");
         let idx = self.idx(head);
-        match owner {
-            Some(o) => {
+        match owner.map(OwnerSlot::new) {
+            Some(slot) => {
                 self.frames[idx].flags |= FLAG_HAS_OWNER;
-                *self.owner_slot_mut(idx) = OwnerSlot {
-                    asid: o.asid.raw(),
-                    vpn: o.vpn.raw(),
-                };
+                *self.owner_slot_mut(idx) = slot;
             }
             None => {
                 self.frames[idx].flags &= !FLAG_HAS_OWNER;
@@ -529,6 +558,28 @@ mod tests {
         t.mark_allocated(Pfn::new(2048), 0, FrameUse::User, None);
         assert_eq!(t.owner(Pfn::new(2048)), None);
         assert_eq!(t.unit_at(Pfn::new(2048)).unwrap().owner, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a reverse-map slot")]
+    fn an_asid_past_the_slot_panics() {
+        let mut t = FrameTable::new(8);
+        let o = MappingOwner {
+            asid: AsId::new(65_536),
+            vpn: Vpn::new(0),
+        };
+        t.mark_allocated(Pfn::new(0), 0, FrameUse::User, Some(o));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a reverse-map slot")]
+    fn a_run_whose_last_vpn_overflows_the_slot_panics() {
+        let mut t = FrameTable::new(8);
+        let o = MappingOwner {
+            asid: AsId::new(1),
+            vpn: Vpn::new((1 << 48) - 2),
+        };
+        t.mark_units(Pfn::new(0), 4, 1, FrameUse::User, Some(o));
     }
 
     #[test]

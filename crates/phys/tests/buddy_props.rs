@@ -1,5 +1,8 @@
 //! Property-based tests for the buddy allocator and physical memory.
 
+use std::collections::BTreeSet;
+use std::ops::Range;
+
 use proptest::prelude::*;
 use trident_obs::{Event, NoopRecorder, RingTracer};
 use trident_phys::{BuddyAllocator, FrameUse, MappingOwner, PhysicalMemory};
@@ -169,6 +172,178 @@ fn churned_buddy(
     buddy
 }
 
+/// A reference buddy allocator with the same rules as `BuddyAllocator`:
+/// one ordered set of free block starts per order. It seeds memory with
+/// maximal aligned blocks, allocates the lowest block of the smallest
+/// order that serves a request and splits it from the low end, and
+/// coalesces a freed block with its free buddy as far as the top order.
+#[derive(Debug)]
+struct RefBuddy {
+    total: u64,
+    max_order: u8,
+    lists: Vec<BTreeSet<u64>>,
+    free: u64,
+}
+
+impl RefBuddy {
+    fn new(total: u64, max_order: u8) -> RefBuddy {
+        let mut lists = vec![BTreeSet::new(); usize::from(max_order) + 1];
+        let mut page = 0;
+        while page < total {
+            let mut order = (page.trailing_zeros() as u8).min(max_order);
+            while page + (1 << order) > total {
+                order -= 1;
+            }
+            lists[usize::from(order)].insert(page);
+            page += 1 << order;
+        }
+        RefBuddy {
+            total,
+            max_order,
+            lists,
+            free: total,
+        }
+    }
+
+    /// Takes the free block at `start` of order `from` and splits it down
+    /// to order `to`, returning each upper half to the free lists.
+    fn take(&mut self, start: u64, from: u8, to: u8) -> u64 {
+        assert!(self.lists[usize::from(from)].remove(&start));
+        for order in (to..from).rev() {
+            self.lists[usize::from(order)].insert(start + (1 << order));
+        }
+        self.free -= 1 << to;
+        start
+    }
+
+    fn alloc(&mut self, order: u8) -> Option<u64> {
+        let found = (order..=self.max_order).find(|&o| !self.lists[usize::from(o)].is_empty())?;
+        let start = *self.lists[usize::from(found)].first()?;
+        Some(self.take(start, found, order))
+    }
+
+    fn alloc_in_range(&mut self, order: u8, range: Range<u64>) -> Option<u64> {
+        for o in order..=self.max_order {
+            let inside = self.lists[usize::from(o)]
+                .range(range.start..)
+                .find(|&&start| start + (1 << o) <= range.end)
+                .copied();
+            if let Some(start) = inside {
+                return Some(self.take(start, o, order));
+            }
+        }
+        None
+    }
+
+    fn free(&mut self, start: u64, order: u8) {
+        self.free += 1 << order;
+        let (mut start, mut order) = (start, order);
+        while order < self.max_order {
+            let buddy = start ^ (1 << order);
+            if buddy + (1 << order) > self.total || !self.lists[usize::from(order)].remove(&buddy) {
+                break;
+            }
+            start = start.min(buddy);
+            order += 1;
+        }
+        self.lists[usize::from(order)].insert(start);
+    }
+
+    fn capacity(&self, order: u8) -> u64 {
+        (order..=self.max_order)
+            .map(|o| (self.lists[usize::from(o)].len() as u64) << (o - order))
+            .sum()
+    }
+
+    fn fmfi(&self, order: u8) -> f64 {
+        if self.free == 0 {
+            return 1.0;
+        }
+        (self.free - (self.capacity(order) << order)) as f64 / self.free as f64
+    }
+}
+
+/// One step of the reference-model test.
+#[derive(Debug, Clone)]
+enum RefOp {
+    Alloc(u8),
+    /// `alloc_in_range(order, start..start + len)`, with both ends rounded
+    /// down to a multiple of `2^k` when `snap` is `(true, k)`.
+    AllocInRange {
+        order: u8,
+        start: u64,
+        len: u64,
+        snap: (bool, u8),
+    },
+    /// `alloc_run(order, n)`; `n` may exceed the free capacity.
+    AllocRun(u8, u64),
+    Free(prop::sample::Index),
+}
+
+/// A geometry's top order, a frame count of three top-order blocks plus
+/// `tail` pages (often not a multiple of the top order), and operations
+/// for it.
+fn ref_cases() -> impl Strategy<Value = (u8, u64, Vec<RefOp>)> {
+    (run_geometries(), 0u64..3, any::<u64>()).prop_flat_map(|(geo, shape, tail)| {
+        let max = geo.max_order();
+        let top = 1u64 << max;
+        // A full multiple, a one-page tail, or any tail.
+        let tail = [0, 1, tail % top][shape as usize];
+        let total = 3 * top + tail;
+        // The free arm is doubled, so sequences keep returning blocks and
+        // coalescing instead of draining memory.
+        let op = prop_oneof![
+            (0..=max).prop_map(RefOp::Alloc),
+            (0..=max, 0..=total, 0..=2 * top, (any::<bool>(), 0..=max)).prop_map(
+                |(order, start, len, snap)| RefOp::AllocInRange {
+                    order,
+                    start,
+                    len,
+                    snap,
+                }
+            ),
+            (0..=max, 0u64..40).prop_map(|(order, n)| RefOp::AllocRun(order, n)),
+            any::<prop::sample::Index>().prop_map(RefOp::Free),
+            any::<prop::sample::Index>().prop_map(RefOp::Free),
+        ];
+        (Just(max), Just(total), prop::collection::vec(op, 1..120))
+    })
+}
+
+/// Asserts that `buddy` and the reference hold the same free blocks, by
+/// every query the allocator answers. `held` are allocated blocks.
+fn assert_matches_reference(buddy: &BuddyAllocator, model: &RefBuddy, held: &[(u64, u8)]) {
+    assert_eq!(buddy.free_pages(), model.free);
+    for order in 0..=model.max_order {
+        let list = &model.lists[usize::from(order)];
+        assert!(
+            buddy.free_blocks_iter(order).eq(list.iter().copied()),
+            "free list of order {order} differs"
+        );
+        assert_eq!(buddy.free_blocks(order), list.len());
+        assert_eq!(buddy.free_capacity(order), model.capacity(order));
+        assert_eq!(buddy.fmfi(order).to_bits(), model.fmfi(order).to_bits());
+    }
+    // Free starts, the misaligned page after each, and allocated starts,
+    // asked at every order.
+    let probes = model
+        .lists
+        .iter()
+        .flatten()
+        .flat_map(|&start| [start, start + 1])
+        .chain(held.iter().map(|&(start, _)| start));
+    for page in probes {
+        for order in 0..=model.max_order {
+            assert_eq!(
+                buddy.is_block_free(page, order),
+                model.lists[usize::from(order)].contains(&page),
+                "is_block_free({page}, {order})"
+            );
+        }
+    }
+    assert_eq!(buddy.check_consistent(), Ok(()));
+}
+
 proptest! {
     /// `alloc_run(order, n)` hands out the blocks that `n` calls of
     /// `alloc(order)` hand out, in the same order, and leaves the same
@@ -263,6 +438,60 @@ proptest! {
             mem.free(held.swap_remove(idx.index(held.len())), &mut NoopRecorder).unwrap();
         }
         check_runs_against_single_allocations(mem, &runs);
+    }
+
+    /// `BuddyAllocator` answers every query as the reference buddy does
+    /// after each of a random sequence of `alloc`, `alloc_in_range` (ends
+    /// on and off block boundaries), `alloc_run` (within and past the free
+    /// capacity) and `free`, on every geometry's top order and on frame
+    /// counts that are not a multiple of it.
+    #[test]
+    fn buddy_matches_the_reference_buddy((max_order, total, ops) in ref_cases()) {
+        let mut buddy = BuddyAllocator::new(total, max_order);
+        let mut model = RefBuddy::new(total, max_order);
+        let mut held: Vec<(u64, u8)> = Vec::new();
+        assert_matches_reference(&buddy, &model, &held);
+        for op in ops {
+            match op {
+                RefOp::Alloc(order) => {
+                    let got = buddy.alloc(order, &mut NoopRecorder).ok();
+                    prop_assert_eq!(got, model.alloc(order));
+                    held.extend(got.map(|start| (start, order)));
+                }
+                RefOp::AllocInRange { order, start, len, snap: (snap, k) } => {
+                    let (mut lo, mut hi) = (start, start + len);
+                    if snap {
+                        lo &= !((1 << k) - 1);
+                        hi &= !((1 << k) - 1);
+                    }
+                    let got = buddy.alloc_in_range(order, lo..hi, &mut NoopRecorder).ok();
+                    prop_assert_eq!(got, model.alloc_in_range(order, lo..hi), "range {}..{}", lo, hi);
+                    held.extend(got.map(|start| (start, order)));
+                }
+                RefOp::AllocRun(order, n) => {
+                    let mut got = Vec::new();
+                    let ran = buddy.alloc_run(order, n, |start, pages, _| {
+                        got.extend((0..pages >> order).map(|j| start + (j << order)));
+                    });
+                    if n > model.capacity(order) {
+                        prop_assert!(ran.is_err() && got.is_empty());
+                    } else {
+                        prop_assert!(ran.is_ok());
+                        let want: Vec<u64> = (0..n).filter_map(|_| model.alloc(order)).collect();
+                        prop_assert_eq!(&got, &want);
+                        held.extend(got.iter().map(|&start| (start, order)));
+                    }
+                }
+                RefOp::Free(idx) => {
+                    if !held.is_empty() {
+                        let (start, order) = held.swap_remove(idx.index(held.len()));
+                        buddy.free(start, order, &mut NoopRecorder);
+                        model.free(start, order);
+                    }
+                }
+            }
+            assert_matches_reference(&buddy, &model, &held);
+        }
     }
 
     /// After any op sequence, the buddy's internal accounting is

@@ -37,9 +37,12 @@ fn any_use() -> impl Strategy<Value = FrameUse> {
     ]
 }
 
+/// An owner anywhere in the packed slot's range (asid up to 65,535, vpn
+/// below 2^48), with both limits drawn often.
 fn any_owner() -> impl Strategy<Value = Option<(u32, u64)>> {
-    (any::<bool>(), 1u32..100, 0u64..1 << 20)
-        .prop_map(|(some, asid, vpn)| some.then_some((asid, vpn)))
+    let asid = prop_oneof![0u32..=u32::from(u16::MAX), Just(u32::from(u16::MAX))];
+    let vpn = prop_oneof![0u64..1 << 48, Just((1u64 << 48) - 1)];
+    (any::<bool>(), asid, vpn).prop_map(|(some, asid, vpn)| some.then_some((asid, vpn)))
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {

@@ -284,10 +284,11 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// [`TridentError::InvalidConfig`] when no tenant or no policy was
-    /// given, both a [`PolicyKind`] and a policy instance were given, or
-    /// a tenant's budget override is zero; otherwise the allocation error
-    /// when a hugetlbfs reservation cannot be satisfied, and
+    /// [`TridentError::InvalidConfig`] when no tenant, more than 65,535
+    /// tenants or no policy was given, both a [`PolicyKind`] and a policy
+    /// instance were given, or a tenant's budget override is zero;
+    /// otherwise the allocation error when a hugetlbfs reservation cannot
+    /// be satisfied, and
     /// [`TridentError::OutOfContiguousMemory`] when the tenants need more
     /// memory than the machine has and no page cache is left to reclaim.
     pub fn build(self) -> Result<System, PhysMemError> {
@@ -295,6 +296,12 @@ impl SystemBuilder {
             return Err(TridentError::InvalidConfig {
                 field: "tenants",
                 reason: "at least one tenant (or workload) is required",
+            });
+        }
+        if self.tenants.len() > usize::from(u16::MAX) {
+            return Err(TridentError::InvalidConfig {
+                field: "tenants",
+                reason: "at most 65,535 tenants: each address-space id must fit a reverse-map slot",
             });
         }
         if self.kind.is_some() && self.policy.is_some() {

@@ -14,13 +14,6 @@ use crate::{AsId, Pfn, Vpn};
 /// One broken cross-layer invariant, found by a `check_*` audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantViolation {
-    /// A buddy free block's start is not aligned to its own length.
-    BuddyBlockMisaligned {
-        /// First page of the block.
-        start: u64,
-        /// Block length in base pages.
-        pages: u64,
-    },
     /// A buddy free block extends past the end of physical memory.
     BuddyBlockOutOfBounds {
         /// First page of the block.
@@ -95,9 +88,6 @@ pub enum InvariantViolation {
 impl std::fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            InvariantViolation::BuddyBlockMisaligned { start, pages } => {
-                write!(f, "buddy free block at page {start} ({pages} pages) is misaligned")
-            }
             InvariantViolation::BuddyBlockOutOfBounds {
                 start,
                 pages,

@@ -2,7 +2,7 @@
 
 use trident_core::{FaultOutcome, MmContext, PagePolicy, PolicyError, SpaceSet, TickOutcome};
 use trident_phys::PhysicalMemory;
-use trident_types::{AsId, PageGeometry, PageSize, Vpn};
+use trident_types::{AsId, PageGeometry, PageSize, TridentError, Vpn};
 use trident_vm::VmaKind;
 
 /// One resolved guest memory access: which page sizes served each level.
@@ -178,12 +178,21 @@ impl Hypervisor {
     ///
     /// # Errors
     ///
-    /// Propagates the builder's error.
-    pub fn try_create_vm<E>(
+    /// [`TridentError::InvalidConfig`] once 65,535 VMs have been created:
+    /// a VM's id names its host address space, and ids must fit a
+    /// reverse-map slot. Otherwise propagates the builder's error.
+    pub fn try_create_vm<E: From<TridentError>>(
         &mut self,
         guest_pages: u64,
         build: impl FnOnce(&mut MmContext) -> Result<Box<dyn PagePolicy>, E>,
     ) -> Result<VirtualMachine, E> {
+        if self.next_vm > u32::from(u16::MAX) {
+            return Err(TridentError::InvalidConfig {
+                field: "vms",
+                reason: "at most 65,535 VMs: each VM id must fit a reverse-map slot",
+            }
+            .into());
+        }
         let geo = self.ctx.geometry();
         let id = AsId::new(self.next_vm);
         let mut guest_ctx = MmContext::new(PhysicalMemory::new(geo, guest_pages));
@@ -224,27 +233,17 @@ impl Hypervisor {
     /// Boots a VM with `guest_pages` of guest-physical memory, running
     /// `guest_policy` inside. The VM's gPA range appears to the host as
     /// one large anonymous mapping (how QEMU backs guest RAM).
+    ///
+    /// # Errors
+    ///
+    /// [`TridentError::InvalidConfig`] once 65,535 VMs have been created,
+    /// as for [`Hypervisor::try_create_vm`].
     pub fn create_vm(
         &mut self,
         guest_pages: u64,
         guest_policy: Box<dyn PagePolicy>,
-    ) -> VirtualMachine {
-        let geo = self.ctx.geometry();
-        let id = AsId::new(self.next_vm);
-        self.next_vm += 1;
-        let mut host_view = trident_vm::AddressSpace::new(id, geo);
-        host_view
-            .mmap_at(Vpn::new(0), guest_pages, VmaKind::Anon)
-            .expect("fresh space has room");
-        self.spaces.insert(host_view);
-        VirtualMachine {
-            id,
-            kernel: GuestKernel {
-                ctx: MmContext::new(PhysicalMemory::new(geo, guest_pages)),
-                spaces: SpaceSet::new(),
-                policy: guest_policy,
-            },
-        }
+    ) -> Result<VirtualMachine, TridentError> {
+        self.try_create_vm(guest_pages, |_| Ok(guest_policy))
     }
 
     /// Ensures `gpa` of VM `vm` is backed by host memory, faulting the
@@ -301,7 +300,9 @@ mod tests {
     ) -> (Hypervisor, VirtualMachine) {
         let g = geo();
         let mut hyp = Hypervisor::new(g, 16 * g.base_pages(PageSize::new(2)), host_policy);
-        let mut vm = hyp.create_vm(8 * g.base_pages(PageSize::new(2)), guest_policy);
+        let mut vm = hyp
+            .create_vm(8 * g.base_pages(PageSize::new(2)), guest_policy)
+            .unwrap();
         let mut proc = AddressSpace::new(AsId::new(1), g);
         proc.mmap_at(Vpn::new(0), 4 * 64, VmaKind::Anon).unwrap();
         vm.kernel.spaces.insert(proc);
@@ -379,5 +380,18 @@ mod tests {
             vm.touch(&mut hyp, AsId::new(1), Vpn::new(100_000), false),
             Err(PolicyError::BadAddress(_))
         ));
+    }
+
+    #[test]
+    fn vm_ids_past_the_reverse_map_limit_are_refused() {
+        let (mut hyp, _) = boot(Box::new(BasePolicy::new()), Box::new(BasePolicy::new()));
+        hyp.next_vm = u32::from(u16::MAX);
+        let last = hyp.create_vm(64, Box::new(BasePolicy::new())).unwrap();
+        assert_eq!(last.id, AsId::new(65_535));
+        assert!(matches!(
+            hyp.create_vm(64, Box::new(BasePolicy::new())),
+            Err(TridentError::InvalidConfig { field: "vms", .. })
+        ));
+        assert_eq!(hyp.spaces.len(), 2, "a refused VM leaves no host space");
     }
 }

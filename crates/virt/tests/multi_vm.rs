@@ -14,10 +14,12 @@ fn host() -> Hypervisor {
 
 fn boot_guest(hyp: &mut Hypervisor, giants: u64) -> VirtualMachine {
     let geo = PageGeometry::TINY;
-    let mut vm = hyp.create_vm(
-        giants * geo.base_pages(PageSize::new(2)),
-        Box::new(ThpPolicy::new()),
-    );
+    let mut vm = hyp
+        .create_vm(
+            giants * geo.base_pages(PageSize::new(2)),
+            Box::new(ThpPolicy::new()),
+        )
+        .unwrap();
     let mut proc = AddressSpace::new(AsId::new(1), geo);
     proc.mmap_at(
         Vpn::new(0),

@@ -260,6 +260,44 @@ impl Shape {
             rung_pages,
         }
     }
+
+    /// The rung of a *natural* leaf at table `level` — every shipped
+    /// ladder has a rung at each level's natural order.
+    fn natural_rung(&self, level: u8) -> PageSize {
+        self.natural[usize::from(level)]
+    }
+
+    /// The rung a present leaf entry at `level` belongs to: its group tag
+    /// if it is a member of a NAPOT/contiguous span, the level's natural
+    /// rung otherwise.
+    fn entry_size(&self, entry: RawPte, level: u8) -> PageSize {
+        match entry.group_rung() {
+            Some(rung) => PageSize::new(rung),
+            None => self.natural_rung(level),
+        }
+    }
+
+    /// Base pages per leaf of `size`.
+    fn rung_pages(&self, size: PageSize) -> u64 {
+        self.rung_pages[size.rung()]
+    }
+
+    fn giant_index(&self, vpn: Vpn) -> u64 {
+        vpn.raw() >> self.pud_shift
+    }
+
+    fn pmd_index(&self, vpn: Vpn) -> usize {
+        ((vpn.raw() >> self.pmd_shift) & self.pmd_mask) as usize
+    }
+
+    fn pte_index(&self, vpn: Vpn) -> usize {
+        (vpn.raw() & self.pte_mask) as usize
+    }
+
+    /// The head page of the `size` leaf covering `vpn`.
+    fn leaf_head(&self, vpn: Vpn, size: PageSize) -> Vpn {
+        Vpn::new(vpn.raw() & !(self.rung_pages(size) - 1))
+    }
 }
 
 /// The walker-cache entry: one leaf plus the flag state already written to
@@ -290,13 +328,15 @@ impl WalkerHit {
     }
 }
 
-/// Where a leaf's head entry lives: a PUD directory slot, or an entry of
-/// a PMD or PTE table (arena table index, entry index).
-#[derive(Debug, Clone, Copy)]
-enum LeafSlot {
-    Pud(usize),
-    Pmd(u32, usize),
-    Pte(u32, usize),
+/// The translation of `vpn` through the `size` leaf headed at `head_vpn`
+/// whose head entry is `head`.
+fn leaf_translation(vpn: Vpn, head_vpn: Vpn, head: RawPte, size: PageSize) -> Translation {
+    Translation {
+        pfn: head.pfn() + (vpn - head_vpn),
+        size,
+        head_vpn,
+        head_pfn: head.pfn(),
+    }
 }
 
 /// How many leading entries of a `len`-entry table carry occupancy-count
@@ -351,45 +391,12 @@ impl PageTable {
         self.geo
     }
 
-    /// The rung of a *natural* leaf at table `level` — every shipped
-    /// ladder has a rung at each level's natural order.
-    fn natural_rung(&self, level: u8) -> PageSize {
-        self.shape.natural[usize::from(level)]
-    }
-
-    /// The rung a present leaf entry at `level` belongs to: its group tag
-    /// if it is a member of a NAPOT/contiguous span, the level's natural
-    /// rung otherwise.
-    fn entry_size(&self, entry: RawPte, level: u8) -> PageSize {
-        match entry.group_rung() {
-            Some(rung) => PageSize::new(rung),
-            None => self.natural_rung(level),
-        }
-    }
-
     fn pmd_len(&self) -> usize {
         self.shape.pmd_mask as usize + 1
     }
 
     fn pte_len(&self) -> usize {
         self.shape.pte_mask as usize + 1
-    }
-
-    /// Base pages per leaf of `size`.
-    fn rung_pages(&self, size: PageSize) -> u64 {
-        self.shape.rung_pages[size.rung()]
-    }
-
-    fn giant_index(&self, vpn: Vpn) -> u64 {
-        vpn.raw() >> self.shape.pud_shift
-    }
-
-    fn pmd_index(&self, vpn: Vpn) -> usize {
-        ((vpn.raw() >> self.shape.pmd_shift) & self.shape.pmd_mask) as usize
-    }
-
-    fn pte_index(&self, vpn: Vpn) -> usize {
-        (vpn.raw() & self.shape.pte_mask) as usize
     }
 
     /// Grows the dense PUD directory to cover `gi`, returning it as an
@@ -411,8 +418,8 @@ impl PageTable {
         if pages == 0 {
             return;
         }
-        let first = self.giant_index(start);
-        let last = self.giant_index(start + (pages - 1));
+        let first = self.shape.giant_index(start);
+        let last = self.shape.giant_index(start + (pages - 1));
         for gi in first..=last {
             self.dirty_chunks.insert(gi);
         }
@@ -483,7 +490,7 @@ impl PageTable {
         let class = self.geo.class(size);
         let span = self.geo.group_span(size) as usize;
         let rung_tag = self.geo.is_group(size).then_some(size.rung());
-        let gi = self.giant_index(vpn);
+        let gi = self.shape.giant_index(vpn);
         let gix = self.ensure_gi(gi);
         match class.level {
             3 => {
@@ -497,7 +504,7 @@ impl PageTable {
                 self.puds[gix] = RawPte::new_leaf(pfn);
             }
             2 => {
-                let pi = self.pmd_index(vpn);
+                let pi = self.shape.pmd_index(vpn);
                 let pmd_idx = self.pud_table_index(gix, vpn)?;
                 let table = self.pmds.get_mut(pmd_idx);
                 if table[pi..pi + span].iter().any(|entry| entry.is_present()) {
@@ -516,8 +523,8 @@ impl PageTable {
                 self.chunk_counts[gix].mapped[size.rung()] += self.geo.base_pages(size) as u32;
             }
             _ => {
-                let pi = self.pmd_index(vpn);
-                let ti = self.pte_index(vpn);
+                let pi = self.shape.pmd_index(vpn);
+                let ti = self.shape.pte_index(vpn);
                 let pmd_idx = self.pud_table_index(gix, vpn)?;
                 let entry = self.pmds.get(pmd_idx)[pi];
                 let pte_idx = if entry.is_present() {
@@ -588,7 +595,7 @@ impl PageTable {
             if !slot.is_table() {
                 break;
             }
-            let entry = self.pmds.get(slot.table_index())[self.pmd_index(Vpn::new(page))];
+            let entry = self.pmds.get(slot.table_index())[self.shape.pmd_index(Vpn::new(page))];
             let table_end = ((page >> pmd_shift) + 1) << pmd_shift;
             if !entry.is_present() {
                 run += table_end - page;
@@ -639,13 +646,13 @@ impl PageTable {
             self.map_base_run(vpn, frames);
             return Ok(());
         }
-        let pages = self.rung_pages(size);
+        let pages = self.shape.rung_pages(size);
         if !vpn.raw().is_multiple_of(pages)
             || frames.iter().any(|pfn| !pfn.raw().is_multiple_of(pages))
         {
             return Err(MapError::Unaligned { vpn, size });
         }
-        if size == self.natural_rung(2) {
+        if size == self.shape.natural_rung(2) {
             if !(0..n).all(|i| self.level2_slot_is_free(vpn + i * pages)) {
                 return Err(MapError::Overlap { vpn });
             }
@@ -668,7 +675,7 @@ impl PageTable {
         let mut done = 0;
         while done < frames.len() {
             let first = vpn + done as u64;
-            let gi = self.giant_index(first);
+            let gi = self.shape.giant_index(first);
             let gix = self.ensure_gi(gi);
             let pmd_idx = self
                 .pud_table_index(gix, first)
@@ -677,7 +684,7 @@ impl PageTable {
             let pmd_live = read_count(self.pmds.get(pmd_idx));
             let mut new_tables = 0;
             let start = done;
-            for pi in self.pmd_index(first)..self.pmd_len() {
+            for pi in self.shape.pmd_index(first)..self.pmd_len() {
                 if done == frames.len() {
                     break;
                 }
@@ -690,7 +697,7 @@ impl PageTable {
                     new_tables += 1;
                     idx
                 };
-                let ti = self.pte_index(vpn + done as u64);
+                let ti = self.shape.pte_index(vpn + done as u64);
                 let k = (self.pte_len() - ti).min(frames.len() - done);
                 let table = self.ptes.get_mut(pte_idx);
                 let live = read_count(table);
@@ -712,7 +719,7 @@ impl PageTable {
     /// Whether `map` would accept a natural level-2 leaf at `vpn`: no PUD
     /// leaf covers it, and its PMD slot is empty.
     fn level2_slot_is_free(&self, vpn: Vpn) -> bool {
-        let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
+        let gi = usize::try_from(self.shape.giant_index(vpn)).expect("giant index fits usize");
         let Some(&slot) = self.puds.get(gi) else {
             return true;
         };
@@ -722,22 +729,22 @@ impl PageTable {
         if !slot.is_table() {
             return false;
         }
-        !self.pmds.get(slot.table_index())[self.pmd_index(vpn)].is_present()
+        !self.pmds.get(slot.table_index())[self.shape.pmd_index(vpn)].is_present()
     }
 
     /// Writes a run of natural level-2 leaves whose slots are free, one
     /// mid-level table at a time.
     fn map_level2_run(&mut self, vpn: Vpn, frames: &[Pfn], size: PageSize) {
-        let pages = self.rung_pages(size);
+        let pages = self.shape.rung_pages(size);
         let mut done = 0;
         while done < frames.len() {
             let first = vpn + done as u64 * pages;
-            let gi = self.giant_index(first);
+            let gi = self.shape.giant_index(first);
             let gix = self.ensure_gi(gi);
             let pmd_idx = self
                 .pud_table_index(gix, first)
                 .expect("the run was checked free");
-            let lo = self.pmd_index(first);
+            let lo = self.shape.pmd_index(first);
             let k = (self.pmd_len() - lo).min(frames.len() - done);
             let table = self.pmds.get_mut(pmd_idx);
             let live = read_count(table);
@@ -777,74 +784,84 @@ impl PageTable {
                 return Some(hit.translation(vpn));
             }
         }
-        let (translation, head, _) = self.walk(vpn)?;
+        let (translation, head) = self.walk(vpn)?;
         self.remember(translation, head);
         Some(translation)
     }
 
-    /// One radix descent for `vpn`: its translation, plus the head entry
-    /// of the covering leaf and where that entry lives. A group leaf's
-    /// A/D state and head frame live on its head member entry, which (by
-    /// alignment) is in the same table as every other member.
-    fn walk(&self, vpn: Vpn) -> Option<(Translation, RawPte, LeafSlot)> {
-        let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
+    /// One radix descent for `vpn`: its translation and the head entry of
+    /// the covering leaf. A group leaf's A/D state and head frame live on
+    /// its head member entry, which (by alignment) is in the same table as
+    /// every other member.
+    fn walk(&self, vpn: Vpn) -> Option<(Translation, RawPte)> {
+        let shape = &self.shape;
+        let gi = usize::try_from(shape.giant_index(vpn)).expect("giant index fits usize");
         let slot = *self.puds.get(gi)?;
         if !slot.is_present() {
             return None;
         }
         if !slot.is_table() {
-            let size = self.natural_rung(3);
-            let head_vpn = self.leaf_head(vpn, size);
-            let translation = self.leaf_translation(vpn, head_vpn, slot, size);
-            return Some((translation, slot, LeafSlot::Pud(gi)));
+            let size = shape.natural_rung(3);
+            let translation = leaf_translation(vpn, shape.leaf_head(vpn, size), slot, size);
+            return Some((translation, slot));
         }
-        let pmd_idx = slot.table_index();
-        let pmd = self.pmds.get(pmd_idx);
-        let entry = pmd[self.pmd_index(vpn)];
+        let pmd = self.pmds.get(slot.table_index());
+        let entry = pmd[shape.pmd_index(vpn)];
         if !entry.is_present() {
             return None;
         }
         if !entry.is_table() {
-            let size = self.entry_size(entry, 2);
-            let head_vpn = self.leaf_head(vpn, size);
-            let head_index = self.pmd_index(head_vpn);
-            let head = pmd[head_index];
-            let translation = self.leaf_translation(vpn, head_vpn, head, size);
-            return Some((translation, head, LeafSlot::Pmd(pmd_idx, head_index)));
+            let size = shape.entry_size(entry, 2);
+            let head_vpn = shape.leaf_head(vpn, size);
+            let head = pmd[shape.pmd_index(head_vpn)];
+            return Some((leaf_translation(vpn, head_vpn, head, size), head));
         }
-        let pte_idx = entry.table_index();
-        let table = self.ptes.get(pte_idx);
-        let pte = table[self.pte_index(vpn)];
+        let table = self.ptes.get(entry.table_index());
+        let pte = table[shape.pte_index(vpn)];
         if !pte.is_present() {
             return None;
         }
-        let size = self.entry_size(pte, 1);
-        let head_vpn = self.leaf_head(vpn, size);
-        let head_index = self.pte_index(head_vpn);
-        let head = table[head_index];
-        let translation = self.leaf_translation(vpn, head_vpn, head, size);
-        Some((translation, head, LeafSlot::Pte(pte_idx, head_index)))
+        let size = shape.entry_size(pte, 1);
+        let head_vpn = shape.leaf_head(vpn, size);
+        let head = table[shape.pte_index(head_vpn)];
+        Some((leaf_translation(vpn, head_vpn, head, size), head))
     }
 
-    /// The head page of the `size` leaf covering `vpn`.
-    fn leaf_head(&self, vpn: Vpn, size: PageSize) -> Vpn {
-        Vpn::new(vpn.raw() & !(self.rung_pages(size) - 1))
-    }
-
-    fn leaf_translation(
-        &self,
-        vpn: Vpn,
-        head_vpn: Vpn,
-        pte: RawPte,
-        size: PageSize,
-    ) -> Translation {
-        let offset = vpn - head_vpn;
-        Translation {
-            pfn: pte.pfn() + offset,
-            size,
-            head_vpn,
-            head_pfn: pte.pfn(),
+    /// [`walk`](Self::walk) for a writer: the same descent, handing out the
+    /// head entry in place so the caller updates it without indexing the
+    /// table again.
+    fn walk_mut(&mut self, vpn: Vpn) -> Option<(Translation, &mut RawPte)> {
+        let shape = &self.shape;
+        let gi = usize::try_from(shape.giant_index(vpn)).expect("giant index fits usize");
+        let slot = *self.puds.get(gi)?;
+        if !slot.is_present() {
+            return None;
         }
+        if !slot.is_table() {
+            let size = shape.natural_rung(3);
+            let translation = leaf_translation(vpn, shape.leaf_head(vpn, size), slot, size);
+            return Some((translation, &mut self.puds[gi]));
+        }
+        let pmd = self.pmds.get_mut(slot.table_index());
+        let entry = pmd[shape.pmd_index(vpn)];
+        if !entry.is_present() {
+            return None;
+        }
+        if !entry.is_table() {
+            let size = shape.entry_size(entry, 2);
+            let head_vpn = shape.leaf_head(vpn, size);
+            let head = &mut pmd[shape.pmd_index(head_vpn)];
+            return Some((leaf_translation(vpn, head_vpn, *head, size), head));
+        }
+        let table = self.ptes.get_mut(entry.table_index());
+        let pte = table[shape.pte_index(vpn)];
+        if !pte.is_present() {
+            return None;
+        }
+        let size = shape.entry_size(pte, 1);
+        let head_vpn = shape.leaf_head(vpn, size);
+        let head = &mut table[shape.pte_index(head_vpn)];
+        Some((leaf_translation(vpn, head_vpn, *head, size), head))
     }
 
     /// Caches `translation`'s leaf, with the flags of its head entry
@@ -853,21 +870,12 @@ impl PageTable {
         self.last_walk.set(Some(WalkerHit {
             head_vpn: translation.head_vpn,
             head_pfn: translation.head_pfn,
-            pages: self.rung_pages(translation.size),
+            pages: self.shape.rung_pages(translation.size),
             size: translation.size,
             stamp: self.walk_stamp,
             accessed: head.accessed(),
             dirty: head.dirty(),
         }));
-    }
-
-    /// The entry a [`walk`](Self::walk) found a leaf's head at.
-    fn entry_mut(&mut self, slot: LeafSlot) -> &mut RawPte {
-        match slot {
-            LeafSlot::Pud(gi) => &mut self.puds[gi],
-            LeafSlot::Pmd(table, index) => &mut self.pmds.get_mut(table)[index],
-            LeafSlot::Pte(table, index) => &mut self.ptes.get_mut(table)[index],
-        }
     }
 
     /// Walks the table for `vpn` like the hardware does on a TLB miss,
@@ -881,13 +889,9 @@ impl PageTable {
                 return Some(hit.translation(vpn));
             }
         }
-        let (translation, _, slot) = self.walk(vpn)?;
-        let pte = self.entry_mut(slot);
-        pte.set_accessed();
-        if write {
-            pte.set_dirty();
-        }
-        let head = *pte;
+        let (translation, head) = self.walk_mut(vpn)?;
+        head.mark_used(write);
+        let head = *head;
         // The cache now holds this leaf with the flags just written — what
         // a walk after the write would have cached.
         self.remember(translation, head);
@@ -911,10 +915,10 @@ impl PageTable {
         let size = translation.size;
         let class = self.geo.class(size);
         let span = self.geo.group_span(size) as u32;
-        let gi = self.giant_index(head_vpn);
+        let gi = self.shape.giant_index(head_vpn);
         let gix = usize::try_from(gi).expect("giant index fits usize");
-        let pmd_index = self.pmd_index(head_vpn);
-        let pte_index = self.pte_index(head_vpn);
+        let pmd_index = self.shape.pmd_index(head_vpn);
+        let pte_index = self.shape.pte_index(head_vpn);
         let record;
         match class.level {
             3 => {
@@ -1014,8 +1018,8 @@ impl PageTable {
         let span = self.geo.group_span(size);
         let old = translation.head_pfn;
         if span == 1 {
-            let (_, _, slot) = self.walk(head_vpn).expect("translation implies leaf");
-            self.entry_mut(slot).set_pfn(new_head_pfn);
+            let (_, head) = self.walk_mut(head_vpn).expect("translation implies leaf");
+            head.set_pfn(new_head_pfn);
         } else {
             let level_span = 1u64 << self.geo.level_order(self.geo.level(size));
             for k in 0..span {
@@ -1034,9 +1038,9 @@ impl PageTable {
     /// reach the member entries of a group leaf, which a walk (head
     /// resolution) cannot address individually.
     fn member_mut(&mut self, vpn: Vpn, level: u8) -> Option<&mut RawPte> {
-        let gi = usize::try_from(self.giant_index(vpn)).expect("giant index fits usize");
-        let pmd_index = self.pmd_index(vpn);
-        let pte_index = self.pte_index(vpn);
+        let gi = usize::try_from(self.shape.giant_index(vpn)).expect("giant index fits usize");
+        let pmd_index = self.shape.pmd_index(vpn);
+        let pte_index = self.shape.pte_index(vpn);
         let slot = *self.puds.get(gi)?;
         if !slot.is_present() || !slot.is_table() {
             return None;
@@ -1095,7 +1099,7 @@ impl PageTable {
         let end = start + pages;
         let giant_span = 1u64 << self.geo.level_order(3);
         let huge_span = 1u64 << self.geo.level_order(2);
-        let top = self.natural_rung(3);
+        let top = self.shape.natural_rung(3);
         let first_gi = start / giant_span;
         let last_gi = (end - 1) / giant_span;
         for gi in first_gi..=last_gi {
@@ -1128,9 +1132,9 @@ impl PageTable {
                 }
                 let head = chunk_base + pi * huge_span;
                 if !entry.is_table() {
-                    let size = self.entry_size(entry, 2);
+                    let size = self.shape.entry_size(entry, 2);
                     // Only the head member of a group leaf reports it.
-                    if self.leaf_head(Vpn::new(head), size).raw() == head && head >= start {
+                    if self.shape.leaf_head(Vpn::new(head), size).raw() == head && head >= start {
                         visit(Vpn::new(head), entry, size);
                     }
                     continue;
@@ -1144,8 +1148,8 @@ impl PageTable {
                         continue;
                     }
                     let vpn = head + ti;
-                    let size = self.entry_size(pte, 1);
-                    if self.leaf_head(Vpn::new(vpn), size).raw() == vpn {
+                    let size = self.shape.entry_size(pte, 1);
+                    if self.shape.leaf_head(Vpn::new(vpn), size).raw() == vpn {
                         visit(Vpn::new(vpn), pte, size);
                     }
                 }
@@ -1159,7 +1163,7 @@ impl PageTable {
     fn tally_ptes(&self, table: &[RawPte], lo: usize, hi: usize, profile: &mut ChunkProfile) {
         for pte in &table[lo..hi] {
             if pte.is_present() {
-                profile.mapped[self.entry_size(*pte, 1).rung()] += 1;
+                profile.mapped[self.shape.entry_size(*pte, 1).rung()] += 1;
             } else {
                 profile.unmapped += 1;
             }
@@ -1184,9 +1188,9 @@ impl PageTable {
             "chunk_profile start must be size-aligned"
         );
         let span = self.geo.base_pages(size);
-        let top = self.natural_rung(3);
+        let top = self.shape.natural_rung(3);
         let mut profile = ChunkProfile::default();
-        let gi = usize::try_from(self.giant_index(start)).expect("giant index fits usize");
+        let gi = usize::try_from(self.shape.giant_index(start)).expect("giant index fits usize");
         let Some(&slot) = self.puds.get(gi) else {
             profile.unmapped = span;
             return profile;
@@ -1211,12 +1215,12 @@ impl PageTable {
         let pmd = self.pmds.get(slot.table_index());
         if span >= huge_span {
             // The window covers whole PMD entries.
-            let pi = self.pmd_index(start);
+            let pi = self.shape.pmd_index(start);
             for entry in &pmd[pi..pi + (span / huge_span) as usize] {
                 if !entry.is_present() {
                     profile.unmapped += huge_span;
                 } else if !entry.is_table() {
-                    profile.mapped[self.entry_size(*entry, 2).rung()] += huge_span;
+                    profile.mapped[self.shape.entry_size(*entry, 2).rung()] += huge_span;
                 } else if self.l1_groups {
                     let table = self.ptes.get(entry.table_index());
                     self.tally_ptes(table, 0, table.len(), &mut profile);
@@ -1229,13 +1233,13 @@ impl PageTable {
         } else {
             // The window lies inside one PMD entry (a base page or a
             // PTE-level group span).
-            let entry = pmd[self.pmd_index(start)];
+            let entry = pmd[self.shape.pmd_index(start)];
             if !entry.is_present() {
                 profile.unmapped = span;
             } else if !entry.is_table() {
-                profile.mapped[self.entry_size(entry, 2).rung()] = span;
+                profile.mapped[self.shape.entry_size(entry, 2).rung()] = span;
             } else {
-                let ti = self.pte_index(start);
+                let ti = self.shape.pte_index(start);
                 let table = self.ptes.get(entry.table_index());
                 self.tally_ptes(table, ti, ti + span as usize, &mut profile);
             }

@@ -18,8 +18,10 @@ use trident_types::Pfn;
 /// let mut pte = RawPte::new_leaf(Pfn::new(0x1234));
 /// assert!(pte.is_present());
 /// assert!(!pte.accessed());
-/// pte.set_accessed();
-/// assert!(pte.accessed());
+/// pte.mark_used(false);
+/// assert!(pte.accessed() && !pte.dirty());
+/// pte.mark_used(true);
+/// assert!(pte.dirty());
 /// assert_eq!(pte.pfn(), Pfn::new(0x1234));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -85,9 +87,10 @@ impl RawPte {
         self.0 & Self::ACCESSED != 0
     }
 
-    /// Sets the accessed bit (a TLB fill touched this entry).
-    pub fn set_accessed(&mut self) {
-        self.0 |= Self::ACCESSED;
+    /// Sets the accessed bit, and on a write the dirty bit, in one OR —
+    /// what the hardware walker does to a leaf on a TLB fill.
+    pub fn mark_used(&mut self, write: bool) {
+        self.0 |= Self::ACCESSED | (u64::from(write) * Self::DIRTY);
     }
 
     /// Clears the accessed bit (software sampling interval boundary).
@@ -99,11 +102,6 @@ impl RawPte {
     #[must_use]
     pub fn dirty(self) -> bool {
         self.0 & Self::DIRTY != 0
-    }
-
-    /// Sets the dirty bit (a write went through this entry).
-    pub fn set_dirty(&mut self) {
-        self.0 |= Self::DIRTY;
     }
 
     /// Reads the software-available bit (bit 9) — ignored by the hardware
@@ -173,8 +171,7 @@ mod tests {
     #[test]
     fn flags_are_independent_of_pfn() {
         let mut pte = RawPte::new_leaf(Pfn::new(7));
-        pte.set_accessed();
-        pte.set_dirty();
+        pte.mark_used(true);
         pte.set_pfn(Pfn::new(99));
         assert!(pte.accessed());
         assert!(pte.dirty());
@@ -190,8 +187,7 @@ mod tests {
         let mut pte = RawPte::new_leaf(Pfn::new(5));
         assert!(!pte.avail_bit());
         pte.set_avail_bit(true);
-        pte.set_accessed();
-        pte.set_dirty();
+        pte.mark_used(true);
         pte.set_pfn(Pfn::new(77));
         assert!(pte.avail_bit());
         assert!(pte.accessed() && pte.dirty() && pte.is_present());

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut vm = hyp.create_vm(
         16 * geo.base_pages(giant),
         Box::new(TridentPolicy::new(TridentConfig::paravirt())),
-    );
+    )?;
     let asid = AsId::new(1);
     let mut proc = AddressSpace::new(asid, geo);
     proc.mmap_at(Vpn::new(0), 4 * geo.base_pages(giant), VmaKind::Anon)?;

@@ -30,6 +30,30 @@ fn an_overcommitted_machine_fails_build_with_out_of_memory() {
     }
 }
 
+/// Tenant `i` runs in address space `i + 1`, and the reverse map packs an
+/// address-space id into 16 bits, so 65,536 tenants are one too many. The
+/// machine here has no memory at all, which `PhysicalMemory::new` refuses
+/// with a panic: the typed error proves the count is checked first.
+#[test]
+fn more_tenants_than_address_space_ids_fail_build_before_memory_exists() {
+    let mut config = SimConfig::at_scale(256);
+    config.host_mem_bytes = 0;
+    let gups = WorkloadSpec::by_name("GUPS").unwrap();
+    let mut builder = System::builder(config).policy(PolicyKind::Base);
+    for _ in 0..65_536 {
+        builder = builder.workload(gups);
+    }
+    match builder.build() {
+        Err(TridentError::InvalidConfig {
+            field: "tenants", ..
+        }) => {}
+        other => panic!(
+            "expected InvalidConfig for tenants, got {:?}",
+            other.map(|_| ())
+        ),
+    }
+}
+
 #[test]
 fn an_overcommitted_job_fails_instead_of_panicking() {
     let mut spec = JobSpec::new("XSBench", "4KB");

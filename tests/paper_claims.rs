@@ -1,5 +1,5 @@
-//! EXPERIMENTS.md's Figure 1 and Figure 2 rows as named tests over the
-//! committed `report/` CSVs.
+//! EXPERIMENTS.md's Figure 1, Figure 2 and Figures 9/10 rows as named
+//! tests over the committed `report/` CSVs.
 //!
 //! CI regenerates `report/` and fails on any byte of difference, so these
 //! files are what the code prints at EXPERIMENTS.md's options. A changed
@@ -14,7 +14,8 @@ struct Report {
     cells: BTreeMap<(String, String), BTreeMap<String, String>>,
     /// Workloads in file order.
     workloads: Vec<String>,
-    /// The workloads the paper shades as 1GB-sensitive, in file order.
+    /// The workloads the paper shades as 1GB-sensitive, in file order
+    /// (empty for a CSV without a `shaded` column).
     shaded: Vec<String>,
 }
 
@@ -35,7 +36,7 @@ impl Report {
                 .collect();
             let workload = row["workload"].clone();
             if !workloads.contains(&workload) {
-                if row["shaded"] == "true" {
+                if row.get("shaded").is_some_and(|v| v == "true") {
                     shaded.push(workload.clone());
                 }
                 workloads.push(workload.clone());
@@ -198,5 +199,99 @@ fn fig2_1gb_agnostic_pr_and_cc_still_lose_most_walk_cycles_at_1gb() {
         let walk = fig2.value(w, "1GB+1GB", "walk_fraction_norm");
         assert!(walk < 0.05, "{w}: 1GB+1GB walk ratio {walk}");
         assert!(fig2.perf(w, "1GB+1GB") > fig2.perf(w, "2MB+2MB"), "{w}");
+    }
+}
+
+// ----- Figures 9/10 ---------------------------------------------------------
+
+/// Trident over THP in performance, per application.
+fn trident_gains(fig9: &Report) -> Vec<(&str, f64)> {
+    fig9.workloads
+        .iter()
+        .map(|w| {
+            (
+                w.as_str(),
+                fig9.perf(w, "Trident") / fig9.perf(w, "2MB-THP"),
+            )
+        })
+        .collect()
+}
+
+fn mean(gains: &[(&str, f64)]) -> f64 {
+    gains.iter().map(|(_, g)| g).sum::<f64>() / gains.len() as f64
+}
+
+/// ≈ "unfragmented: Trident +14% over THP (GUPS +47%)": Trident gains on
+/// all eight shaded applications, +18.9% on average, and GUPS gains
+/// +42.1%.
+#[test]
+fn fig9_unfragmented_trident_beats_thp_everywhere_by_about_14pct_on_average() {
+    let fig9 = Report::read("fig9_clean");
+    let gains = trident_gains(&fig9);
+    assert_eq!(
+        gains.len(),
+        8,
+        "Figure 9 shows the eight shaded applications"
+    );
+    for (w, gain) in &gains {
+        assert!(*gain > 1.0, "{w}: Trident/THP = {gain:.3}");
+    }
+    let mean = mean(&gains);
+    assert!((mean - 1.14).abs() < 0.06, "mean gain {mean:.3}");
+    let gups = fig9.perf("GUPS", "Trident");
+    assert!(gups > 1.35, "GUPS: Trident/THP = {gups:.3}");
+}
+
+/// ≈ "fragmented: +18% (GUPS >50%)": Trident gains on all eight
+/// applications, +18.3% on average; GUPS gains +39.9%, not over 50%.
+#[test]
+fn fig9_fragmented_trident_beats_thp_everywhere_by_about_18pct_on_average() {
+    let fig10 = Report::read("fig9_fragmented");
+    let gains = trident_gains(&fig10);
+    assert_eq!(gains.len(), 8);
+    for (w, gain) in &gains {
+        assert!(*gain > 1.0, "{w}: Trident/THP = {gain:.3}");
+    }
+    let mean = mean(&gains);
+    assert!((mean - 1.18).abs() < 0.03, "mean gain {mean:.3}");
+    let gups = fig10.perf("GUPS", "Trident");
+    assert!(gups > 1.35, "GUPS: Trident/THP = {gups:.3}");
+}
+
+/// ✔ "Trident also beats HawkEye everywhere; HawkEye can trail THP under
+/// fragmentation": on clean and fragmented memory, HawkEye never reaches
+/// Trident, and it trails THP on XSBench, SVM, Graph500 and Memcached.
+#[test]
+fn fig9_trident_beats_hawkeye_everywhere_and_hawkeye_trails_thp_on_four_apps() {
+    for name in ["fig9_clean", "fig9_fragmented"] {
+        let fig9 = Report::read(name);
+        for w in &fig9.workloads {
+            let (hawkeye, trident) = (fig9.perf(w, "HawkEye"), fig9.perf(w, "Trident"));
+            assert!(
+                hawkeye < trident,
+                "{name} {w}: HawkEye {hawkeye} vs Trident {trident}"
+            );
+        }
+        for w in ["XSBench", "SVM", "Graph500", "Memcached"] {
+            let hawkeye = fig9.perf(w, "HawkEye");
+            assert!(hawkeye < 1.0, "{name} {w}: HawkEye/THP = {hawkeye}");
+        }
+    }
+}
+
+/// ≈ "walk-cycle cuts 38–97%": Trident cuts THP's walk cycles by 44–76% on
+/// clean memory and 47–71% on fragmented memory, inside the paper's range
+/// on every application.
+#[test]
+fn fig9_trident_cuts_walk_cycles_within_the_papers_38_to_97pct() {
+    for name in ["fig9_clean", "fig9_fragmented"] {
+        let fig9 = Report::read(name);
+        for w in &fig9.workloads {
+            let cut = 1.0 - fig9.value(w, "Trident", "walk_fraction_norm");
+            assert!(
+                (0.38..=0.97).contains(&cut),
+                "{name} {w}: walk cut {cut:.3}"
+            );
+        }
     }
 }
