@@ -14,10 +14,8 @@
 //! Flags: the standard experiment flags (`--scale`, `--samples`,
 //! `--seed`, `--threads`) plus `--prob N` (per-site probability cap in
 //! thousandths for the randomized plans; default 100, i.e. up to 10% per
-//! decision) and `--trace N` (a ring tracer of N events in every cell,
-//! which arms the trace-ring injection site). Exit status is nonzero
-//! when any property fails; stdout is a per-cell CSV, stderr carries the
-//! banner and the verdict.
+//! decision). Exit status is nonzero when any property fails; stdout is
+//! a per-cell CSV, stderr carries the banner and the verdict.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -115,7 +113,7 @@ fn run_cell(plan: &CellPlan) -> Result<CellOutcome, String> {
     })
 }
 
-const USAGE: &str = "usage: chaos [--prob N] [--trace N] [standard experiment flags]";
+const USAGE: &str = "usage: chaos [--prob N] [standard experiment flags]";
 
 fn parse_cli(args: &mut Args) -> Result<(trident_bench::ExpOptions, u16), ArgError> {
     // The chaos grid defaults to a smaller cell than the figures so the
@@ -126,7 +124,6 @@ fn parse_cli(args: &mut Args) -> Result<(trident_bench::ExpOptions, u16), ArgErr
     let mut opts = args.exp_options()?;
     opts.scale = scale;
     opts.samples = samples;
-    opts.trace_capacity = args.parsed("--trace")?;
     Ok((opts, prob))
 }
 

@@ -29,7 +29,7 @@ use trident_workloads::WorkloadSpec;
 const USAGE: &str = "\
 usage: tridentctl list
        tridentctl run --workload <name> --policy <name> [--scale N] [--samples N]
-                      [--seed N] [--cell N] [--fragment] [--trace N]
+                      [--seed N] [--cell N] [--fragment]
                       [--geometry x86_64|sv48|aarch64]
                       [--trace-out FILE] [--profile-out FILE]
                       [--fault-seed N] [--fault SITE:PROB]...
@@ -125,7 +125,6 @@ fn spec_from_args(args: &mut Args) -> Result<JobSpec, ArgError> {
     spec.seed = args.parsed_or("--seed", spec.seed)?;
     spec.cell_index = args.parsed("--cell")?;
     spec.fragment = args.flag("--fragment");
-    spec.trace_capacity = args.parsed("--trace")?;
     spec.trace_out = args.value("--trace-out")?;
     spec.profile_out = args.value("--profile-out")?;
     spec.geometry = args.value("--geometry")?;
@@ -460,9 +459,6 @@ fn print_report(spec: &JobSpec, r: &JobResult) {
     }
     if spec.audit {
         println!("audit: {} violations", r.violations);
-    }
-    if r.trace_dropped > 0 {
-        println!("trace: {} events dropped by the ring", r.trace_dropped);
     }
     if let (Some(lines), Some(path)) = (r.trace_lines, &spec.trace_out) {
         eprintln!("# trace: {lines} events -> {path}");

@@ -31,3 +31,35 @@ fn run_refuses_the_bare_profile_flag() {
     );
     assert!(stderr.contains("[--profile-out FILE]"), "{stderr}");
 }
+
+/// `run --trace N` sized a ring whose events `JobResult` never carried;
+/// `--trace-out FILE` is the way to trace a run from the CLI. The parser
+/// refuses the flag before anything runs.
+#[test]
+fn run_refuses_the_trace_ring_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tridentctl"))
+        .args([
+            "run",
+            "--workload",
+            "GUPS",
+            "--policy",
+            "Trident",
+            "--scale",
+            "256",
+            "--samples",
+            "8000",
+            "--trace",
+            "64",
+        ])
+        .output()
+        .expect("the tridentctl binary starts");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains("unrecognized argument \"--trace\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("[--trace-out FILE]"), "{stderr}");
+    assert!(!stderr.contains("[--trace N]"), "{stderr}");
+}

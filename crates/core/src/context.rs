@@ -116,50 +116,23 @@ impl MmContext {
     /// the recorder. This is the single write path for every aggregate
     /// counter, which is what makes a complete trace replay to the exact
     /// snapshot.
-    ///
-    /// Under a fault plan with an active
-    /// [`TraceRing`](InjectSite::TraceRing) rule, an event can be lost to
-    /// simulated ring pressure: its counters stand, but the trace retains
-    /// a [`Event::FaultInjected`] marker in its place and the loss is
-    /// accounted via the tracer's dropped counter, keeping trace
-    /// lossiness honest.
     pub fn record(&mut self, event: Event) {
         self.stats.apply(&event);
-        self.apply_scoped(&event);
-        if self.fault.enabled()
-            && self.recorder.enabled()
-            && self.fault.should_inject(InjectSite::TraceRing)
-        {
-            let marker = Event::FaultInjected {
-                site: InjectSite::TraceRing,
-            };
-            self.stats.apply(&marker);
-            self.apply_scoped(&marker);
-            self.recorder.record(marker);
-            if let Some(t) = self.recorder.tracer_mut() {
-                t.note_dropped(1);
-            }
-            return;
+        if let Some(tenant) = self.scope {
+            // `set_tenant_scope` sizes the rows, so the index always hits.
+            self.tenant_stats[tenant.raw() as usize].apply(&event);
         }
         self.recorder.record(event);
     }
 
     /// Folds `count` copies of one event into the counters: the batched
     /// form of `count` calls of [`record`](Self::record) for a run that
-    /// no recorder and no fault plan observe, so no copy is forwarded.
+    /// no recorder observes, so no copy is forwarded.
     pub(crate) fn record_n(&mut self, event: Event, count: u64) {
-        debug_assert!(!self.recorder.enabled() && !self.fault.enabled());
+        debug_assert!(!self.recorder.enabled());
         self.stats.apply_n(&event, count);
         if let Some(tenant) = self.scope {
             self.tenant_stats[tenant.raw() as usize].apply_n(&event, count);
-        }
-    }
-
-    /// Folds `event` into the scoped tenant's row, when a scope is set.
-    /// `set_tenant_scope` sizes the row vector, so the index always hits.
-    fn apply_scoped(&mut self, event: &Event) {
-        if let Some(tenant) = self.scope {
-            self.tenant_stats[tenant.raw() as usize].apply(event);
         }
     }
 
@@ -167,7 +140,7 @@ impl MmContext {
     /// an [`Event::FaultInjected`] and returns `true`; the caller then
     /// fails the operation the site names (and degrades gracefully).
     pub fn inject(&mut self, site: InjectSite) -> bool {
-        if self.fault.enabled() && self.fault.should_inject(site) {
+        if self.fault.should_inject(site) {
             self.record(Event::FaultInjected { site });
             true
         } else {

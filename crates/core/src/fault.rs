@@ -4,9 +4,8 @@ use trident_phys::{FrameUse, MappingOwner, PhysMemError};
 use trident_types::{PageSize, Pfn, Vpn};
 use trident_vm::AddressSpace;
 
-use trident_obs::{AllocSite, Event, Recorder};
+use trident_obs::{AllocSite, Event, InjectSite, Recorder};
 
-use crate::policy::populate_per_page;
 use crate::{MmContext, PagePolicy, PolicyError};
 
 /// Result of servicing one page fault.
@@ -63,7 +62,7 @@ pub fn touched_chunk_reserved(space: &AddressSpace, vpn: Vpn, size: PageSize) ->
 /// reverse-map owner registered. For giant pages, tries the pre-zeroed pool
 /// first; returns whether a prepared block was used.
 ///
-/// Under a fault plan with an active [`Alloc`](trident_obs::InjectSite::Alloc)
+/// Under a fault plan with an active [`Alloc`](InjectSite::Alloc)
 /// rule, a large-page allocation can fail by injection before reaching the
 /// allocator; base-page allocations are the last-resort path every fallback
 /// chain ends in and are never injected.
@@ -78,7 +77,7 @@ pub fn map_chunk(
     head_vpn: Vpn,
     size: PageSize,
 ) -> Result<(Pfn, bool), PhysMemError> {
-    if size != PageSize::BASE && ctx.inject(trident_obs::InjectSite::Alloc) {
+    if size != PageSize::BASE && ctx.inject(InjectSite::Alloc) {
         return Err(PhysMemError::OutOfContiguousMemory(
             trident_types::AllocError {
                 order: ctx.geometry().order(size),
@@ -193,10 +192,12 @@ pub(crate) fn fault_huge_or_base(
 /// Without `decide`, every unmapped page is a 4KB fault, and each scan
 /// is bounded by the run's own cap.
 ///
-/// Under a fault plan this is the per-page loop, because the injector
-/// draws per [`on_fault`](PagePolicy::on_fault). A recorder takes the
-/// runs too, and each run records the events of its faults one by one
-/// (see [`fault_run`]).
+/// A fault plan changes what fails, not which path runs: 4KB faults are
+/// never injected, and a run of `decide` chunks draws the
+/// [`Alloc`](InjectSite::Alloc) decision each chunk's own fault would
+/// draw (see [`map_chunks_after`]). A recorder takes the runs too, and
+/// each run records the events of its faults one by one (see
+/// [`fault_run`]).
 pub(crate) fn populate_runs<P: PagePolicy + ?Sized>(
     policy: &mut P,
     ctx: &mut MmContext,
@@ -205,9 +206,6 @@ pub(crate) fn populate_runs<P: PagePolicy + ?Sized>(
     pages: u64,
     decide: Option<PageSize>,
 ) -> Result<(), PolicyError> {
-    if ctx.fault.enabled() {
-        return populate_per_page(policy, ctx, space, start, pages);
-    }
     let geo = space.geometry();
     let end = start + pages;
     let mut vpn = start;
@@ -251,7 +249,13 @@ pub(crate) fn populate_runs<P: PagePolicy + ?Sized>(
 
 /// After a fault at `vpn` mapped its `size` chunk, maps the chunks that
 /// follow at `size` as one run (see [`populate_runs`]) and returns
-/// the first page past them.
+/// the first page not yet visited.
+///
+/// Each chunk's own fault would draw one [`Alloc`](InjectSite::Alloc)
+/// decision before allocating, so each chunk draws one here. A chunk
+/// whose draw fires ends the run: the chunks before it are mapped, its
+/// injection is recorded, and its head falls back to a 4KB fault, as
+/// the fault handler's fallback chain would leave it.
 fn map_chunks_after(
     ctx: &mut MmContext,
     space: &mut AddressSpace,
@@ -270,6 +274,7 @@ fn map_chunks_after(
     let free = ctx.mem.buddy().free_capacity(geo.order(size));
     let mut n = 0;
     let mut chunk = first;
+    let mut injected = false;
     while n < free
         && chunk < end.raw()
         && chunk + span <= stop
@@ -279,11 +284,21 @@ fn map_chunks_after(
             .mapped_total()
             == 0
     {
+        if ctx.fault.should_inject(InjectSite::Alloc) {
+            injected = true;
+            break;
+        }
         n += 1;
         chunk += span;
     }
     if n > 0 {
         fault_run(ctx, space, Vpn::new(first), size, n)?;
+    }
+    if injected {
+        ctx.record(Event::FaultInjected {
+            site: InjectSite::Alloc,
+        });
+        fault_base(ctx, space, Vpn::new(chunk))?;
     }
     Ok(Vpn::new(chunk))
 }

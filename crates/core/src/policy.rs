@@ -80,35 +80,24 @@ pub trait PagePolicy {
         start: Vpn,
         pages: u64,
     ) -> Result<(), PolicyError> {
-        populate_per_page(self, ctx, space, start, pages)
+        let geo = space.geometry();
+        let end = start + pages;
+        let mut vpn = start;
+        while vpn < end {
+            match space.page_table().translate(vpn) {
+                Some(t) => vpn = end.min(t.head_vpn + geo.base_pages(t.size)),
+                None => {
+                    self.on_fault(ctx, space, vpn)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Runs one background-daemon tick over all address spaces.
     fn on_tick(&mut self, _ctx: &mut MmContext, _spaces: &mut SpaceSet) -> TickOutcome {
         TickOutcome::default()
     }
-}
-
-/// The per-page loop behind [`PagePolicy::populate`]'s default.
-pub(crate) fn populate_per_page<P: PagePolicy + ?Sized>(
-    policy: &mut P,
-    ctx: &mut MmContext,
-    space: &mut AddressSpace,
-    start: Vpn,
-    pages: u64,
-) -> Result<(), PolicyError> {
-    let geo = space.geometry();
-    let end = start + pages;
-    let mut vpn = start;
-    while vpn < end {
-        match space.page_table().translate(vpn) {
-            Some(t) => vpn = end.min(t.head_vpn + geo.base_pages(t.size)),
-            None => {
-                policy.on_fault(ctx, space, vpn)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -370,90 +370,15 @@ impl Default for CandidateCache {
     }
 }
 
-/// Exponential-backoff state for one compaction target size.
-///
-/// Replaces the old per-tick "hopeless" latch. Within a tick the behavior
-/// is unchanged (one failed compaction stops retries for the rest of the
-/// tick); across ticks, consecutive failing ticks impose a doubling
-/// sit-out window — retry after 1 tick, then 2, 4, … up to
-/// [`MAX_DELAY_TICKS`](CompactionBackoff::MAX_DELAY_TICKS) — instead of
-/// burning a full compaction scan every tick on a machine with no movable
-/// contiguity. Observing contiguity (a free chunk, or a compaction
-/// success) resets the window, so promotion resumes on the next tick once
-/// contiguity returns.
-///
-/// The cross-tick window only arms when a fault plan is active
-/// (`note_failure(true)`): the repository's experiment outputs are
-/// calibrated against the retry-every-tick daemon schedule, so chaos runs
-/// get the full backoff while baseline runs stay bit-identical.
-#[derive(Debug, Clone, Copy)]
-struct CompactionBackoff {
-    /// Whether a compaction for this size already failed this tick.
-    failed_this_tick: bool,
-    /// Ticks left to sit out before compaction may be retried.
-    skip_ticks: u32,
-    /// Sit-out window to impose on the next failure (doubles, capped).
-    next_delay: u32,
-}
-
-impl CompactionBackoff {
-    /// Longest sit-out between compaction retries, in ticks.
-    const MAX_DELAY_TICKS: u32 = 32;
-
-    fn new() -> CompactionBackoff {
-        CompactionBackoff {
-            failed_this_tick: false,
-            // A window of 1 means "retry next tick" — exactly the old
-            // latch's behavior for the first failure.
-            skip_ticks: 0,
-            next_delay: 1,
-        }
-    }
-
-    /// Opens a new tick: clears the intra-tick latch and burns one tick
-    /// of any pending sit-out window.
-    fn tick_start(&mut self) {
-        self.failed_this_tick = false;
-        self.skip_ticks = self.skip_ticks.saturating_sub(1);
-    }
-
-    /// Whether compaction may be attempted now.
-    fn ready(&self) -> bool {
-        !self.failed_this_tick && self.skip_ticks == 0
-    }
-
-    /// Whether the *cross-tick* sit-out window (not the intra-tick latch)
-    /// is suppressing compaction this tick.
-    fn sitting_out(&self) -> bool {
-        self.skip_ticks > 0 && !self.failed_this_tick
-    }
-
-    /// Notes a failed compaction: latches the rest of the tick and, when
-    /// `cross_tick` is set, arms the next (doubled) sit-out window.
-    fn note_failure(&mut self, cross_tick: bool) {
-        self.failed_this_tick = true;
-        if cross_tick {
-            self.skip_ticks = self.next_delay;
-            self.next_delay = (self.next_delay * 2).min(Self::MAX_DELAY_TICKS);
-        }
-    }
-
-    /// Notes observed contiguity: the situation changed, so retry eagerly
-    /// again.
-    fn note_contiguity(&mut self) {
-        self.skip_ticks = 0;
-        self.next_delay = 1;
-    }
-}
-
 /// The `khugepaged`-style background promoter.
 #[derive(Debug, Clone)]
 pub struct Promoter {
     config: PromoterConfig,
     compactor: Compactor,
     next_space: usize,
-    /// Compaction backoff per target rung, indexed by [`PageSize::rung`].
-    backoffs: [CompactionBackoff; MAX_RUNGS],
+    /// Per target rung, indexed by [`PageSize::rung`]: whether a
+    /// compaction for that rung already failed this tick.
+    compaction_failed: [bool; MAX_RUNGS],
     /// Candidate indexes, a dense arena indexed by raw address-space id.
     caches: Vec<Option<CandidateCache>>,
     /// Reusable candidate-head buffer for the per-tick scan loops.
@@ -488,7 +413,7 @@ impl Promoter {
             config,
             compactor: Compactor::new(config.compaction),
             next_space: 0,
-            backoffs: [CompactionBackoff::new(); MAX_RUNGS],
+            compaction_failed: [false; MAX_RUNGS],
             caches: Vec::new(),
             head_buf: Vec::new(),
             dirty_buf: Vec::new(),
@@ -655,9 +580,7 @@ impl Promoter {
             .as_ref()
             .and_then(|p| p.chunk_budget)
             .unwrap_or(self.config.chunk_budget);
-        for backoff in &mut self.backoffs {
-            backoff.tick_start();
-        }
+        self.compaction_failed = [false; MAX_RUNGS];
         ctx.span_begin(SpanKind::PromoScan);
 
         // Scanning the VA space costs daemon CPU proportional to its size.
@@ -674,9 +597,7 @@ impl Promoter {
 
         // Once compaction fails, retrying it for every remaining candidate
         // in the same tick is pointless (and expensive): the machine-wide
-        // contiguity situation has not changed. Across ticks the backoff
-        // additionally imposes a doubling sit-out window (§ graceful
-        // degradation), re-armed as soon as contiguity is observed again.
+        // contiguity situation has not changed. The next tick retries.
         //
         // One pass per ladder rung, largest first. When contiguity for a
         // chunk cannot be had even after compaction, Figure 5's right-hand
@@ -766,8 +687,8 @@ impl Promoter {
     }
 
     /// Attempts one promotion of the chunk at `head` to `target`: handles
-    /// fault injection, contiguity (with per-rung compaction backoff) and
-    /// accounting. Returns whether contiguity for the target was available
+    /// fault injection, contiguity (compacting at most until the first
+    /// failure per rung and tick) and accounting. Returns whether contiguity for the target was available
     /// — `false` is the Figure 5 signal to fall back to the next rung.
     #[allow(clippy::too_many_arguments)]
     fn try_promote_at(
@@ -785,23 +706,13 @@ impl Promoter {
             ctx.record(Event::PromotionDeferred { size: target });
             return true; // a deferral is not a contiguity failure
         }
-        let backoff = &mut self.backoffs[target.rung()];
         let mut have = ctx.mem.has_free(target);
-        if have {
-            backoff.note_contiguity();
-        } else if backoff.ready() {
+        if !have && !self.compaction_failed[target.rung()] {
             out.compaction_runs += 1;
             let c = self.compactor.compact(ctx, spaces, target);
             out.daemon_ns += c.ns;
             have = c.success;
-            let backoff = &mut self.backoffs[target.rung()];
-            if have {
-                backoff.note_contiguity();
-            } else {
-                backoff.note_failure(ctx.fault.enabled());
-            }
-        } else if backoff.sitting_out() {
-            ctx.record(Event::PromotionDeferred { size: target });
+            self.compaction_failed[target.rung()] = !have;
         }
         // Table 4's counters track allocation attempts for the top rung.
         if target == top {
@@ -1326,17 +1237,16 @@ mod tests {
         assert_eq!(ctx.tenant_snapshot(TenantId::new(1)).promotions[2], 2);
     }
 
-    /// Regression test for the compaction backoff: on a machine with no
-    /// movable contiguity the promoter must stop burning a compaction run
-    /// on every tick (doubling sit-out windows, surfaced as
-    /// `promotions_deferred`), and the moment contiguity returns — even in
-    /// the middle of a sit-out window — promotion must resume.
+    /// The per-tick compaction latch: on a machine with no movable
+    /// contiguity, two hopeless candidates cost one compaction run per
+    /// tick, not one each, and defer nothing; promotion resumes on the
+    /// tick that contiguity returns.
     #[test]
-    fn promotion_backs_off_and_resumes_after_contiguity_returns() {
+    fn one_failed_compaction_latches_its_rung_for_the_rest_of_the_tick() {
         use trident_phys::FrameUse;
         let (mut ctx, mut spaces) = setup(2);
-        // One 2MB candidate of base pages.
-        fault_base(&mut ctx, &mut spaces, AsId::new(1), 0, 8);
+        // Two 2MB candidates of base pages.
+        fault_base(&mut ctx, &mut spaces, AsId::new(1), 0, 16);
         // Pin the rest of memory with unmovable kernel frames so
         // compaction cannot manufacture a free 2MB chunk.
         let mut pins = Vec::new();
@@ -1347,37 +1257,27 @@ mod tests {
                     .unwrap(),
             );
         }
-        // The cross-tick window arms only under an active fault plan; a
-        // trace-ring rule never fires without a tracer, so this plan is
-        // inert apart from enabling the backoff.
-        ctx.fault = crate::FaultInjector::new(
-            crate::FaultPlan::builder(1)
-                .site(trident_obs::InjectSite::TraceRing, 1)
-                .build()
-                .unwrap(),
-        );
         let mut promoter = Promoter::new(PromoterConfig::thp());
-        let mut compaction_runs = 0;
-        for _ in 0..12 {
+        for tick in 0..6 {
             let (out, promoted) = promoter.tick(&mut ctx, &mut spaces);
             assert!(promoted.is_empty(), "nothing can be promoted while pinned");
-            compaction_runs += out.compaction_runs;
+            assert_eq!(
+                out.compaction_runs, 1,
+                "tick {tick}: the latch stops the second run"
+            );
         }
-        // Doubling backoff: retries at ticks 1, 2, 4 and 8 only.
-        assert_eq!(compaction_runs, 4, "backoff must suppress hopeless runs");
-        assert_eq!(
-            ctx.snapshot().promotions_deferred,
-            8,
-            "sat-out ticks surface as deferrals"
-        );
-        // Contiguity returns mid-window (skip_ticks > 0 at this point).
+        let snap = ctx.snapshot();
+        assert_eq!(snap.compaction_attempts, 6);
+        assert_eq!(snap.compaction_successes, 0);
+        assert_eq!(snap.promotions_deferred, 0, "a latched rung defers nothing");
         for pfn in pins {
             ctx.mem.free(pfn, &mut NoopRecorder).unwrap();
         }
         let (out, promoted) = promoter.tick(&mut ctx, &mut spaces);
-        assert_eq!(promoted.len(), 1, "promotion resumes immediately");
-        assert_eq!(out.promotions, 1);
-        assert_eq!(promoted[0].head, Vpn::new(0));
+        assert_eq!(out.compaction_runs, 0, "free chunks need no compaction");
+        assert_eq!(out.promotions, 2, "promotion resumes on the next tick");
+        let heads: Vec<Vpn> = promoted.iter().map(|c| c.head).collect();
+        assert_eq!(heads, [Vpn::new(0), Vpn::new(8)]);
         crate::assert_mm_consistent(&ctx, &spaces);
     }
 }

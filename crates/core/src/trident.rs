@@ -16,6 +16,9 @@ use crate::{
 /// enabled).
 const PRESSURE_WATERMARK: f64 = 0.08;
 
+/// Giant blocks the background thread zero-fills per tick.
+const ZERO_BLOCK_BUDGET: usize = 4;
+
 /// Configuration knobs covering Trident and its ablations (Figure 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TridentConfig {
@@ -30,8 +33,6 @@ pub struct TridentConfig {
     pub style: PromotionStyle,
     /// Recover bloat via HawkEye-style demotion (§7 "Memory bloat").
     pub bloat_recovery: bool,
-    /// Giant blocks the background thread zero-fills per tick.
-    pub zero_block_budget: usize,
     /// Promotions attempted per daemon tick.
     pub chunk_budget: usize,
 }
@@ -45,7 +46,6 @@ impl TridentConfig {
             compaction: CompactionKind::Smart,
             style: PromotionStyle::Copy,
             bloat_recovery: false,
-            zero_block_budget: 4,
             chunk_budget: 16,
         }
     }
@@ -232,9 +232,7 @@ impl PagePolicy for TridentPolicy {
         let mut out = TickOutcome::default();
         let cost = ctx.cost;
         ctx.span_begin(SpanKind::ZeroFill);
-        let (zero_ns, zeroed) = ctx
-            .zero_pool
-            .tick(&ctx.mem, &cost, self.config.zero_block_budget);
+        let (zero_ns, zeroed) = ctx.zero_pool.tick(&ctx.mem, &cost, ZERO_BLOCK_BUDGET);
         if zeroed > 0 {
             ctx.record(Event::ZeroFill { blocks: zeroed });
         }

@@ -2,7 +2,7 @@
 //! alone — no hand-crafted memory exhaustion required.
 
 use trident_core::{
-    check_mm_consistent, map_chunk, CompactionKind, Compactor, Event, FaultInjector, FaultPlan,
+    check_mm_consistent, map_chunk, CompactionKind, Compactor, FaultInjector, FaultPlan,
     InjectSite, MmContext, Promoter, PromoterConfig, SpaceSet,
 };
 use trident_phys::PhysicalMemory;
@@ -100,28 +100,4 @@ fn promotion_injection_defers_instead_of_promoting() {
     let (out, promoted) = promoter.tick(&mut ctx, &mut spaces);
     assert!(out.promotions > 0, "promotion resumes once faults stop");
     assert!(!promoted.is_empty());
-}
-
-#[test]
-fn trace_ring_injection_drops_the_event_but_keeps_stats() {
-    let (mut ctx, _) = setup();
-    ctx.recorder = trident_core::ObsRecorder::ring(1024);
-    ctx.fault = always(InjectSite::TraceRing);
-    ctx.record(Event::ZeroFill { blocks: 3 });
-    // Stats saw the real event; the trace holds only the injection marker
-    // and the ring accounts one dropped event.
-    assert_eq!(ctx.snapshot().giant_blocks_prezeroed, 3);
-    assert_eq!(
-        ctx.snapshot().injected_faults[InjectSite::TraceRing as usize],
-        1
-    );
-    let tracer = ctx.recorder.tracer_mut().unwrap();
-    assert_eq!(tracer.dropped(), 1);
-    let events = tracer.drain();
-    assert_eq!(
-        events,
-        vec![Event::FaultInjected {
-            site: InjectSite::TraceRing
-        }]
-    );
 }

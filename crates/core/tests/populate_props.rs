@@ -2,18 +2,20 @@
 //! `PagePolicy::populate` must leave exactly what the default per-page
 //! loop leaves from the same state — the same pooled counters, tenant rows,
 //! buddy state, frame table, region counters and page table, the same
-//! trace under a recorder, and the same error at the same page when
-//! memory runs out. The scenarios produce
-//! 4KB runs and runs of rung-1 chunks: VMAs spanning several rung-2 and
-//! top-rung chunks and ending inside a chunk, calls starting and ending
-//! mid-chunk, and memory too small or too fragmented for every chunk.
+//! trace under a recorder, the same injector state under a fault plan,
+//! and the same error at the same page when memory runs out. The
+//! scenarios produce 4KB runs and runs of rung-1 chunks: VMAs spanning
+//! several rung-2 and top-rung chunks and ending inside a chunk, calls
+//! starting and ending mid-chunk, and memory too small or too
+//! fragmented for every chunk.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use trident_core::{
-    map_chunk, BasePolicy, FaultOutcome, MmContext, NoopRecorder, ObsRecorder, PagePolicy,
-    PolicyError, SpaceSet, ThpPolicy, TridentConfig, TridentPolicy,
+    map_chunk, BasePolicy, FaultInjector, FaultOutcome, FaultPlan, InjectSite, MmContext,
+    NoopRecorder, ObsRecorder, PagePolicy, PolicyError, SpaceSet, ThpPolicy, TridentConfig,
+    TridentPolicy,
 };
 use trident_phys::{FrameUse, PhysicalMemory};
 use trident_types::{AsId, PageGeometry, PageSize, TenantId, Vpn};
@@ -79,6 +81,9 @@ struct Scenario {
     /// Attach a ring recorder: the run path must record the per-page
     /// trace.
     traced: bool,
+    /// Install a fault plan (seed, per-mille) biting large allocations:
+    /// the run path must draw and inject what the per-page faults do.
+    alloc_plan: Option<(u64, u16)>,
 }
 
 fn scenarios() -> impl Strategy<Value = Scenario> {
@@ -109,9 +114,13 @@ fn scenarios() -> impl Strategy<Value = Scenario> {
                 1..10,
             ),
             any::<bool>(),
+            prop_oneof![
+                Just(None),
+                (any::<u64>(), prop_oneof![1u16..100, 100u16..=1000]).prop_map(Some),
+            ],
         );
         (machine, load).prop_map(
-            |((geo, regions, churn, frees), (vmas, touches, calls, traced))| Scenario {
+            |((geo, regions, churn, frees), (vmas, touches, calls, traced, alloc_plan))| Scenario {
                 geo,
                 regions,
                 churn,
@@ -120,6 +129,7 @@ fn scenarios() -> impl Strategy<Value = Scenario> {
                 touches,
                 calls,
                 traced,
+                alloc_plan,
             },
         )
     })
@@ -128,7 +138,7 @@ fn scenarios() -> impl Strategy<Value = Scenario> {
 const ASID: AsId = AsId::new(1);
 
 /// Boots the scenario's machine under `policy`: churn, VMAs, single
-/// faults, then tenant 1's scope.
+/// faults, then tenant 1's scope, the recorder and the fault plan.
 fn boot(s: &Scenario, policy: &mut dyn PagePolicy) -> (MmContext, SpaceSet) {
     let geo = s.geo;
     let giant = geo.base_pages(geo.largest());
@@ -177,6 +187,10 @@ fn boot(s: &Scenario, policy: &mut dyn PagePolicy) -> (MmContext, SpaceSet) {
     if s.traced {
         ctx.recorder = ObsRecorder::ring(1 << 20);
     }
+    if let Some((seed, prob)) = s.alloc_plan {
+        let plan = FaultPlan::builder(seed).site(InjectSite::Alloc, prob);
+        ctx.fault = FaultInjector::new(plan.build().unwrap());
+    }
     (ctx, spaces)
 }
 
@@ -209,6 +223,18 @@ fn assert_same_state(a: &MmContext, sa: &SpaceSet, b: &MmContext, sb: &SpaceSet)
         format!("{:?}", b.mem.regions())
     );
     assert_eq!(format!("{:?}", a.zero_pool), format!("{:?}", b.zero_pool));
+    for site in InjectSite::ALL {
+        assert_eq!(
+            a.fault.decisions(site),
+            b.fault.decisions(site),
+            "{site} draws"
+        );
+        assert_eq!(
+            a.fault.injected(site),
+            b.fault.injected(site),
+            "{site} injections"
+        );
+    }
     let (pa, pb) = (
         sa.get(ASID).unwrap().page_table(),
         sb.get(ASID).unwrap().page_table(),
@@ -268,15 +294,20 @@ fn check<P: PagePolicy + Clone + std::fmt::Debug + 'static>(s: &Scenario, mut po
 }
 
 /// How many of the scenario's populate calls map two or more rung-1
-/// chunks through `policy`'s override.
-fn rung_1_runs<P: PagePolicy>(s: &Scenario, mut policy: P) -> u64 {
+/// chunks through `policy`'s override, and how many of those also
+/// inject an allocation fault.
+fn rung_1_runs<P: PagePolicy>(s: &Scenario, mut policy: P) -> [u64; 2] {
     let (mut ctx, mut spaces) = boot(s, &mut policy);
-    let mut runs = 0;
+    let mut runs = [0; 2];
     for &(salt, pages, tick) in &s.calls {
         let start = call_start(&spaces, salt);
-        let before = ctx.snapshot().faults[1];
+        let faults = ctx.snapshot().faults[1];
+        let injected = ctx.fault.injected(InjectSite::Alloc);
         let _ = policy.populate(&mut ctx, spaces.get_mut(ASID).unwrap(), start, pages);
-        runs += u64::from(ctx.snapshot().faults[1] - before >= 2);
+        if ctx.snapshot().faults[1] - faults >= 2 {
+            runs[0] += 1;
+            runs[1] += u64::from(ctx.fault.injected(InjectSite::Alloc) > injected);
+        }
         if tick {
             policy.on_tick(&mut ctx, &mut spaces);
         }
@@ -285,19 +316,37 @@ fn rung_1_runs<P: PagePolicy>(s: &Scenario, mut policy: P) -> u64 {
 }
 
 /// The scenarios exercise the rung-1 runs: on every ladder, THP and
-/// Trident both see populate calls that map at least two rung-1 chunks.
+/// Trident both see populate calls that map at least two rung-1 chunks,
+/// and under each policy some of those calls inject allocation faults.
 #[test]
 fn scenarios_produce_rung_1_runs() {
     let mut rng = proptest::test_runner::rng_for("scenarios_produce_rung_1_runs");
-    let mut seen: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    let mut seen: BTreeMap<(&str, &str), [u64; 2]> = BTreeMap::new();
     for _ in 0..96 {
         let s = scenarios().generate(&mut rng);
-        *seen.entry((s.geo.name(), "THP")).or_default() += rung_1_runs(&s, ThpPolicy::new());
-        *seen.entry((s.geo.name(), "Trident")).or_default() +=
-            rung_1_runs(&s, TridentPolicy::new(TridentConfig::full()));
+        let cells = [
+            ("THP", rung_1_runs(&s, ThpPolicy::new())),
+            (
+                "Trident",
+                rung_1_runs(&s, TridentPolicy::new(TridentConfig::full())),
+            ),
+        ];
+        for (policy, [runs, injected]) in cells {
+            let entry = seen.entry((s.geo.name(), policy)).or_default();
+            entry[0] += runs;
+            entry[1] += injected;
+        }
     }
     assert_eq!(seen.len(), 10, "every ladder under both policies: {seen:?}");
-    assert!(seen.values().all(|&runs| runs > 0), "{seen:?}");
+    assert!(seen.values().all(|runs| runs[0] > 0), "{seen:?}");
+    for policy in ["THP", "Trident"] {
+        let injected: u64 = seen
+            .iter()
+            .filter(|((_, p), _)| *p == policy)
+            .map(|(_, runs)| runs[1])
+            .sum();
+        assert!(injected > 0, "{policy}: no run met an injection: {seen:?}");
+    }
 }
 
 proptest! {

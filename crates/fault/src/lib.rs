@@ -272,8 +272,9 @@ impl FaultInjector {
         self.plan
     }
 
-    /// Whether any site can still fire. Hot paths use this to skip the
-    /// per-decision hash entirely when injection is off.
+    /// Whether any site can still fire. A site without an active rule
+    /// never hashes: [`should_inject`](Self::should_inject) returns
+    /// `false` before counting a decision.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.plan.is_active()

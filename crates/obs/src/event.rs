@@ -35,8 +35,6 @@ wire_enum! {
         PvExchange = "pv_exchange",
         /// A promotion candidate invalidated under the daemon (raced away).
         Promotion = "promotion",
-        /// Trace-ring pressure: one event lost to a simulated full ring.
-        TraceRing = "trace_ring",
     }
 }
 
@@ -196,8 +194,8 @@ pub enum Event {
         /// The injection site that fired.
         site: InjectSite,
     },
-    /// A promotion was deferred (candidate invalidated, or compaction in
-    /// backoff) and will be re-armed on a later tick.
+    /// A promotion was deferred (candidate invalidated) and will be
+    /// re-armed on a later tick.
     PromotionDeferred {
         /// Target size of the deferred promotion.
         size: PageSize,
@@ -435,19 +433,25 @@ mod tests {
         assert!(Event::parse_jsonl("{\"v\":999,\"ev\":\"fault\"}").is_err());
         assert!(Event::parse_jsonl("{\"v\":1,\"ev\":\"zero_fill\",\"blocks\":1}").is_err());
         assert!(Event::parse_jsonl("{\"v\":3,\"ev\":\"zero_fill\",\"blocks\":1}").is_err());
-        assert!(Event::parse_jsonl("{\"v\":5,\"ev\":\"warp_drive\"}").is_err());
+        assert!(Event::parse_jsonl("{\"v\":5,\"ev\":\"zero_fill\",\"blocks\":1}").is_err());
+        assert!(Event::parse_jsonl("{\"v\":6,\"ev\":\"warp_drive\"}").is_err());
         assert!(
-            Event::parse_jsonl("{\"v\":5,\"ev\":\"span_end\",\"span\":\"warp\",\"ns\":1}").is_err()
+            Event::parse_jsonl("{\"v\":6,\"ev\":\"span_end\",\"span\":\"warp\",\"ns\":1}").is_err()
         );
         assert!(
-            Event::parse_jsonl("{\"v\":5,\"ev\":\"fault_injected\",\"site\":\"warp\"}").is_err()
+            Event::parse_jsonl("{\"v\":6,\"ev\":\"fault_injected\",\"site\":\"warp\"}").is_err()
+        );
+        // The trace-ring site is gone from schema v6.
+        assert!(
+            Event::parse_jsonl("{\"v\":6,\"ev\":\"fault_injected\",\"site\":\"trace_ring\"}")
+                .is_err()
         );
         assert!(
-            Event::parse_jsonl("{\"v\":5,\"ev\":\"tenant_scope\",\"tenant\":99999999999}").is_err()
+            Event::parse_jsonl("{\"v\":6,\"ev\":\"tenant_scope\",\"tenant\":99999999999}").is_err()
         );
         assert!(
             Event::parse_jsonl(
-                "{\"v\":5,\"ev\":\"buddy_split\",\"from_order\":300,\"to_order\":9}"
+                "{\"v\":6,\"ev\":\"buddy_split\",\"from_order\":300,\"to_order\":9}"
             )
             .is_err(),
             "orders are range-checked, never truncated"
@@ -478,7 +482,7 @@ mod tests {
 
     #[test]
     fn field_order_is_not_significant() {
-        let line = "{\"ns\":5,\"site\":\"page_fault\",\"size\":\"base\",\"ev\":\"fault\",\"v\":5}";
+        let line = "{\"ns\":5,\"site\":\"page_fault\",\"size\":\"base\",\"ev\":\"fault\",\"v\":6}";
         assert_eq!(
             Event::parse_jsonl(line),
             Ok(Event::Fault {

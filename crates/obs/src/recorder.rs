@@ -91,13 +91,6 @@ impl RingTracer {
         self.dropped
     }
 
-    /// Accounts `n` events lost *upstream* of the ring (e.g. simulated
-    /// ring pressure from a fault plan), so the lossiness check stays
-    /// honest even though the ring itself never saw them.
-    pub fn note_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.events.iter()

@@ -8,7 +8,7 @@ use crate::{AllocSite, Event, InjectSite};
 ///
 /// Bump when a field is added, removed or changes meaning; traces and
 /// snapshots from different versions must not be mixed.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Aggregate memory-management counters at one point in time.
 ///
@@ -62,9 +62,9 @@ pub struct StatsSnapshot {
     pub giant_blocks_prezeroed: u64,
     /// Faults injected by a deterministic fault plan, by
     /// [`InjectSite`] wire order.
-    pub injected_faults: [u64; 5],
-    /// Promotions deferred (candidate invalidated or compaction backoff)
-    /// for a later re-arm tick.
+    pub injected_faults: [u64; InjectSite::ALL.len()],
+    /// Promotions deferred (candidate invalidated) for a later re-arm
+    /// tick.
     pub promotions_deferred: u64,
     /// Trident_pv exchanges that fell back to copying.
     pub pv_fallbacks: u64,
@@ -123,7 +123,7 @@ impl Default for StatsSnapshot {
             bloat_pages: 0,
             bloat_recovered_pages: 0,
             giant_blocks_prezeroed: 0,
-            injected_faults: [0; 5],
+            injected_faults: [0; InjectSite::ALL.len()],
             promotions_deferred: 0,
             pv_fallbacks: 0,
             pv_fallback_bytes: 0,

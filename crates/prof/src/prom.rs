@@ -193,7 +193,7 @@ pub fn snapshot_counters(enc: &mut TextEncoder, snap: &StatsSnapshot) {
     }
     enc.counter(
         "trident_promotions_deferred_total",
-        "Promotions deferred by backoff or injection.",
+        "Promotions deferred by an injected candidate invalidation.",
     );
     enc.sample(
         "trident_promotions_deferred_total",

@@ -47,7 +47,7 @@ pub struct Window {
     pub free_giant: u64,
     /// Faults injected by a deterministic fault plan (any site).
     pub injected_faults: u64,
-    /// Promotions deferred by backoff or injection.
+    /// Promotions deferred by an injected candidate invalidation.
     pub promotions_deferred: u64,
     /// Bytes copied by Trident_pv exchange fallbacks.
     pub pv_fallback_bytes: u64,

@@ -10,14 +10,14 @@
 //! Requests:
 //!
 //! ```json
-//! {"v":6,"op":"submit","job":{"workload":"GUPS","policy":"Trident","scale":256,...}}
-//! {"v":6,"op":"status","id":3}
-//! {"v":6,"op":"result","id":3}
-//! {"v":6,"op":"cancel","id":3}
-//! {"v":6,"op":"list"}
-//! {"v":6,"op":"metrics"}
-//! {"v":6,"op":"progress","id":3}
-//! {"v":6,"op":"shutdown"}
+//! {"v":7,"op":"submit","job":{"workload":"GUPS","policy":"Trident","scale":256,...}}
+//! {"v":7,"op":"status","id":3}
+//! {"v":7,"op":"result","id":3}
+//! {"v":7,"op":"cancel","id":3}
+//! {"v":7,"op":"list"}
+//! {"v":7,"op":"metrics"}
+//! {"v":7,"op":"progress","id":3}
+//! {"v":7,"op":"shutdown"}
 //! ```
 //!
 //! Responses mirror the request vocabulary (`"ok"` discriminator) or
@@ -49,7 +49,10 @@ use trident_types::{json_record, wire_enum};
 /// v6: one daemon, one client — jobs lose the idempotency `key`, job
 /// summaries lose `key` and `origin`, and the `service` block loses its
 /// `journal` section.
-pub const PROTO_VERSION: u32 = 6;
+/// v7: the `trace_ring` fault site is gone, so a fault spec names one of
+/// four sites and a result's snapshot (schema v6) counts injected faults
+/// at four.
+pub const PROTO_VERSION: u32 = 7;
 
 /// One simulation cell to run: workload × policy plus the knobs the
 /// `SimConfig` builders expose. Mirrors what `tridentctl run` accepted
@@ -963,12 +966,17 @@ mod tests {
             Request::parse_jsonl(&line),
             Err(ProtoError::Version { got: 4 })
         );
-        // So must a v5 peer, whose job summaries still carry `origin`.
-        let line = Request::List.to_jsonl().replace(&stamp, "\"v\":5");
-        assert_eq!(
-            Request::parse_jsonl(&line),
-            Err(ProtoError::Version { got: 5 })
-        );
+        // So must a v5 peer, whose job summaries still carry `origin`,
+        // and a v6 peer, whose fault specs may name `trace_ring`.
+        for got in [5, 6] {
+            let line = Request::List
+                .to_jsonl()
+                .replace(&stamp, &format!("\"v\":{got}"));
+            assert_eq!(
+                Request::parse_jsonl(&line),
+                Err(ProtoError::Version { got })
+            );
+        }
         let line = Response::ShuttingDown
             .to_jsonl()
             .replace(&stamp, "\"v\":99");

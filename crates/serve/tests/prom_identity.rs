@@ -22,7 +22,7 @@ fn distinctive_snapshot() -> StatsSnapshot {
         daemon_ns: 401,
         compaction_bytes_copied: 501,
         pv_bytes_exchanged: 601,
-        injected_faults: [701, 702, 703, 704, 705],
+        injected_faults: [701, 702, 703, 704],
         promotions_deferred: 801,
         pv_fallback_bytes: 901,
         ..StatsSnapshot::default()

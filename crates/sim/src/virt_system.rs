@@ -87,10 +87,10 @@ impl VirtSystem {
         let guest_pages = ((workload_pages + workload_pages / 2).div_ceil(gp).max(1) * gp)
             .min(config.host_pages() / gp * gp)
             .max(gp.min(config.host_pages()));
-        let mut hyp = Hypervisor::try_new(geo, config.host_pages(), |ctx| {
+        let mut hyp = Hypervisor::new(geo, config.host_pages(), |ctx| {
             host_kind.build(ctx, guest_pages)
         })?;
-        let mut vm = hyp.try_create_vm(guest_pages, |ctx| guest_kind.build(ctx, workload_pages))?;
+        let mut vm = hyp.create_vm(guest_pages, |ctx| guest_kind.build(ctx, workload_pages))?;
         let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x7419_de57);
         let guest_fragmenter = if fragment_guest {
             let profile = config

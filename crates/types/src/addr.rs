@@ -1,9 +1,9 @@
-//! Strongly-typed addresses and page numbers.
+//! Strongly-typed page numbers.
 //!
-//! Virtual and physical quantities are deliberately distinct types so that
-//! the simulator cannot confuse a guest-virtual page with a physical frame —
-//! exactly the class of bug the paper's nested-translation machinery (gVA →
-//! gPA → hPA) invites.
+//! Virtual and physical page numbers are deliberately distinct types so
+//! that the simulator cannot confuse a guest-virtual page with a physical
+//! frame — exactly the class of bug the paper's nested-translation
+//! machinery (gVA → gPA → hPA) invites.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
@@ -82,20 +82,6 @@ macro_rules! addr_newtype {
 }
 
 addr_newtype!(
-    /// A virtual byte address.
-    ///
-    /// Under virtualization this is a *guest* virtual address; the simulator
-    /// never exposes host-virtual addresses.
-    VirtAddr
-);
-
-addr_newtype!(
-    /// A physical byte address. Under virtualization, the meaning (guest- or
-    /// host-physical) is determined by which address space produced it.
-    PhysAddr
-);
-
-addr_newtype!(
     /// A virtual page number, counted in base pages.
     Vpn
 );
@@ -120,9 +106,9 @@ mod tests {
 
     #[test]
     fn arithmetic_behaves() {
-        let a = VirtAddr::new(0x1000);
+        let a = Vpn::new(0x1000);
         assert_eq!((a + 0x234).raw(), 0x1234);
-        assert_eq!(VirtAddr::new(0x2000) - a, 0x1000);
+        assert_eq!(Vpn::new(0x2000) - a, 0x1000);
         let mut b = a;
         b += 8;
         assert_eq!(b.raw(), 0x1008);
@@ -142,7 +128,7 @@ mod tests {
 
     #[test]
     fn display_is_hex() {
-        assert_eq!(PhysAddr::new(0xdead).to_string(), "0xdead");
+        assert_eq!(Pfn::new(0xdead).to_string(), "0xdead");
         assert_eq!(format!("{:x}", Vpn::new(255)), "ff");
     }
 

@@ -1,7 +1,7 @@
 //! Configurable page-size geometry: per-architecture size-class ladders.
 
 use crate::page_size::MAX_RUNGS;
-use crate::{PageSize, Pfn, PhysAddr, VirtAddr, Vpn};
+use crate::PageSize;
 
 /// Orders are bounded by the address-space overflow check in
 /// [`PageGeometry::new`]; 64 entries cover every constructible order.
@@ -86,13 +86,14 @@ impl SizeClass {
 /// # Examples
 ///
 /// ```
-/// use trident_types::{PageGeometry, PageSize, VirtAddr};
+/// use trident_types::{PageGeometry, PageSize};
 ///
 /// let geo = PageGeometry::X86_64;
-/// let addr = VirtAddr::new(0x4000_0123);
 /// let giant = geo.largest();
-/// assert!(!geo.is_aligned(addr.raw(), giant));
-/// assert_eq!(geo.align_down(addr.raw(), PageSize::BASE), 0x4000_0000);
+/// assert_eq!(geo.base_pages(giant), 262_144);
+/// assert!(geo.is_page_aligned(3 * 262_144, giant));
+/// assert!(!geo.is_page_aligned(3 * 262_144 + 512, giant));
+/// assert!(geo.is_page_aligned(3 * 262_144 + 512, PageSize::new(1)));
 ///
 /// let sv48 = PageGeometry::RISCV_SV48;
 /// assert_eq!(sv48.rung_count(), 4);
@@ -454,66 +455,12 @@ impl PageGeometry {
         }
     }
 
-    /// Whether `raw` (a byte address) is aligned to `size`.
-    #[inline]
-    #[must_use]
-    pub fn is_aligned(&self, raw: u64, size: PageSize) -> bool {
-        raw.is_multiple_of(self.bytes(size))
-    }
-
-    /// `raw` rounded down to the nearest `size` boundary.
-    #[inline]
-    #[must_use]
-    pub fn align_down(&self, raw: u64, size: PageSize) -> u64 {
-        raw - raw % self.bytes(size)
-    }
-
-    /// `raw` rounded up to the nearest `size` boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overflow of the 64-bit address space.
-    #[inline]
-    #[must_use]
-    pub fn align_up(&self, raw: u64, size: PageSize) -> u64 {
-        let b = self.bytes(size);
-        raw.checked_add(b - 1).expect("address overflow") / b * b
-    }
-
     /// Whether a base-page number is aligned to `size`
     /// (i.e. could begin a page of that size).
     #[inline]
     #[must_use]
     pub fn is_page_aligned(&self, page: u64, size: PageSize) -> bool {
         page.is_multiple_of(self.base_pages(size))
-    }
-
-    /// The base-page number containing byte address `raw`.
-    #[inline]
-    #[must_use]
-    pub fn page_of(&self, raw: u64) -> u64 {
-        raw >> self.base_shift
-    }
-
-    /// The first byte address of base-page number `page`.
-    #[inline]
-    #[must_use]
-    pub fn page_addr(&self, page: u64) -> u64 {
-        page << self.base_shift
-    }
-
-    /// The virtual page number containing `addr`.
-    #[inline]
-    #[must_use]
-    pub fn vpn(&self, addr: VirtAddr) -> Vpn {
-        Vpn::new(self.page_of(addr.raw()))
-    }
-
-    /// The physical frame number containing `addr`.
-    #[inline]
-    #[must_use]
-    pub fn pfn(&self, addr: PhysAddr) -> Pfn {
-        Pfn::new(self.page_of(addr.raw()))
     }
 
     /// The index of the largest-rung-sized region containing base page
@@ -676,26 +623,6 @@ mod tests {
         }
         assert_eq!(PageGeometry::by_name("arm64"), Some(PageGeometry::AARCH64));
         assert_eq!(PageGeometry::by_name("vax"), None);
-    }
-
-    #[test]
-    fn alignment_helpers_agree() {
-        let g = PageGeometry::X86_64;
-        let giant = g.largest();
-        let huge = PageSize::new(1);
-        let addr = 5 * GIB + 123 * MIB;
-        assert!(!g.is_aligned(addr, giant));
-        assert_eq!(g.align_down(addr, giant), 5 * GIB);
-        assert_eq!(g.align_up(addr, giant), 6 * GIB);
-        assert!(g.is_aligned(g.align_down(addr, huge), huge));
-    }
-
-    #[test]
-    fn align_up_of_aligned_address_is_identity() {
-        let g = PageGeometry::X86_64;
-        let giant = g.largest();
-        assert_eq!(g.align_up(2 * GIB, giant), 2 * GIB);
-        assert_eq!(g.align_up(0, giant), 0);
     }
 
     #[test]

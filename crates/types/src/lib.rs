@@ -2,8 +2,8 @@
 //!
 //! This crate defines the page-size ladder vocabulary ([`PageSize`] rung
 //! indices and [`SizeClass`] descriptors), the per-architecture address-space
-//! geometry ([`PageGeometry`]) and the strongly-typed address and identifier
-//! newtypes used by every other crate in the workspace.
+//! geometry ([`PageGeometry`]) and the strongly-typed page-number and
+//! identifier newtypes used by every other crate in the workspace.
 //!
 //! A geometry carries an ordered ladder of size classes: x86-64's
 //! 4KB / 2MB / 1GB, RISC-V Sv48's 4-rung ladder with a 64KB SVNAPOT page,
@@ -45,7 +45,7 @@ pub mod json;
 mod page_size;
 mod units;
 
-pub use addr::{Pfn, PhysAddr, VirtAddr, Vpn};
+pub use addr::{Pfn, Vpn};
 pub use bitset::DenseBitSet;
 pub use error::{AllocError, TridentError};
 pub use geometry::{PageGeometry, SizeClass};

@@ -25,29 +25,6 @@ fn geometry_and_size() -> impl Strategy<Value = (PageGeometry, PageSize)> {
 
 proptest! {
     #[test]
-    fn align_down_is_aligned_and_le((geo, size) in geometry_and_size(),
-                                    raw in 0u64..(1 << 48)) {
-        let down = geo.align_down(raw, size);
-        prop_assert!(geo.is_aligned(down, size));
-        prop_assert!(down <= raw);
-        prop_assert!(raw - down < geo.bytes(size));
-    }
-
-    #[test]
-    fn align_up_is_aligned_and_ge((geo, size) in geometry_and_size(),
-                                  raw in 0u64..(1 << 48)) {
-        let up = geo.align_up(raw, size);
-        prop_assert!(geo.is_aligned(up, size));
-        prop_assert!(up >= raw);
-        prop_assert!(up - raw < geo.bytes(size));
-    }
-
-    #[test]
-    fn page_addr_roundtrips(geo in any_geometry(), page in 0u64..(1 << 36)) {
-        prop_assert_eq!(geo.page_of(geo.page_addr(page)), page);
-    }
-
-    #[test]
     fn ladder_sizes_strictly_increase(geo in any_geometry()) {
         let sizes: Vec<u64> = geo.rungs().map(|s| geo.bytes(s)).collect();
         for pair in sizes.windows(2) {

@@ -136,31 +136,18 @@ impl std::fmt::Debug for Hypervisor {
 }
 
 impl Hypervisor {
-    /// Creates a hypervisor over `host_pages` of physical memory running
-    /// `policy` at the host level.
-    #[must_use]
-    pub fn new(geo: PageGeometry, host_pages: u64, policy: Box<dyn PagePolicy>) -> Hypervisor {
-        Hypervisor {
-            ctx: MmContext::new(PhysicalMemory::new(geo, host_pages)),
-            spaces: SpaceSet::new(),
-            policy,
-            hypercalls: 0,
-            next_vm: 1,
-        }
-    }
-
-    /// Creates a hypervisor whose policy is built against the freshly
-    /// created host context — needed by policies that pre-reserve memory
-    /// (hugetlbfs).
+    /// Creates a hypervisor over `host_pages` of physical memory whose
+    /// host policy `build` makes against the fresh host context, so a
+    /// policy that pre-reserves memory (hugetlbfs) can reserve it.
     ///
     /// # Errors
     ///
     /// Propagates the builder's error (e.g. reservation failure).
-    pub fn try_new<E>(
+    pub fn new(
         geo: PageGeometry,
         host_pages: u64,
-        build: impl FnOnce(&mut MmContext) -> Result<Box<dyn PagePolicy>, E>,
-    ) -> Result<Hypervisor, E> {
+        build: impl FnOnce(&mut MmContext) -> Result<Box<dyn PagePolicy>, TridentError>,
+    ) -> Result<Hypervisor, TridentError> {
         let mut ctx = MmContext::new(PhysicalMemory::new(geo, host_pages));
         let policy = build(&mut ctx)?;
         Ok(Hypervisor {
@@ -172,26 +159,26 @@ impl Hypervisor {
         })
     }
 
-    /// Like [`Hypervisor::create_vm`], but builds the guest policy against
-    /// the freshly created guest context (for reservation-based guest
-    /// policies).
+    /// Boots a VM with `guest_pages` of guest-physical memory, running
+    /// the guest policy `build` makes against the fresh guest context.
+    /// The VM's gPA range appears to the host as one large anonymous
+    /// mapping (how QEMU backs guest RAM).
     ///
     /// # Errors
     ///
     /// [`TridentError::InvalidConfig`] once 65,535 VMs have been created:
     /// a VM's id names its host address space, and ids must fit a
     /// reverse-map slot. Otherwise propagates the builder's error.
-    pub fn try_create_vm<E: From<TridentError>>(
+    pub fn create_vm(
         &mut self,
         guest_pages: u64,
-        build: impl FnOnce(&mut MmContext) -> Result<Box<dyn PagePolicy>, E>,
-    ) -> Result<VirtualMachine, E> {
+        build: impl FnOnce(&mut MmContext) -> Result<Box<dyn PagePolicy>, TridentError>,
+    ) -> Result<VirtualMachine, TridentError> {
         if self.next_vm > u32::from(u16::MAX) {
             return Err(TridentError::InvalidConfig {
                 field: "vms",
                 reason: "at most 65,535 VMs: each VM id must fit a reverse-map slot",
-            }
-            .into());
+            });
         }
         let geo = self.ctx.geometry();
         let id = AsId::new(self.next_vm);
@@ -228,22 +215,6 @@ impl Hypervisor {
     #[must_use]
     pub fn policy_name(&self) -> String {
         self.policy.name()
-    }
-
-    /// Boots a VM with `guest_pages` of guest-physical memory, running
-    /// `guest_policy` inside. The VM's gPA range appears to the host as
-    /// one large anonymous mapping (how QEMU backs guest RAM).
-    ///
-    /// # Errors
-    ///
-    /// [`TridentError::InvalidConfig`] once 65,535 VMs have been created,
-    /// as for [`Hypervisor::try_create_vm`].
-    pub fn create_vm(
-        &mut self,
-        guest_pages: u64,
-        guest_policy: Box<dyn PagePolicy>,
-    ) -> Result<VirtualMachine, TridentError> {
-        self.try_create_vm(guest_pages, |_| Ok(guest_policy))
     }
 
     /// Ensures `gpa` of VM `vm` is backed by host memory, faulting the
@@ -299,9 +270,10 @@ mod tests {
         guest_policy: Box<dyn PagePolicy>,
     ) -> (Hypervisor, VirtualMachine) {
         let g = geo();
-        let mut hyp = Hypervisor::new(g, 16 * g.base_pages(PageSize::new(2)), host_policy);
+        let mut hyp =
+            Hypervisor::new(g, 16 * g.base_pages(PageSize::new(2)), |_| Ok(host_policy)).unwrap();
         let mut vm = hyp
-            .create_vm(8 * g.base_pages(PageSize::new(2)), guest_policy)
+            .create_vm(8 * g.base_pages(PageSize::new(2)), |_| Ok(guest_policy))
             .unwrap();
         let mut proc = AddressSpace::new(AsId::new(1), g);
         proc.mmap_at(Vpn::new(0), 4 * 64, VmaKind::Anon).unwrap();
@@ -386,10 +358,12 @@ mod tests {
     fn vm_ids_past_the_reverse_map_limit_are_refused() {
         let (mut hyp, _) = boot(Box::new(BasePolicy::new()), Box::new(BasePolicy::new()));
         hyp.next_vm = u32::from(u16::MAX);
-        let last = hyp.create_vm(64, Box::new(BasePolicy::new())).unwrap();
+        let last = hyp
+            .create_vm(64, |_| Ok(Box::new(BasePolicy::new())))
+            .unwrap();
         assert_eq!(last.id, AsId::new(65_535));
         assert!(matches!(
-            hyp.create_vm(64, Box::new(BasePolicy::new())),
+            hyp.create_vm(64, |_| Ok(Box::new(BasePolicy::new()))),
             Err(TridentError::InvalidConfig { field: "vms", .. })
         ));
         assert_eq!(hyp.spaces.len(), 2, "a refused VM leaves no host space");

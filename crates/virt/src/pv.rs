@@ -350,12 +350,11 @@ mod tests {
 
     fn boot(host: Box<dyn PagePolicy>) -> (Hypervisor, crate::VirtualMachine) {
         let geo = PageGeometry::TINY;
-        let mut hyp = Hypervisor::new(geo, 32 * 64, host);
+        let mut hyp = Hypervisor::new(geo, 32 * 64, |_| Ok(host)).unwrap();
         let mut vm = hyp
-            .create_vm(
-                16 * 64,
-                Box::new(TridentPolicy::new(TridentConfig::paravirt())),
-            )
+            .create_vm(16 * 64, |_| {
+                Ok(Box::new(TridentPolicy::new(TridentConfig::paravirt())))
+            })
             .unwrap();
         let mut proc = AddressSpace::new(AsId::new(1), geo);
         proc.mmap_at(Vpn::new(0), 4 * 64, VmaKind::Anon).unwrap();

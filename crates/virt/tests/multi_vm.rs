@@ -9,16 +9,15 @@ use trident_vm::{AddressSpace, VmaKind};
 fn host() -> Hypervisor {
     let geo = PageGeometry::TINY;
     let policy: Box<dyn PagePolicy> = Box::new(TridentPolicy::new(TridentConfig::full()));
-    Hypervisor::new(geo, 64 * geo.base_pages(PageSize::new(2)), policy)
+    Hypervisor::new(geo, 64 * geo.base_pages(PageSize::new(2)), |_| Ok(policy)).unwrap()
 }
 
 fn boot_guest(hyp: &mut Hypervisor, giants: u64) -> VirtualMachine {
     let geo = PageGeometry::TINY;
     let mut vm = hyp
-        .create_vm(
-            giants * geo.base_pages(PageSize::new(2)),
-            Box::new(ThpPolicy::new()),
-        )
+        .create_vm(giants * geo.base_pages(PageSize::new(2)), |_| {
+            Ok(Box::new(ThpPolicy::new()))
+        })
         .unwrap();
     let mut proc = AddressSpace::new(AsId::new(1), geo);
     proc.mmap_at(
@@ -97,7 +96,8 @@ fn one_guest_faulting_beyond_its_ram_does_not_disturb_the_other() {
 fn host_daemon_promotes_every_vm_over_time() {
     let geo = PageGeometry::TINY;
     let policy: Box<dyn PagePolicy> = Box::new(ThpPolicy::new());
-    let mut hyp = Hypervisor::new(geo, 64 * geo.base_pages(PageSize::new(2)), policy);
+    let mut hyp =
+        Hypervisor::new(geo, 64 * geo.base_pages(PageSize::new(2)), |_| Ok(policy)).unwrap();
     let mut vms: Vec<VirtualMachine> = (0..3).map(|_| boot_guest(&mut hyp, 2)).collect();
     for vm in &mut vms {
         for i in 0..geo.base_pages(PageSize::new(2)) {

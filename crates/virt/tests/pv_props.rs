@@ -13,12 +13,12 @@ use trident_vm::{AddressSpace, VmaKind};
 fn boot(huge_chunks: u64) -> (Hypervisor, VirtualMachine) {
     let geo = PageGeometry::TINY;
     let host: Box<dyn PagePolicy> = Box::new(ThpPolicy::new());
-    let mut hyp = Hypervisor::new(geo, 64 * geo.base_pages(PageSize::new(2)), host);
+    let mut hyp =
+        Hypervisor::new(geo, 64 * geo.base_pages(PageSize::new(2)), |_| Ok(host)).unwrap();
     let mut vm = hyp
-        .create_vm(
-            32 * geo.base_pages(PageSize::new(2)),
-            Box::new(TridentPolicy::new(TridentConfig::paravirt())),
-        )
+        .create_vm(32 * geo.base_pages(PageSize::new(2)), |_| {
+            Ok(Box::new(TridentPolicy::new(TridentConfig::paravirt())))
+        })
         .unwrap();
     let asid = AsId::new(1);
     let mut proc = AddressSpace::new(asid, geo);

@@ -11,7 +11,7 @@
 //! cargo run --release --example virtualized_pv
 //! ```
 
-use trident_core::{map_chunk, CostModel, PagePolicy, ThpPolicy, TridentConfig, TridentPolicy};
+use trident_core::{map_chunk, CostModel, ThpPolicy, TridentConfig, TridentPolicy};
 use trident_types::{AsId, PageGeometry, Vpn, GIB};
 use trident_virt::{copyless_promote_giant, Hypervisor};
 use trident_vm::{AddressSpace, VmaKind};
@@ -22,12 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let huge = geo
         .size_for_order(geo.level_order(2))
         .expect("every ladder has a natural level-2 rung");
-    let host_policy: Box<dyn PagePolicy> = Box::new(ThpPolicy::new());
-    let mut hyp = Hypervisor::new(geo, 32 * geo.base_pages(giant), host_policy);
-    let mut vm = hyp.create_vm(
-        16 * geo.base_pages(giant),
-        Box::new(TridentPolicy::new(TridentConfig::paravirt())),
-    )?;
+    let mut hyp = Hypervisor::new(geo, 32 * geo.base_pages(giant), |_| {
+        Ok(Box::new(ThpPolicy::new()))
+    })?;
+    let mut vm = hyp.create_vm(16 * geo.base_pages(giant), |_| {
+        Ok(Box::new(TridentPolicy::new(TridentConfig::paravirt())))
+    })?;
     let asid = AsId::new(1);
     let mut proc = AddressSpace::new(asid, geo);
     proc.mmap_at(Vpn::new(0), 4 * geo.base_pages(giant), VmaKind::Anon)?;

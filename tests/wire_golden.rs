@@ -45,7 +45,7 @@ fn full_spec() -> JobSpec {
             rules: vec![
                 (InjectSite::Alloc, 100),
                 (InjectSite::PvExchange, 5),
-                (InjectSite::TraceRing, 1_000),
+                (InjectSite::Promotion, 1_000),
             ],
         }),
         trace_out: Some("out dir/run \"a\".jsonl".to_owned()),
@@ -108,7 +108,7 @@ fn snapshot() -> StatsSnapshot {
         bloat_pages: 17,
         bloat_recovered_pages: 5,
         giant_blocks_prezeroed: 2,
-        injected_faults: [1, 2, 3, 4, 5],
+        injected_faults: [1, 2, 3, 4],
         promotions_deferred: 8,
         pv_fallbacks: 1,
         pv_fallback_bytes: 4_096,
@@ -277,7 +277,7 @@ fn events() -> Vec<Event> {
             free_giant: 2,
         },
         Event::FaultInjected {
-            site: InjectSite::TraceRing,
+            site: InjectSite::Promotion,
         },
         Event::PromotionDeferred {
             size: PageSize::new(1),
