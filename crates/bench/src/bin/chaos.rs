@@ -11,6 +11,13 @@
 //!    bit-identical to the single-threaded run — fault decisions are a
 //!    pure function of (seed, site, counter), never of scheduling.
 //!
+//! The grid is the Figure 1 policies on every workload, a virtualized
+//! wing and a fragmented wing. The fragmented wing exists for the
+//! `compaction` site: the compactor consults it only when no free block
+//! of the target order exists, which clean memory never reaches. Every
+//! [`InjectSite`] must inject somewhere in the grid, or the run fails:
+//! a site that never fires checks no degradation path.
+//!
 //! Flags: the standard experiment flags (`--scale`, `--samples`,
 //! `--seed`, `--threads`) plus `--prob N` (per-site probability cap in
 //! thousandths for the randomized plans; default 100, i.e. up to 10% per
@@ -20,7 +27,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use trident_bench::args::{ArgError, Args};
-use trident_core::{FaultPlan, StatsSnapshot};
+use trident_core::{FaultPlan, InjectSite, StatsSnapshot};
 use trident_sim::{derive_cell_seed, PolicyKind, Runner, SimConfig, System, VirtSystem};
 use trident_workloads::WorkloadSpec;
 
@@ -38,6 +45,9 @@ const VIRT_KINDS: [(PolicyKind, PolicyKind); 2] = [
     (PolicyKind::Thp, PolicyKind::Thp),
     (PolicyKind::Trident, PolicyKind::TridentPv),
 ];
+
+/// Policies of the fragmented wing: the two that compact for promotion.
+const FRAGMENTED_KINDS: [PolicyKind; 2] = [PolicyKind::Thp, PolicyKind::Trident];
 
 /// Salt decorrelating plan seeds from run seeds.
 const PLAN_SALT: u64 = 0xC4A0_5CA0;
@@ -176,20 +186,41 @@ fn main() {
         }
     }
 
+    // A small fragmented wing: first two workloads, the compacting
+    // policies, on heavily fragmented memory.
+    for (row, spec) in specs.iter().enumerate().take(2) {
+        for kind in FRAGMENTED_KINDS {
+            let idx = plans.len() as u64;
+            let mut c = opts.config().fragmented();
+            c.seed = derive_cell_seed(opts.seed, row as u64);
+            c.audit = true;
+            c.fault = Some(FaultPlan::randomized(
+                derive_cell_seed(opts.seed ^ PLAN_SALT, idx),
+                prob,
+            ));
+            plans.push(CellPlan {
+                label: format!("{kind:?}/{}/fragmented", spec.name),
+                native: Some((kind, *spec)),
+                virt: None,
+                config: c,
+            });
+        }
+    }
+
     let serial = Runner::new(1).map(&plans, |_, p| run_cell(p));
     let parallel = Runner::new(8).map(&plans, |_, p| run_cell(p));
 
     let mut failures = Vec::new();
-    let mut total_injected = 0u64;
-    println!("cell,booted,injected,deferred,pv_fallbacks,violations,walk_cycles");
+    let mut injected_by_site = [0u64; InjectSite::ALL.len()];
+    println!("cell,booted,injected,deferred,violations,walk_cycles");
     for (plan, (s, p)) in plans.iter().zip(serial.iter().zip(&parallel)) {
         match s {
             Ok(out) => {
-                let injected = out
-                    .snapshot
-                    .as_ref()
-                    .map_or(0, StatsSnapshot::total_injected_faults);
-                total_injected += injected;
+                if let Some(snap) = &out.snapshot {
+                    for site in InjectSite::ALL {
+                        injected_by_site[site as usize] += snap.injected_at(site);
+                    }
+                }
                 if out.violations > 0 {
                     failures.push(format!(
                         "{}: {} invariant violations",
@@ -197,12 +228,13 @@ fn main() {
                     ));
                 }
                 println!(
-                    "{},{},{},{},{},{},{}",
+                    "{},{},{},{},{},{}",
                     plan.label,
                     out.snapshot.is_some(),
-                    injected,
+                    out.snapshot
+                        .as_ref()
+                        .map_or(0, StatsSnapshot::total_injected_faults),
                     out.snapshot.as_ref().map_or(0, |s| s.promotions_deferred),
-                    out.snapshot.as_ref().map_or(0, |s| s.pv_fallbacks),
                     out.violations,
                     out.walk_cycles,
                 );
@@ -217,14 +249,26 @@ fn main() {
             _ => {}
         }
     }
-    if total_injected == 0 && prob > 0 {
-        failures.push("no faults were injected anywhere — plan wiring is dead".to_owned());
+    let tally: Vec<String> = InjectSite::ALL
+        .iter()
+        .map(|&site| format!("{site} {}", injected_by_site[site as usize]))
+        .collect();
+    eprintln!("# injected faults by site: {}", tally.join(", "));
+    if prob > 0 {
+        for site in InjectSite::ALL {
+            if injected_by_site[site as usize] == 0 {
+                failures.push(format!(
+                    "no faults were injected at site {site} — its plan wiring is dead"
+                ));
+            }
+        }
     }
 
     if failures.is_empty() {
         eprintln!(
-            "# chaos PASS: {} cells, {total_injected} injected faults, zero panics, zero violations, thread counts agree",
-            plans.len()
+            "# chaos PASS: {} cells, {} injected faults, zero panics, zero violations, thread counts agree",
+            plans.len(),
+            injected_by_site.iter().sum::<u64>()
         );
     } else {
         for f in &failures {

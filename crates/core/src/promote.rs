@@ -28,8 +28,6 @@ pub enum PromotionStyle {
     /// Trident_pv: exchange gPA→hPA mappings instead of copying the
     /// 2MB-mapped portions, batching all exchanges into one hypercall (§6).
     PvBatched,
-    /// Trident_pv without batching: one hypercall per exchanged page.
-    PvUnbatched,
 }
 
 /// Why a promotion attempt did not happen.
@@ -59,7 +57,7 @@ pub struct PromoteOutcome {
     pub ns: u64,
     /// Bytes physically copied.
     pub bytes_copied: u64,
-    /// gPA→hPA pairs exchanged instead of copied (pv styles only).
+    /// gPA→hPA pairs exchanged instead of copied (the pv style only).
     pub pairs_exchanged: u64,
     /// Base pages newly backed that the application never touched.
     pub bloat_pages: u64,
@@ -187,20 +185,16 @@ pub fn promote_chunk(
             let bytes = huge_bytes + small_bytes;
             (bytes, 0, ctx.cost.copy_ns(bytes))
         }
-        PromotionStyle::PvBatched | PromotionStyle::PvUnbatched => {
+        PromotionStyle::PvBatched => {
             // Only the table-level large-mapped portions benefit from the
             // exchange; base mappings are copied as before (§6).
             let pairs = pairs_available;
-            let exchange_ns = match style {
-                PromotionStyle::PvBatched => ctx.cost.pv_batched_exchange_ns(pairs),
-                _ => ctx.cost.pv_unbatched_exchange_ns(pairs),
-            };
+            let exchange_ns = ctx.cost.pv_batched_exchange_ns(pairs);
             if huge_bytes > 0 {
                 ctx.span_begin(SpanKind::PvExchange);
                 ctx.record(Event::PvExchange {
                     pairs,
                     bytes: huge_bytes,
-                    batched: style == PromotionStyle::PvBatched,
                 });
                 ctx.span_end(SpanKind::PvExchange, exchange_ns);
             }

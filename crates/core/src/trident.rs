@@ -29,7 +29,7 @@ pub struct TridentConfig {
     /// *Trident-NC*, the ablation isolating smart compaction's value.
     pub compaction: CompactionKind,
     /// How promotions move data; the guest side of Trident_pv switches
-    /// this to a pv style.
+    /// this to [`PromotionStyle::PvBatched`].
     pub style: PromotionStyle,
     /// Recover bloat via HawkEye-style demotion (§7 "Memory bloat").
     pub bloat_recovery: bool,
@@ -161,7 +161,7 @@ impl PagePolicy for TridentPolicy {
             (false, _, _) => "Trident-1Gonly".to_owned(),
             (true, CompactionKind::Normal, _) => "Trident-NC".to_owned(),
             (true, _, PromotionStyle::Copy) => "Trident".to_owned(),
-            (true, _, _) => "Trident-pv".to_owned(),
+            (true, _, PromotionStyle::PvBatched) => "Trident-pv".to_owned(),
         }
     }
 

@@ -279,18 +279,18 @@ fn check<P: PagePolicy + Clone + std::fmt::Debug + 'static>(s: &Scenario, mut po
             assert_same_state(&ctx_a, &spaces_a, &ctx_b, &spaces_b);
         }
     }
-    assert_eq!(
-        spaces_a
-            .get_mut(ASID)
-            .unwrap()
-            .page_table_mut()
-            .take_dirty_chunks(),
-        spaces_b
-            .get_mut(ASID)
-            .unwrap()
-            .page_table_mut()
-            .take_dirty_chunks()
-    );
+    let (mut dirty_a, mut dirty_b) = (Vec::new(), Vec::new());
+    spaces_a
+        .get_mut(ASID)
+        .unwrap()
+        .page_table_mut()
+        .drain_dirty_chunks_into(&mut dirty_a);
+    spaces_b
+        .get_mut(ASID)
+        .unwrap()
+        .page_table_mut()
+        .drain_dirty_chunks_into(&mut dirty_b);
+    assert_eq!(dirty_a, dirty_b);
 }
 
 /// How many of the scenario's populate calls map two or more rung-1

@@ -1,12 +1,11 @@
 //! Deterministic fault injection for the Trident simulator.
 //!
-//! The paper's central safety claim (§4, §6) is that every large-page path
-//! degrades gracefully: fault-time allocation falls back 1GB→2MB→4KB,
-//! promotion defers when compaction cannot mint contiguity, and Trident_pv
-//! falls back to copying when the exchange hypercall fails. This crate
-//! makes those failures a first-class, *deterministic* input to the
-//! simulator instead of something that only happens when memory happens to
-//! fragment.
+//! The paper's central safety claim (§5.1) is that every large-page path
+//! degrades gracefully: fault-time allocation falls back 1GB→2MB→4KB, and
+//! promotion defers when compaction cannot mint contiguity or its
+//! candidate is raced away. This crate makes those failures a
+//! first-class, *deterministic* input to the simulator instead of
+//! something that only happens when memory happens to fragment.
 //!
 //! A [`FaultPlan`] is a seed plus one probability rule per
 //! [`InjectSite`]; a [`FaultInjector`] executes the plan. Each decision is
@@ -18,9 +17,9 @@
 //! the decision.
 //!
 //! The injector itself only *decides*; the layers that consult it
-//! (`trident-core`'s fault handler, promoter and compactor, `trident-virt`'s
-//! hypercall path) turn a `true` into the corresponding failure and report
-//! it as an [`Event::FaultInjected`](trident_obs::Event::FaultInjected).
+//! (`trident-core`'s fault handler, promoter and compactor) turn a `true`
+//! into the corresponding failure and report it as an
+//! [`Event::FaultInjected`](trident_obs::Event::FaultInjected).
 //!
 //! # Examples
 //!
@@ -382,10 +381,10 @@ mod tests {
     #[test]
     fn builder_rejects_out_of_range_probability() {
         let err = FaultPlan::builder(0)
-            .site(InjectSite::PvExchange, 1001)
+            .site(InjectSite::Compaction, 1001)
             .build()
             .unwrap_err();
-        assert!(err.to_string().contains("pv_exchange"));
+        assert!(err.to_string().contains("compaction"));
     }
 
     #[test]

@@ -31,8 +31,6 @@ wire_enum! {
         Alloc = "alloc",
         /// A compaction pass aborted before migrating anything.
         Compaction = "compaction",
-        /// A Trident_pv exchange hypercall rejected by the hypervisor.
-        PvExchange = "pv_exchange",
         /// A promotion candidate invalidated under the daemon (raced away).
         Promotion = "promotion",
     }
@@ -111,8 +109,6 @@ pub enum Event {
         pairs: u64,
         /// Bytes whose copy the exchange elided.
         bytes: u64,
-        /// Whether the pairs went through one batched hypercall.
-        batched: bool,
     },
     /// A compaction pass ran.
     CompactionRun {
@@ -199,11 +195,6 @@ pub enum Event {
     PromotionDeferred {
         /// Target size of the deferred promotion.
         size: PageSize,
-    },
-    /// A Trident_pv exchange fell back to copying.
-    PvFallback {
-        /// Bytes copied instead of exchanged.
-        bytes: u64,
     },
     /// Attribution marker (trace-only): every following event belongs to
     /// this tenant, until the next marker. Emitted only by multi-tenant
@@ -301,7 +292,7 @@ event_wire! {
     GiantAttempt "giant_attempt" { site, failed },
     Promote "promote" { size, bytes_copied, bloat_pages },
     Demote "demote" { size, recovered_pages },
-    PvExchange "pv_exchange" { pairs, bytes, batched },
+    PvExchange "pv_exchange" { pairs, bytes },
     CompactionRun "compaction_run" { smart, succeeded },
     CompactionMove "compaction_move" { bytes },
     ZeroFill "zero_fill" { blocks },
@@ -315,7 +306,6 @@ event_wire! {
     Gauge "gauge" { fmfi_milli, free_huge, free_giant },
     FaultInjected "fault_injected" { site },
     PromotionDeferred "promotion_deferred" { size },
-    PvFallback "pv_fallback" { bytes },
     TenantScope "tenant_scope" { tenant },
 }
 
@@ -371,7 +361,6 @@ mod tests {
             Event::PvExchange {
                 pairs: 512,
                 bytes: 1 << 30,
-                batched: true,
             },
             Event::CompactionRun {
                 smart: true,
@@ -411,7 +400,6 @@ mod tests {
             Event::PromotionDeferred {
                 size: PageSize::new(2),
             },
-            Event::PvFallback { bytes: 1 << 21 },
             Event::TenantScope {
                 tenant: TenantId::new(2),
             },
@@ -434,24 +422,33 @@ mod tests {
         assert!(Event::parse_jsonl("{\"v\":1,\"ev\":\"zero_fill\",\"blocks\":1}").is_err());
         assert!(Event::parse_jsonl("{\"v\":3,\"ev\":\"zero_fill\",\"blocks\":1}").is_err());
         assert!(Event::parse_jsonl("{\"v\":5,\"ev\":\"zero_fill\",\"blocks\":1}").is_err());
-        assert!(Event::parse_jsonl("{\"v\":6,\"ev\":\"warp_drive\"}").is_err());
+        // A v6 exchange still carried its `batched` flag.
+        assert!(Event::parse_jsonl(
+            "{\"v\":6,\"ev\":\"pv_exchange\",\"pairs\":1,\"bytes\":2,\"batched\":true}"
+        )
+        .is_err());
+        assert!(Event::parse_jsonl("{\"v\":7,\"ev\":\"warp_drive\"}").is_err());
         assert!(
-            Event::parse_jsonl("{\"v\":6,\"ev\":\"span_end\",\"span\":\"warp\",\"ns\":1}").is_err()
+            Event::parse_jsonl("{\"v\":7,\"ev\":\"span_end\",\"span\":\"warp\",\"ns\":1}").is_err()
         );
         assert!(
-            Event::parse_jsonl("{\"v\":6,\"ev\":\"fault_injected\",\"site\":\"warp\"}").is_err()
+            Event::parse_jsonl("{\"v\":7,\"ev\":\"fault_injected\",\"site\":\"warp\"}").is_err()
         );
-        // The trace-ring site is gone from schema v6.
+        // The trace-ring site is gone from schema v6, the pv-exchange
+        // site and the pv-fallback event from v7.
+        for line in [
+            "{\"v\":7,\"ev\":\"fault_injected\",\"site\":\"trace_ring\"}",
+            "{\"v\":7,\"ev\":\"fault_injected\",\"site\":\"pv_exchange\"}",
+        ] {
+            assert!(Event::parse_jsonl(line).is_err(), "{line}");
+        }
+        assert!(Event::parse_jsonl("{\"v\":7,\"ev\":\"pv_fallback\",\"bytes\":1}").is_err());
         assert!(
-            Event::parse_jsonl("{\"v\":6,\"ev\":\"fault_injected\",\"site\":\"trace_ring\"}")
-                .is_err()
-        );
-        assert!(
-            Event::parse_jsonl("{\"v\":6,\"ev\":\"tenant_scope\",\"tenant\":99999999999}").is_err()
+            Event::parse_jsonl("{\"v\":7,\"ev\":\"tenant_scope\",\"tenant\":99999999999}").is_err()
         );
         assert!(
             Event::parse_jsonl(
-                "{\"v\":6,\"ev\":\"buddy_split\",\"from_order\":300,\"to_order\":9}"
+                "{\"v\":7,\"ev\":\"buddy_split\",\"from_order\":300,\"to_order\":9}"
             )
             .is_err(),
             "orders are range-checked, never truncated"
@@ -482,7 +479,7 @@ mod tests {
 
     #[test]
     fn field_order_is_not_significant() {
-        let line = "{\"ns\":5,\"site\":\"page_fault\",\"size\":\"base\",\"ev\":\"fault\",\"v\":6}";
+        let line = "{\"ns\":5,\"site\":\"page_fault\",\"size\":\"base\",\"ev\":\"fault\",\"v\":7}";
         assert_eq!(
             Event::parse_jsonl(line),
             Ok(Event::Fault {

@@ -8,7 +8,7 @@ use crate::{AllocSite, Event, InjectSite};
 ///
 /// Bump when a field is added, removed or changes meaning; traces and
 /// snapshots from different versions must not be mixed.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Aggregate memory-management counters at one point in time.
 ///
@@ -66,10 +66,6 @@ pub struct StatsSnapshot {
     /// Promotions deferred (candidate invalidated) for a later re-arm
     /// tick.
     pub promotions_deferred: u64,
-    /// Trident_pv exchanges that fell back to copying.
-    pub pv_fallbacks: u64,
-    /// Bytes copied by Trident_pv fallbacks instead of exchanged.
-    pub pv_fallback_bytes: u64,
 }
 
 // The wire schema (job results embed it): every counter in declaration
@@ -97,8 +93,6 @@ trident_types::json_record! {
         giant_blocks_prezeroed: req,
         injected_faults: req,
         promotions_deferred: req,
-        pv_fallbacks: req,
-        pv_fallback_bytes: req,
     }
 }
 
@@ -125,8 +119,6 @@ impl Default for StatsSnapshot {
             giant_blocks_prezeroed: 0,
             injected_faults: [0; InjectSite::ALL.len()],
             promotions_deferred: 0,
-            pv_fallbacks: 0,
-            pv_fallback_bytes: 0,
         }
     }
 }
@@ -175,10 +167,6 @@ impl StatsSnapshot {
             Event::DaemonTick { ns } => self.daemon_ns += ns,
             Event::FaultInjected { site } => self.injected_faults[site as usize] += 1,
             Event::PromotionDeferred { .. } => self.promotions_deferred += 1,
-            Event::PvFallback { bytes } => {
-                self.pv_fallbacks += 1;
-                self.pv_fallback_bytes += bytes;
-            }
             Event::BuddySplit { .. }
             | Event::BuddyCoalesce { .. }
             | Event::TlbMiss { .. }
@@ -239,8 +227,6 @@ impl StatsSnapshot {
             self.injected_faults[i] += other.injected_faults[i];
         }
         self.promotions_deferred += other.promotions_deferred;
-        self.pv_fallbacks += other.pv_fallbacks;
-        self.pv_fallback_bytes += other.pv_fallback_bytes;
     }
 
     /// 1GB allocation failure rate at `site`, or `None` if never attempted
@@ -357,7 +343,7 @@ mod tests {
                 site: AllocSite::PageFault,
                 ns: 40,
             },
-            Event::PvFallback { bytes: 2048 },
+            Event::CompactionMove { bytes: 2048 },
         ] {
             let mut batched = StatsSnapshot::default();
             batched.apply_n(&event, 3);
@@ -397,24 +383,21 @@ mod tests {
                 site: InjectSite::Alloc,
             },
             Event::FaultInjected {
-                site: InjectSite::PvExchange,
+                site: InjectSite::Compaction,
             },
             Event::PromotionDeferred {
                 size: PageSize::new(2),
             },
-            Event::PvFallback { bytes: 4096 },
-            Event::PvFallback { bytes: 8192 },
         ];
         let mut snap = StatsSnapshot::from_events(events.iter());
         assert_eq!(snap.injected_at(InjectSite::Alloc), 2);
-        assert_eq!(snap.injected_at(InjectSite::PvExchange), 1);
+        assert_eq!(snap.injected_at(InjectSite::Compaction), 1);
+        assert_eq!(snap.injected_at(InjectSite::Promotion), 0);
         assert_eq!(snap.total_injected_faults(), 3);
         assert_eq!(snap.promotions_deferred, 1);
-        assert_eq!(snap.pv_fallbacks, 2);
-        assert_eq!(snap.pv_fallback_bytes, 12_288);
         let copy = snap;
         snap.absorb(&copy);
         assert_eq!(snap.total_injected_faults(), 6);
-        assert_eq!(snap.pv_fallback_bytes, 24_576);
+        assert_eq!(snap.promotions_deferred, 2);
     }
 }

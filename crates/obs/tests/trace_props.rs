@@ -47,13 +47,8 @@ fn events() -> impl Strategy<Value = Event> {
             size,
             recovered_pages,
         }),
-        (0u64..10_000, 0u64..(1 << 31), any::<bool>()).prop_map(|(pairs, bytes, batched)| {
-            Event::PvExchange {
-                pairs,
-                bytes,
-                batched,
-            }
-        }),
+        (0u64..10_000, 0u64..(1 << 31))
+            .prop_map(|(pairs, bytes)| Event::PvExchange { pairs, bytes }),
         (any::<bool>(), any::<bool>())
             .prop_map(|(smart, succeeded)| Event::CompactionRun { smart, succeeded }),
         (0u64..(1 << 31)).prop_map(|bytes| Event::CompactionMove { bytes }),

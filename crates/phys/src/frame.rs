@@ -428,27 +428,16 @@ impl FrameTable {
     ///
     /// Units are naturally aligned, so every unit overlapping a giant region
     /// has its head inside it; this is exactly the set compaction must
-    /// migrate to free the region.
-    ///
-    /// Allocates a fresh `Vec` per call; steady-state callers should prefer
-    /// [`FrameTable::units_in_into`].
+    /// migrate to free the region. Headless stretches are skipped a
+    /// bitmap word at a time.
     pub fn units_in(&self, start: Pfn, end: Pfn) -> Vec<AllocationUnit> {
-        let mut out = Vec::new();
-        self.units_in_into(start, end, &mut out);
-        out
-    }
-
-    /// Enumerates the allocation units whose head lies in `[start, end)`
-    /// into `out` (cleared first), reusing the buffer's storage and
-    /// skipping headless stretches a bitmap word at a time.
-    pub fn units_in_into(&self, start: Pfn, end: Pfn, out: &mut Vec<AllocationUnit>) {
-        out.clear();
-        for head in self.heads.iter_range(start.raw(), end.raw()) {
-            out.push(
+        self.heads
+            .iter_range(start.raw(), end.raw())
+            .map(|head| {
                 self.unit_at(Pfn::new(head))
-                    .expect("head bitmap implies unit exists"),
-            );
-        }
+                    .expect("head bitmap implies unit exists")
+            })
+            .collect()
     }
 
     /// Counts used frames in `[start, end)`.

@@ -200,15 +200,6 @@ pub fn snapshot_counters(enc: &mut TextEncoder, snap: &StatsSnapshot) {
         &[],
         snap.promotions_deferred,
     );
-    enc.counter(
-        "trident_pv_fallback_bytes_total",
-        "Bytes copied by Trident_pv exchange fallbacks.",
-    );
-    enc.sample(
-        "trident_pv_fallback_bytes_total",
-        &[],
-        snap.pv_fallback_bytes,
-    );
 }
 
 /// Checks a Prometheus text body for the invariants the repository's

@@ -95,19 +95,16 @@ pub fn render_markdown(profile: &Profile) -> String {
     let rungs = RUNG_LABELS.join("/");
     let _ = writeln!(
         out,
-        "| window | faults {rungs} | promos {rungs} | compact runs | compact bytes | pv pairs | zero blocks | tlb misses | fmfi | free 2M | free 1G | injected | deferred | pv fb bytes |"
+        "| window | faults {rungs} | promos {rungs} | compact runs | compact bytes | pv pairs | zero blocks | tlb misses | fmfi | free 2M | free 1G | injected | deferred |"
     );
-    let _ = writeln!(
-        out,
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
-    );
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|---|---|");
     for (i, w) in profile.series.windows().iter().enumerate() {
         let fmfi = w
             .fmfi()
             .map_or_else(|| "-".to_owned(), |f| format!("{f:.3}"));
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
             i,
             per_rung(&w.faults, "/"),
             per_rung(&w.promotions, "/"),
@@ -121,7 +118,6 @@ pub fn render_markdown(profile: &Profile) -> String {
             w.free_giant,
             w.injected_faults,
             w.promotions_deferred,
-            w.pv_fallback_bytes,
         );
     }
     out
@@ -164,11 +160,6 @@ pub fn render_json(profile: &Profile) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"pv_fallbacks\": {{\"count\":{},\"bytes\":{}}},",
-        snap.pv_fallbacks, snap.pv_fallback_bytes
-    );
-    let _ = writeln!(
-        out,
         "  \"promotions_deferred\": {},",
         snap.promotions_deferred
     );
@@ -202,7 +193,7 @@ pub fn render_json(profile: &Profile) -> String {
             .map_or_else(|| "null".to_owned(), |f| format!("{f:.3}"));
         let _ = writeln!(
             out,
-            "    {{\"ticks\":{},\"faults\":[{}],\"fault_ns\":[{}],\"promotions\":[{}],\"demotions\":[{}],\"compaction_runs\":{},\"compaction_bytes\":{},\"pv_pairs\":{},\"zero_blocks\":{},\"daemon_ns\":{},\"tlb_misses\":{},\"walk_cycles\":{},\"fmfi\":{fmfi},\"free_huge\":{},\"free_giant\":{},\"injected_faults\":{},\"promotions_deferred\":{},\"pv_fallback_bytes\":{}}}{comma}",
+            "    {{\"ticks\":{},\"faults\":[{}],\"fault_ns\":[{}],\"promotions\":[{}],\"demotions\":[{}],\"compaction_runs\":{},\"compaction_bytes\":{},\"pv_pairs\":{},\"zero_blocks\":{},\"daemon_ns\":{},\"tlb_misses\":{},\"walk_cycles\":{},\"fmfi\":{fmfi},\"free_huge\":{},\"free_giant\":{},\"injected_faults\":{},\"promotions_deferred\":{}}}{comma}",
             w.ticks,
             per_rung(&w.faults, ","),
             per_rung(&w.fault_ns, ","),
@@ -219,7 +210,6 @@ pub fn render_json(profile: &Profile) -> String {
             w.free_giant,
             w.injected_faults,
             w.promotions_deferred,
-            w.pv_fallback_bytes,
         );
     }
     out.push_str("  ]\n");

@@ -49,8 +49,6 @@ pub struct Window {
     pub injected_faults: u64,
     /// Promotions deferred by an injected candidate invalidation.
     pub promotions_deferred: u64,
-    /// Bytes copied by Trident_pv exchange fallbacks.
-    pub pv_fallback_bytes: u64,
 }
 
 impl Window {
@@ -150,7 +148,6 @@ impl TimeSeries {
             }
             Event::FaultInjected { .. } => w.injected_faults += 1,
             Event::PromotionDeferred { .. } => w.promotions_deferred += 1,
-            Event::PvFallback { bytes } => w.pv_fallback_bytes += bytes,
             Event::GiantAttempt { .. }
             | Event::BuddySplit { .. }
             | Event::BuddyCoalesce { .. }
@@ -252,7 +249,6 @@ mod tests {
             Event::PvExchange {
                 pairs: 8,
                 bytes: 1 << 21,
-                batched: true,
             },
         ];
         let mut live = TimeSeries::new(1);

@@ -44,11 +44,8 @@ fn events() -> impl Strategy<Value = Event> {
                 bloat_pages,
             }
         }),
-        (0u64..10_000, 0u64..(1 << 31)).prop_map(|(pairs, bytes)| Event::PvExchange {
-            pairs,
-            bytes,
-            batched: true,
-        }),
+        (0u64..10_000, 0u64..(1 << 31))
+            .prop_map(|(pairs, bytes)| Event::PvExchange { pairs, bytes }),
         (any::<bool>(), any::<bool>())
             .prop_map(|(smart, succeeded)| Event::CompactionRun { smart, succeeded }),
         (0u64..(1 << 31)).prop_map(|bytes| Event::CompactionMove { bytes }),

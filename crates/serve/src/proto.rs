@@ -52,7 +52,10 @@ use trident_types::{json_record, wire_enum};
 /// v7: the `trace_ring` fault site is gone, so a fault spec names one of
 /// four sites and a result's snapshot (schema v6) counts injected faults
 /// at four.
-pub const PROTO_VERSION: u32 = 7;
+/// v8: the `pv_exchange` fault site is gone, so a fault spec names one of
+/// three sites; a result's snapshot (schema v7) counts injected faults at
+/// three and loses `pv_fallbacks` and `pv_fallback_bytes`.
+pub const PROTO_VERSION: u32 = 8;
 
 /// One simulation cell to run: workload × policy plus the knobs the
 /// `SimConfig` builders expose. Mirrors what `tridentctl run` accepted
@@ -776,7 +779,7 @@ mod tests {
             profile: true,
             fault: Some(FaultSpec {
                 seed: 99,
-                rules: vec![(InjectSite::Alloc, 100), (InjectSite::PvExchange, 5)],
+                rules: vec![(InjectSite::Alloc, 100), (InjectSite::Compaction, 5)],
             }),
             trace_out: Some("out dir/run \"a\".jsonl".to_owned()),
             profile_out: Some("prof.json".to_owned()),
@@ -966,9 +969,10 @@ mod tests {
             Request::parse_jsonl(&line),
             Err(ProtoError::Version { got: 4 })
         );
-        // So must a v5 peer, whose job summaries still carry `origin`,
-        // and a v6 peer, whose fault specs may name `trace_ring`.
-        for got in [5, 6] {
+        // So must a v5 peer, whose job summaries still carry `origin`, a
+        // v6 peer, whose fault specs may name `trace_ring`, and a v7 peer,
+        // whose fault specs may name `pv_exchange`.
+        for got in [5, 6, 7] {
             let line = Request::List
                 .to_jsonl()
                 .replace(&stamp, &format!("\"v\":{got}"));
@@ -983,6 +987,41 @@ mod tests {
         assert_eq!(
             Response::parse_jsonl(&line),
             Err(ProtoError::Version { got: 99 })
+        );
+    }
+
+    #[test]
+    fn removed_sites_and_older_snapshots_are_refused() {
+        // A v8 fault spec names one of three sites; `trace_ring` went
+        // with v7 and `pv_exchange` with v8.
+        let line = Request::Submit(full_spec()).to_jsonl();
+        let ours = "\"site\":\"compaction\"";
+        assert!(line.contains(ours), "{line}");
+        for gone in ["trace_ring", "pv_exchange"] {
+            let old = line.replace(ours, &format!("\"site\":\"{gone}\""));
+            assert!(Request::parse_jsonl(&old).is_err(), "{old}");
+        }
+        // A result embedding a schema-v6 snapshot (which still counted
+        // pv fallbacks) is refused by the snapshot's own version.
+        let result = JobResult {
+            samples: 1,
+            tlb_accesses: 1,
+            walks: 0,
+            walk_cycles: 0,
+            rungs: vec![],
+            trace_dropped: 0,
+            trace_lines: None,
+            violations: 0,
+            tenants: vec![],
+            snapshot: StatsSnapshot::default(),
+        };
+        let line = Response::Result { id: 1, result }.to_jsonl();
+        let ours = format!("\"version\":{},", trident_core::SNAPSHOT_VERSION);
+        assert!(line.contains(&ours), "{line}");
+        let older = line.replace(&ours, "\"version\":6,");
+        assert_eq!(
+            Response::parse_jsonl(&older),
+            Err(ProtoError::Version { got: 6 })
         );
     }
 

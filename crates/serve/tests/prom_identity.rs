@@ -22,9 +22,8 @@ fn distinctive_snapshot() -> StatsSnapshot {
         daemon_ns: 401,
         compaction_bytes_copied: 501,
         pv_bytes_exchanged: 601,
-        injected_faults: [701, 702, 703, 704],
+        injected_faults: [701, 702, 703],
         promotions_deferred: 801,
-        pv_fallback_bytes: 901,
         ..StatsSnapshot::default()
     }
 }

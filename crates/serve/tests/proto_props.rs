@@ -159,10 +159,8 @@ fn snapshots() -> impl Strategy<Value = StatsSnapshot> {
             bloat_pages: v[22],
             bloat_recovered_pages: v[23],
             giant_blocks_prezeroed: v[24],
-            injected_faults: [v[25], v[26], v[27], v[28]],
-            promotions_deferred: v[25].rotate_left(1),
-            pv_fallbacks: v[26].rotate_left(2),
-            pv_fallback_bytes: v[27].rotate_left(3),
+            injected_faults: [v[25], v[26], v[27]],
+            promotions_deferred: v[28],
         }
     })
 }

@@ -51,8 +51,9 @@ pub struct SimConfig {
     pub profile: bool,
     /// When set, a deterministic [`FaultInjector`](trident_core::FaultInjector)
     /// seeded from this plan is installed into every memory-management
-    /// context before load, failing allocations, compactions, promotions,
-    /// hypercalls and trace writes per the plan; `None` runs fault-free.
+    /// context before load, failing large-page allocations, compaction
+    /// passes and promotion candidates per the plan; `None` runs
+    /// fault-free.
     pub fault: Option<FaultPlan>,
     /// When true, every daemon tick runs the non-panicking cross-layer
     /// audit ([`check_mm_consistent`](trident_core::check_mm_consistent))

@@ -2,10 +2,10 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use trident_core::{ObsRecorder, PolicyError, RingTracer};
+use trident_core::{ObsRecorder, RingTracer};
 use trident_phys::{Fragmenter, PhysMemError};
 use trident_tlb::{TlbHierarchy, TranslationEngine, WalkCostModel};
-use trident_types::{AsId, PageSize, Vpn};
+use trident_types::{AsId, PageSize, TridentError, Vpn};
 use trident_virt::{Hypervisor, VirtualMachine};
 use trident_vm::AddressSpace;
 use trident_workloads::{AccessSampler, AllocPlan, Layout, WorkloadSpec};
@@ -69,7 +69,10 @@ impl VirtSystem {
     ///
     /// # Errors
     ///
-    /// Propagates reservation failures from either level's policy.
+    /// Propagates reservation failures from either level's policy, and
+    /// [`TridentError::OutOfContiguousMemory`] when loading the workload
+    /// runs either level out of memory that no guest page cache can give
+    /// back.
     pub fn launch(
         config: SimConfig,
         host_kind: PolicyKind,
@@ -141,11 +144,11 @@ impl VirtSystem {
             asid,
             touched: 0,
         };
-        vs.load(spec);
+        vs.load(spec)?;
         Ok(vs)
     }
 
-    fn load(&mut self, spec: WorkloadSpec) {
+    fn load(&mut self, spec: WorkloadSpec) -> Result<(), TridentError> {
         let geo = self.config.geo;
         let plan = spec.plan(geo, self.config.scale, &mut self.rng);
         let mut ranges = Vec::with_capacity(plan.steps.len());
@@ -160,37 +163,36 @@ impl VirtSystem {
                 AllocPlan::execute_step(space, step)
             };
             for i in 0..range.pages {
-                self.touch_populate(range.start + i);
+                self.touch_populate(range.start + i)?;
             }
             ranges.push(range);
         }
         self.sampler = AccessSampler::new(spec, Layout::from_ranges(ranges));
+        Ok(())
     }
 
-    fn touch_populate(&mut self, vpn: Vpn) {
+    /// Touches one workload page at load time. Out of memory, the guest
+    /// first gives back page cache (a fragmented guest holds some), then
+    /// retries once; the retry's error, or any other, is the caller's.
+    fn touch_populate(&mut self, vpn: Vpn) -> Result<(), TridentError> {
         if self.vm.kernel.ctx.mem.free_fraction() < 0.02 {
             if let Some(f) = &mut self.guest_fragmenter {
                 f.reclaim(&mut self.vm.kernel.ctx.mem, 1 << 15);
             }
         }
-        match self.vm.touch(&mut self.hyp, self.asid, vpn, false) {
-            Ok(_) => {}
-            Err(PolicyError::OutOfContiguousMemory(_)) => {
-                let f = self
-                    .guest_fragmenter
-                    .as_mut()
-                    .expect("OOM implies a resident guest page cache");
-                f.reclaim(&mut self.vm.kernel.ctx.mem, 1 << 16);
-                self.vm
-                    .touch(&mut self.hyp, self.asid, vpn, false)
-                    .expect("touch succeeds after reclaim");
-            }
-            Err(e) => panic!("populate touch failed: {e}"),
+        let mut touched = self.vm.touch(&mut self.hyp, self.asid, vpn, false);
+        if let (Err(TridentError::OutOfContiguousMemory(_)), Some(f)) =
+            (&touched, &mut self.guest_fragmenter)
+        {
+            f.reclaim(&mut self.vm.kernel.ctx.mem, 1 << 16);
+            touched = self.vm.touch(&mut self.hyp, self.asid, vpn, false);
         }
+        touched?;
         self.touched += 1;
         if self.touched.is_multiple_of(self.config.tick_interval_pages) {
             self.tick();
         }
+        Ok(())
     }
 
     /// One tick of both daemons: the governed guest daemon and the host's.

@@ -7,19 +7,19 @@
 //! every combination the paper evaluates (4KB+4KB, 2MB+2MB, 1GB+1GB,
 //! THP+THP, Trident+Trident, ...) is expressible.
 //!
-//! The paravirtualized extension (§6) lives in [`pv`]: a batched hypercall
-//! through which the guest asks the hypervisor to *exchange* gPA→hPA
-//! mappings instead of copying guest-physical pages, making 2MB→1GB
-//! promotion in the guest copy-less (Figure 8).
+//! The paravirtualized extension (§6) is a guest policy, not a part of
+//! this crate: Trident-pv is Trident whose promotions take the
+//! [`PromotionStyle::PvBatched`] style of `trident-core`'s promoter, which
+//! charges one batched exchange hypercall for the 2MB-mapped portions
+//! instead of copying them (Figure 8).
 //!
 //! [`PagePolicy`]: trident_core::PagePolicy
+//! [`PromotionStyle::PvBatched`]: trident_core::PromotionStyle::PvBatched
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(deprecated)]
 
 mod nested;
-pub mod pv;
 
 pub use nested::{GuestKernel, Hypervisor, NestedAccess, VirtualMachine};
-pub use pv::{copyless_promote_giant, PvError, PvPromoteReport};

@@ -121,7 +121,6 @@ pub struct Hypervisor {
     /// One address space per VM, mapping gPA (as "virtual") to hPA.
     pub spaces: SpaceSet,
     policy: Box<dyn PagePolicy>,
-    hypercalls: u64,
     next_vm: u32,
 }
 
@@ -130,7 +129,6 @@ impl std::fmt::Debug for Hypervisor {
         f.debug_struct("Hypervisor")
             .field("policy", &self.policy.name())
             .field("vms", &self.spaces.len())
-            .field("hypercalls", &self.hypercalls)
             .finish()
     }
 }
@@ -154,7 +152,6 @@ impl Hypervisor {
             ctx,
             spaces: SpaceSet::new(),
             policy,
-            hypercalls: 0,
             next_vm: 1,
         })
     }
@@ -198,17 +195,6 @@ impl Hypervisor {
                 policy,
             },
         })
-    }
-
-    /// Hypercalls serviced so far.
-    #[must_use]
-    pub fn hypercalls(&self) -> u64 {
-        self.hypercalls
-    }
-
-    /// Records one guest→hypervisor transition (used by [`crate::pv`]).
-    pub(crate) fn count_hypercall(&mut self) {
-        self.hypercalls += 1;
     }
 
     /// The host policy's display name.

@@ -202,7 +202,7 @@ pub struct PageTable {
     /// instead of sweeping for rung tags.
     l1_groups: bool,
     /// Giant-chunk indices whose mappings (or covering VMAs) changed since
-    /// the last [`PageTable::take_dirty_chunks`] drain — the promotion
+    /// the last [`PageTable::drain_dirty_chunks_into`] call — the promotion
     /// daemon's incremental work list.
     dirty_chunks: DenseBitSet,
     /// Bumped on every mutation that could stale [`PageTable::last_walk`]:
@@ -425,21 +425,10 @@ impl PageTable {
         }
     }
 
-    /// Drains the set of giant-chunk indices touched since the last drain,
-    /// in address order. The promotion daemon uses this to re-examine only
-    /// chunks whose candidacy could have changed.
-    ///
-    /// Allocates a fresh `Vec` per call; steady-state callers should prefer
-    /// [`PageTable::drain_dirty_chunks_into`].
-    pub fn take_dirty_chunks(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.dirty_chunks.drain_into(&mut out);
-        out
-    }
-
-    /// Drains the dirty-chunk set into `out` (cleared first) in address
-    /// order, keeping both the bitmap's and the buffer's storage — the
-    /// zero-alloc form of [`PageTable::take_dirty_chunks`].
+    /// Drains the set of giant-chunk indices touched since the last drain
+    /// into `out` (cleared first), in address order, keeping both the
+    /// bitmap's and the buffer's storage. The promotion daemon uses this
+    /// to re-examine only chunks whose candidacy could have changed.
     pub fn drain_dirty_chunks_into(&mut self, out: &mut Vec<u64>) {
         self.dirty_chunks.drain_into(out);
     }
@@ -1062,24 +1051,13 @@ impl PageTable {
     /// Leaves that straddle the window boundary (a giant leaf around a
     /// smaller window) are *not* reported; scan windows should be aligned
     /// to the largest page size of interest.
-    ///
-    /// Allocates a fresh `Vec` per call; steady-state callers should prefer
-    /// [`PageTable::mappings_into`].
     #[must_use]
     pub fn mappings_in(&self, start: Vpn, pages: u64) -> Vec<MappingRecord> {
         let mut out = Vec::new();
-        self.mappings_into(start, pages, &mut out);
-        out
-    }
-
-    /// Enumerates all leaves whose head lies in `[start, start + pages)`
-    /// into `out` (cleared first), reusing the buffer's storage — the
-    /// zero-alloc form of [`PageTable::mappings_in`].
-    pub fn mappings_into(&self, start: Vpn, pages: u64, out: &mut Vec<MappingRecord>) {
-        out.clear();
         self.for_each_leaf_in(start, pages, |vpn, pte, size| {
             out.push(Self::record(vpn, pte, size));
         });
+        out
     }
 
     /// Visits every leaf headed in `[start, start + pages)` in address
@@ -1558,26 +1536,6 @@ mod tests {
     }
 
     #[test]
-    fn mappings_into_reuses_buffer() {
-        let mut t = pt();
-        t.map(Vpn::new(0), Pfn::new(8), HUGE).unwrap();
-        t.map(Vpn::new(9), Pfn::new(2), BASE).unwrap();
-        let stale = MappingRecord {
-            vpn: Vpn::new(999),
-            pfn: Pfn::new(999),
-            size: BASE,
-            accessed: false,
-            dirty: false,
-        };
-        let mut buf = vec![stale];
-        t.mappings_into(Vpn::new(0), 64, &mut buf);
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf[0].vpn, Vpn::new(0));
-        assert_eq!(buf[1].vpn, Vpn::new(9));
-        assert_eq!(buf, t.mappings_in(Vpn::new(0), 64));
-    }
-
-    #[test]
     fn dirty_chunk_drain_is_in_address_order_and_in_place() {
         let mut t = pt();
         t.mark_span_dirty(Vpn::new(128), 64); // chunk 2
@@ -1587,7 +1545,6 @@ mod tests {
         assert_eq!(buf, vec![0, 2]);
         t.drain_dirty_chunks_into(&mut buf);
         assert!(buf.is_empty());
-        assert!(t.take_dirty_chunks().is_empty());
     }
 
     // --- group-leaf (NAPOT / contiguous-span) behavior ---

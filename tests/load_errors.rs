@@ -1,9 +1,10 @@
 //! Loading a machine is fallible: a spec whose tenants need more memory
 //! than the host has fails `build()` with a typed out-of-memory error
 //! instead of panicking, both locally and through `job::execute`, the
-//! execution path `tridentd` workers share.
+//! execution path `tridentd` workers share. A virtualized machine fails
+//! `VirtSystem::launch` the same way.
 
-use trident_repro::sim::{PolicyKind, SimConfig, System};
+use trident_repro::sim::{PolicyKind, SimConfig, System, VirtSystem};
 use trident_repro::types::TridentError;
 use trident_repro::workloads::WorkloadSpec;
 use trident_serve::job;
@@ -63,4 +64,22 @@ fn an_overcommitted_job_fails_instead_of_panicking() {
     let err = job::execute(&spec).expect_err("the machine is over-committed");
     assert!(err.contains("launch failed"), "{err}");
     assert!(err.contains("no contiguous free chunk"), "{err}");
+}
+
+/// A VM gets at most the host's memory, so XSBench's 117 GB footprint
+/// overfills a 64 GB machine; clean guest memory holds no page cache to
+/// give back, and the launch fails with a typed out-of-memory error.
+#[test]
+fn a_vm_smaller_than_its_workload_fails_launch_with_out_of_memory() {
+    let mut config = SimConfig::at_scale(256);
+    config.host_mem_bytes = 64 << 30;
+    config.measure_samples = 1_000;
+    let xsbench = WorkloadSpec::by_name("XSBench").unwrap();
+    match VirtSystem::launch(config, PolicyKind::Thp, PolicyKind::Thp, xsbench, false) {
+        Err(TridentError::OutOfContiguousMemory(_)) => {}
+        other => panic!(
+            "expected an out-of-memory error, got {:?}",
+            other.map(|_| ())
+        ),
+    }
 }

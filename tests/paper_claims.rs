@@ -1,5 +1,5 @@
-//! EXPERIMENTS.md's Figure 1, Figure 2 and Figures 9/10 rows as named
-//! tests over the committed `report/` CSVs.
+//! EXPERIMENTS.md's Figure 1, Figure 2, Figures 9/10, Figure 12 and
+//! Figure 13 rows as named tests over the committed `report/` CSVs.
 //!
 //! CI regenerates `report/` and fails on any byte of difference, so these
 //! files are what the code prints at EXPERIMENTS.md's options. A changed
@@ -60,6 +60,14 @@ impl Report {
 
     fn perf(&self, workload: &str, config: &str) -> f64 {
         self.value(workload, config, "perf_norm")
+    }
+
+    /// `to` over `from` in performance, per application.
+    fn gains(&self, from: &str, to: &str) -> Vec<(&str, f64)> {
+        self.workloads
+            .iter()
+            .map(|w| (w.as_str(), self.perf(w, to) / self.perf(w, from)))
+            .collect()
     }
 
     /// `to` over `from` in performance, per shaded application.
@@ -204,19 +212,6 @@ fn fig2_1gb_agnostic_pr_and_cc_still_lose_most_walk_cycles_at_1gb() {
 
 // ----- Figures 9/10 ---------------------------------------------------------
 
-/// Trident over THP in performance, per application.
-fn trident_gains(fig9: &Report) -> Vec<(&str, f64)> {
-    fig9.workloads
-        .iter()
-        .map(|w| {
-            (
-                w.as_str(),
-                fig9.perf(w, "Trident") / fig9.perf(w, "2MB-THP"),
-            )
-        })
-        .collect()
-}
-
 fn mean(gains: &[(&str, f64)]) -> f64 {
     gains.iter().map(|(_, g)| g).sum::<f64>() / gains.len() as f64
 }
@@ -227,7 +222,7 @@ fn mean(gains: &[(&str, f64)]) -> f64 {
 #[test]
 fn fig9_unfragmented_trident_beats_thp_everywhere_by_about_14pct_on_average() {
     let fig9 = Report::read("fig9_clean");
-    let gains = trident_gains(&fig9);
+    let gains = fig9.gains("2MB-THP", "Trident");
     assert_eq!(
         gains.len(),
         8,
@@ -247,7 +242,7 @@ fn fig9_unfragmented_trident_beats_thp_everywhere_by_about_14pct_on_average() {
 #[test]
 fn fig9_fragmented_trident_beats_thp_everywhere_by_about_18pct_on_average() {
     let fig10 = Report::read("fig9_fragmented");
-    let gains = trident_gains(&fig10);
+    let gains = fig10.gains("2MB-THP", "Trident");
     assert_eq!(gains.len(), 8);
     for (w, gain) in &gains {
         assert!(*gain > 1.0, "{w}: Trident/THP = {gain:.3}");
@@ -294,4 +289,99 @@ fn fig9_trident_cuts_walk_cycles_within_the_papers_38_to_97pct() {
             );
         }
     }
+}
+
+// ----- Figure 12 -------------------------------------------------------------
+
+/// ✔ "Trident+Trident +18.7% mean over THP+THP (paper +16%)": Trident at
+/// both levels gains on all eight applications, +18.7% on average.
+#[test]
+fn fig12_trident_at_both_levels_gains_about_18_7pct_on_average_over_thp() {
+    let fig12 = Report::read("fig12");
+    let gains = fig12.gains("2MB+2MB-THP", "Trident+Trident");
+    assert_eq!(gains.len(), 8, "Figure 12 shows eight applications");
+    for (w, gain) in &gains {
+        assert!(*gain > 1.0, "{w}: Trident+Trident/THP+THP = {gain:.3}");
+    }
+    let mean = mean(&gains);
+    assert!((mean - 1.187).abs() < 0.005, "mean gain {mean:.4}");
+}
+
+/// ✔ "HawkEye+HawkEye at 0.998 ≈ THP+THP (paper +1%)": HawkEye at both
+/// levels stays within 1% of THP+THP on every application.
+#[test]
+fn fig12_hawkeye_at_both_levels_stays_within_about_1pct_of_thp() {
+    let fig12 = Report::read("fig12");
+    let gains = fig12.gains("2MB+2MB-THP", "HawkEye+HawkEye");
+    for (w, gain) in &gains {
+        assert!((gain - 1.0).abs() <= 0.01, "{w}: HawkEye/THP = {gain:.3}");
+    }
+    let mean = mean(&gains);
+    assert!((mean - 0.998).abs() < 0.001, "mean {mean:.4}");
+}
+
+/// ✔ "the biggest winners are GUPS +41.5% and Canneal +38.9% (paper's
+/// biggest: Canneal +50%)": GUPS and Canneal gain the most from Trident at
+/// both levels, and no other application gains even +25%.
+#[test]
+fn fig12_gups_and_canneal_gain_the_most() {
+    let fig12 = Report::read("fig12");
+    let mut gains = fig12.gains("2MB+2MB-THP", "Trident+Trident");
+    gains.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let top: Vec<&str> = gains.iter().take(2).map(|(w, _)| *w).collect();
+    assert_eq!(top, ["GUPS", "Canneal"], "{gains:?}");
+    assert!(gains[1].1 > 1.35, "{gains:?}");
+    assert!(gains[2].1 < 1.25, "{gains:?}");
+}
+
+// ----- Figure 13 -------------------------------------------------------------
+
+/// Trident-pv over copy-based Trident, per application.
+fn pv_gains(fig13: &Report) -> Vec<(&str, f64)> {
+    fig13.gains("Trident+Trident", "Trident-pv+Trident-pv")
+}
+
+/// ≈ "gains here are at most 4.7%, and the largest is on GUPS (1.309 vs
+/// 1.250); the paper reports up to 10%": pv never gains more than 5% over
+/// copy-based Trident, and its largest gain is on GUPS.
+#[test]
+fn fig13_pv_gains_at_most_about_5pct_over_copy_trident_and_most_on_gups() {
+    let fig13 = Report::read("fig13");
+    let gains = pv_gains(&fig13);
+    assert_eq!(gains.len(), 8, "Figure 13 shows eight applications");
+    let (best, gain) = gains
+        .iter()
+        .copied()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("eight applications");
+    assert_eq!(best, "GUPS", "{gains:?}");
+    assert!(gain > 1.04 && gain < 1.05, "GUPS: pv/copy = {gain:.4}");
+    assert_eq!(fig13.perf("GUPS", "Trident-pv+Trident-pv"), 1.309);
+    assert_eq!(fig13.perf("GUPS", "Trident+Trident"), 1.250);
+}
+
+/// ≈ "it ties on SVM, Graph500 and Canneal (within 0.1%) and loses 1.9%
+/// on Redis (1.087 vs 1.108)".
+#[test]
+fn fig13_pv_ties_on_svm_graph500_and_canneal_and_loses_on_redis() {
+    let fig13 = Report::read("fig13");
+    let gains: BTreeMap<&str, f64> = pv_gains(&fig13).into_iter().collect();
+    for w in ["SVM", "Graph500", "Canneal"] {
+        let gain = gains[w];
+        assert!((gain - 1.0).abs() <= 0.001, "{w}: pv/copy = {gain:.4}");
+    }
+    let redis = gains["Redis"];
+    assert!(redis < 0.985, "Redis: pv/copy = {redis:.4}");
+}
+
+/// ≈ "its geometric mean over THP+THP is 1.167, against copy-based
+/// Trident's 1.158".
+#[test]
+fn fig13_pv_geometric_mean_over_thp_edges_copy_tridents() {
+    let fig13 = Report::read("fig13");
+    let pv = geomean(&fig13.gains("2MB+2MB-THP", "Trident-pv+Trident-pv"));
+    let copy = geomean(&fig13.gains("2MB+2MB-THP", "Trident+Trident"));
+    assert!((pv - 1.167).abs() < 0.0005, "pv geomean {pv:.4}");
+    assert!((copy - 1.158).abs() < 0.0005, "copy geomean {copy:.4}");
+    assert!(pv > copy);
 }

@@ -46,20 +46,13 @@ fn events() -> impl Strategy<Value = Event> {
             size,
             recovered_pages,
         }),
-        (1u64..64, 0u64..(1 << 20), any::<bool>()).prop_map(|(pairs, bytes, batched)| {
-            Event::PvExchange {
-                pairs,
-                bytes,
-                batched,
-            }
-        }),
+        (1u64..64, 0u64..(1 << 20)).prop_map(|(pairs, bytes)| Event::PvExchange { pairs, bytes }),
         (any::<bool>(), any::<bool>())
             .prop_map(|(smart, succeeded)| Event::CompactionRun { smart, succeeded }),
         (0u64..(1 << 16)).prop_map(|bytes| Event::CompactionMove { bytes }),
         (0u64..8).prop_map(|blocks| Event::ZeroFill { blocks }),
         (0u64..10_000).prop_map(|ns| Event::DaemonTick { ns }),
         page_sizes().prop_map(|size| Event::PromotionDeferred { size }),
-        (0u64..(1 << 16)).prop_map(|bytes| Event::PvFallback { bytes }),
         (0usize..InjectSite::ALL.len()).prop_map(|i| Event::FaultInjected {
             site: InjectSite::ALL[i],
         }),

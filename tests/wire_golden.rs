@@ -44,7 +44,7 @@ fn full_spec() -> JobSpec {
             seed: 99,
             rules: vec![
                 (InjectSite::Alloc, 100),
-                (InjectSite::PvExchange, 5),
+                (InjectSite::Compaction, 5),
                 (InjectSite::Promotion, 1_000),
             ],
         }),
@@ -108,10 +108,8 @@ fn snapshot() -> StatsSnapshot {
         bloat_pages: 17,
         bloat_recovered_pages: 5,
         giant_blocks_prezeroed: 2,
-        injected_faults: [1, 2, 3, 4],
+        injected_faults: [1, 2, 4],
         promotions_deferred: 8,
-        pv_fallbacks: 1,
-        pv_fallback_bytes: 4_096,
         ..StatsSnapshot::default()
     }
 }
@@ -242,7 +240,6 @@ fn events() -> Vec<Event> {
         Event::PvExchange {
             pairs: 512,
             bytes: 1 << 30,
-            batched: false,
         },
         Event::CompactionRun {
             smart: true,
@@ -282,7 +279,6 @@ fn events() -> Vec<Event> {
         Event::PromotionDeferred {
             size: PageSize::new(1),
         },
-        Event::PvFallback { bytes: 1 << 21 },
         Event::TenantScope {
             tenant: TenantId::new(u32::MAX),
         },
